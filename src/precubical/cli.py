@@ -18,6 +18,7 @@ from .errors import (
     DocumentSyntaxError,
     PrecubicalError,
     RecipeStepFailed,
+    UsageError,
     ValidationFailed,
 )
 
@@ -125,9 +126,12 @@ def cmd_gen(args) -> int:
     else:
         holes = set()
         if args.holes:
-            for part in args.holes.split(";"):
-                i, j = part.split(",")
-                holes.add((int(i), int(j)))
+            try:
+                for part in args.holes.split(";"):
+                    i, j = part.split(",")
+                    holes.add((int(i), int(j)))
+            except ValueError:
+                raise UsageError(f"--holes expects 'i,j;i,j', not {args.holes!r}") from None
         P = modelio.grid_with_holes(args.grid[0], args.grid[1], holes)
         name = f"grid({args.grid[0]},{args.grid[1]})"
     text = modelio.serialize(P, name)
@@ -140,6 +144,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.op == reductions.SQUARE_TWO_FREE and args.a is None:
+        raise UsageError(f"--op {args.op} needs --a 1 or --a 2")
     P = _load(args.input)
     try:
         Q, cert = reductions.run(
@@ -165,8 +171,7 @@ def cmd_auto_reduce(args) -> int:
         steps = None
         policy = args.policy
         if policy == "recipe":
-            print("error: --policy recipe needs --recipe <path>", file=sys.stderr)
-            return 2
+            raise UsageError("--policy recipe needs --recipe <path>")
     try:
         Q, trail = reductions.auto_reduce(P, policy=policy, recipe=steps)
     except RecipeStepFailed as exc:
@@ -334,7 +339,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentSyntaxError,) as exc:
+    except (DocumentSyntaxError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationFailed as exc:

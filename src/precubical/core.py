@@ -13,11 +13,13 @@ algorithm.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Mapping, Optional
 
-from .errors import UnknownCell
+from .errors import UnknownCell, ValidationFailed
 
 
 @dataclass(frozen=True, order=True)
@@ -38,6 +40,9 @@ class Complex:
     (degree, id) to a mapping (i, k) -> face id of degree one less.
     The constructor stores the tables as given; use :func:`validate` to
     check the precubical identities and referential integrity.
+
+    The coface tables behind :meth:`edges_at` and :meth:`squares_on` are
+    built on first query, not here; :meth:`reduced` patches them.
     """
 
     def __init__(
@@ -58,18 +63,24 @@ class Complex:
         self._coords: dict[tuple[int, str], tuple[int, ...]] = {
             key: tuple(pos) for key, pos in dict(coords).items()
         }
+        self._all: Optional[frozenset[CellRef]] = None
+        # (edges by d_1^0, edges by d_1^1, squares by face): id -> sorted ids
+        self._cofaces: Optional[tuple[dict, dict, dict]] = None
 
     # -- basic accessors ---------------------------------------------------
 
     def degrees(self) -> list[int]:
-        return sorted(self._cells)
+        return sorted(self._cell_sets)
 
     @property
     def dimension(self) -> Optional[int]:
         """The largest nonempty degree, or None for the empty complex."""
-        return max(self._cells) if self._cells else None
+        return max(self._cell_sets) if self._cell_sets else None
 
     def cell_ids(self, degree: int) -> tuple[str, ...]:
+        """The ids as given to the constructor; sorted after :meth:`reduced`."""
+        if self._cells is None:
+            return tuple(sorted(self._cell_sets.get(degree, ())))
         return self._cells.get(degree, ())
 
     def cells(self, degree: int) -> list[CellRef]:
@@ -80,6 +91,12 @@ class Complex:
         for n in self.degrees():
             out.extend(self.cells(n))
         return out
+
+    def cell_set(self) -> frozenset[CellRef]:
+        """Every cell, as a set built once per complex."""
+        if self._all is None:
+            self._all = frozenset(self.all_cells())
+        return self._all
 
     def has(self, cell: CellRef) -> bool:
         return cell.id in self._cell_sets.get(cell.degree, frozenset())
@@ -106,6 +123,110 @@ class Complex:
     def coords_table(self) -> dict[tuple[int, str], tuple[int, ...]]:
         return dict(self._coords)
 
+    # -- coface tables -----------------------------------------------------
+
+    def build_cofaces(self):
+        """Build the coface tables unless they exist. Raises ValidationFailed
+        if an edge or a square lacks a face entry or names no cell."""
+        if self._cofaces is not None:
+            return
+        report: list[Violation] = []
+        tables: tuple[dict, dict, dict] = ({}, {}, {})
+        for n in (1, 2):
+            for cid in sorted(self._cell_sets.get(n, ())):
+                table = self._faces.get((n, cid), {})
+                for i in range(1, n + 1):
+                    for k in (0, 1):
+                        fid = table.get((i, k))
+                        if fid is None:
+                            kind, message = "missing-face", f"no entry for d{i}_{k}"
+                        elif fid not in self._cell_sets.get(n - 1, ()):
+                            kind, message = "dangling-face", (
+                                f"d{i}_{k} = {fid!r} is not a cell of degree {n - 1}"
+                            )
+                        else:
+                            cofaces = tables[k if n == 1 else 2].setdefault(fid, [])
+                            if cofaces[-1:] != [cid]:
+                                cofaces.append(cid)
+                            continue
+                        report.append(Violation(kind, CellRef(n, cid), message, (i, k)))
+        if report:
+            raise ValidationFailed(report)
+        self._cofaces = tables
+
+    def edges_at(self, v: CellRef, k: Optional[int] = None) -> list[CellRef]:
+        """The edges e with d_1^k e = v, or with v at either end if k is
+        None, sorted by id."""
+        self.build_cofaces()
+        if k is not None:
+            ids = self._cofaces[k].get(v.id, ())
+        else:
+            ids = sorted({*self._cofaces[0].get(v.id, ()), *self._cofaces[1].get(v.id, ())})
+        return [CellRef(1, e) for e in ids]
+
+    def squares_on(self, e: CellRef) -> list[CellRef]:
+        """The squares having e among their faces, sorted by id."""
+        self.build_cofaces()
+        return [CellRef(2, s) for s in self._cofaces[2].get(e.id, ())]
+
+    def reduced(
+        self,
+        removed: Iterable[CellRef],
+        redirected: Mapping[tuple[CellRef, int, int], CellRef] = (),
+    ) -> Complex:
+        """This complex without the cells `removed`, with each face entry
+        (cell, i, k) of `redirected` pointing at its target instead.
+
+        Unchanged tables are shared, and coface tables built here are
+        patched for the successor, not rebuilt: the cost is what the change
+        touches plus copying the table dicts.
+        """
+        removed = frozenset(removed)
+        redirected = {key: t for key, t in dict(redirected).items() if key[0] not in removed}
+        Q = Complex.__new__(Complex)
+        Q._cells = None
+        Q._cell_sets = dict(self._cell_sets)
+        Q._faces = dict(self._faces)
+        Q._coords = dict(self._coords)
+        for cell in removed:
+            Q._cell_sets[cell.degree] = Q._cell_sets.get(cell.degree, frozenset()) - {cell.id}
+            Q._faces.pop((cell.degree, cell.id), None)
+            Q._coords.pop((cell.degree, cell.id), None)
+        Q._cell_sets = {n: ids for n, ids in Q._cell_sets.items() if ids}
+        for (cell, i, k), target in redirected.items():
+            key = (cell.degree, cell.id)
+            Q._faces[key] = {**Q._faces.get(key, {}), (i, k): target.id}
+        Q._all = None if self._all is None else self._all - removed
+        Q._cofaces = None
+        if self._cofaces is not None and all(c.degree == 1 for c, _, _ in redirected):
+            Q._cofaces = tables = tuple(dict(table) for table in self._cofaces)
+
+            def move(t: int, key: str, cid: str, add: bool = False):
+                ids = [c for c in tables[t].get(key, ()) if c != cid]  # self's list stays
+                if add:
+                    bisect.insort(ids, cid)
+                if ids:
+                    tables[t][key] = ids
+                else:
+                    tables[t].pop(key, None)
+
+            for cell in removed:
+                faces = self._faces.get((cell.degree, cell.id), {})
+                if cell.degree == 0:
+                    tables[0].pop(cell.id, None)
+                    tables[1].pop(cell.id, None)
+                elif cell.degree == 1:
+                    tables[2].pop(cell.id, None)
+                    move(0, faces[(1, 0)], cell.id)
+                    move(1, faces[(1, 1)], cell.id)
+                else:
+                    for e in set(faces.values()):
+                        move(2, e, cell.id)
+            for (cell, _, k), target in redirected.items():
+                move(k, self._faces[(1, cell.id)][(1, k)], cell.id)
+                move(k, target.id, cell.id, add=True)
+        return Q
+
     # -- equality is cell-for-cell on cells and faces, ignoring metadata ---
 
     def __eq__(self, other):
@@ -124,7 +245,7 @@ class Complex:
     __hash__ = None
 
     def __repr__(self):
-        counts = ", ".join(f"{n}: {len(ids)}" for n, ids in sorted(self._cells.items()))
+        counts = ", ".join(f"{n}: {len(self.cell_ids(n))}" for n in self.degrees())
         return f"Complex({{{counts}}})"
 
 
@@ -280,13 +401,21 @@ def cube_morphism(P: Complex, x: CellRef) -> CubeMorphismImage:
 
 
 def is_regular(P: Complex, x: CellRef) -> bool:
-    """True iff the induced cube morphism of x is injective."""
-    image = cube_morphism(P, x)
-    by_degree: dict[int, set[CellRef]] = {}
-    for src, tgt in image.assignment.items():
-        by_degree.setdefault(src.degree, set()).add(tgt)
-    cube = standard_cube(x.degree)
-    return all(len(by_degree[r]) == cube.size(r) for r in by_degree)
+    """True iff the induced cube morphism of x is injective.
+
+    The images of the degree-r cells of the cube are the faces of the
+    images of its degree-(r+1) cells, so x is regular iff every level r
+    holds C(n, r) * 2^(n-r) distinct cells, as many as the n-cube has.
+    """
+    if not P.has(x):
+        raise UnknownCell(f"no cell {x.id!r} of degree {x.degree}")
+    n = x.degree
+    level = {x}
+    for r in range(n - 1, -1, -1):
+        level = {P.face(c, i, k) for c in level for i in range(1, r + 2) for k in (0, 1)}
+        if len(level) != comb(n, r) * 2 ** (n - r):
+            return False
+    return True
 
 
 # -- duality functors ------------------------------------------------------

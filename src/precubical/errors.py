@@ -68,6 +68,10 @@ class OutOfRange(PrecubicalError):
     pass
 
 
+class UsageError(PrecubicalError):
+    """A command-line argument that parses but makes no sense."""
+
+
 class DocumentSyntaxError(PrecubicalError):
     def __init__(self, line_number, message):
         self.line_number = line_number

@@ -39,16 +39,6 @@ class EdgePath:
         return tuple(e.id for e in self.edges)
 
 
-def make_path(P: Complex, start: CellRef, edges: list[CellRef]) -> EdgePath:
-    """Build a path, checking composability."""
-    at = start
-    for e in edges:
-        if P.face(e, 1, 0) != at:
-            raise ValueError(f"edge {e.id!r} does not start at {at.id!r}")
-        at = P.face(e, 1, 1)
-    return EdgePath(start, at, tuple(edges))
-
-
 def one_skeleton_is_acyclic(P: Complex) -> bool:
     """True iff the directed graph on vertices and edges has no directed
     cycle (a self-loop counts as a cycle)."""

@@ -292,12 +292,9 @@ def export_dot(P: Complex, name: str = "complex") -> str:
         if pos is not None and len(pos) >= 2:
             attrs.append(f'pos="{pos[0]},{pos[1]}!"')
         out.append(f'  "{v.id}" [{" ".join(attrs)}];')
-    square_edges = {
-        P.face(s, i, k) for s in P.cells(2) for i in (1, 2) for k in (0, 1)
-    }
     for e in P.cells(1):
         src, tgt = P.face(e, 1, 0), P.face(e, 1, 1)
-        if e in square_edges:
+        if P.squares_on(e):
             # route through a label node so squares have an anchor
             mid = f"mid:{e.id}"
             out.append(f'  "{mid}" [shape=plaintext label="{e.id}"];')

@@ -7,7 +7,8 @@ or directly below a hole) the free-face variants take over, preferring
 (a, b) = (2, 0) to the right of holes and (1, 1) below them. The
 remaining 1-dimensional complex is then simplified by edge collapses,
 first with b=0, then with b=1, taking only collapses that keep the
-bipartite-graph guarantee.
+bipartite-graph guarantee; each phase is the greedy scheduler with a
+one-entry attempt table.
 
 The generator simulates the sequence while producing it, so a returned
 recipe replays step by step from the original complex with every side
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from . import reductions
 from .core import Complex
+from .errors import DocumentSyntaxError
 from .reductions import (
     EDGE_COLLAPSE,
     SQUARE_ONE_FREE,
@@ -87,20 +89,14 @@ def grid_reduction_recipe(m: int, n: int, holes=()) -> list[Step]:
         downward = not downward
 
     for b in (0, 1):
-        progress = True
-        while progress:
-            progress = False
-            for e in P.cells(1):
-                cert = reductions.check(P, EDGE_COLLAPSE, e.id, None, b)
-                if cert.all_conditions_hold and cert.fbg_guaranteed:
-                    P = apply_step(P, Step(EDGE_COLLAPSE, e.id, b))
-                    progress = True
-                    break
+        P, trail = reductions.greedy_reduce(P, ((EDGE_COLLAPSE, None, b),))
+        steps.extend(Step(EDGE_COLLAPSE, cert.cell.id, b) for cert in trail)
     return steps
 
 
 def parse_recipe(text: str) -> list[Step]:
-    """Read a recipe file: one `kind cell [a] b` per line, `#` comments."""
+    """Read a recipe file: one `kind cell [a] b` per line, `#` comments.
+    A malformed line raises DocumentSyntaxError with its line number."""
     steps = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -112,12 +108,19 @@ def parse_recipe(text: str) -> list[Step]:
             a = None
         elif len(tokens) == 4:
             kind, cell, a, b = tokens
-            a = int(a)
         else:
-            raise ValueError(f"recipe line {lineno}: expected 'kind cell [a] b'")
+            raise DocumentSyntaxError(lineno, "expected 'kind cell [a] b'")
         if kind not in (EDGE_COLLAPSE, SQUARE_ONE_FREE, SQUARE_TWO_FREE):
-            raise ValueError(f"recipe line {lineno}: unknown kind {kind!r}")
-        steps.append(Step(kind, cell, int(b), a))
+            raise DocumentSyntaxError(lineno, f"unknown kind {kind!r}")
+        if (a is None) != (kind != SQUARE_TWO_FREE):
+            raise DocumentSyntaxError(
+                lineno, f"{kind} takes {'a and b' if a is None else 'only b'}"
+            )
+        if a not in (None, "1", "2"):
+            raise DocumentSyntaxError(lineno, f"a must be 1 or 2, not {a!r}")
+        if b not in ("0", "1"):
+            raise DocumentSyntaxError(lineno, f"b must be 0 or 1, not {b!r}")
+        steps.append(Step(kind, cell, int(b), None if a is None else int(a)))
     return steps
 
 

@@ -18,7 +18,8 @@ deterministic greedy scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from typing import Optional
 
 from . import core
@@ -70,50 +71,27 @@ class ReductionCertificate:
 def _require(P: Complex, cell_id: str, degree: int) -> CellRef:
     x = CellRef(degree, cell_id)
     if not P.has(x):
-        found = [c for c in P.all_cells() if c.id == cell_id]
-        if found:
-            raise WrongDegree(
-                f"cell {cell_id!r} has degree {found[0].degree}, expected {degree}"
-            )
+        for n in P.degrees():
+            if P.has(CellRef(n, cell_id)):
+                raise WrongDegree(f"cell {cell_id!r} has degree {n}, expected {degree}")
         raise UnknownCell(f"no cell {cell_id!r} of degree {degree}")
     return x
 
 
-def _check_dimension(P: Complex):
+def _check_complex(P: Complex):
+    """Reductions need dimension <= 2 and face entries that resolve; the
+    latter is checked once per complex, when its coface tables are built."""
     dim = P.dimension
     if dim is not None and dim > 2:
         raise DimensionUnsupported(
             f"reductions operate in dimension <= 2, complex has dimension {dim}"
         )
+    P.build_cofaces()
 
 
-def _edges_at_vertex(P: Complex, v: CellRef) -> list[CellRef]:
-    """Edges having v in their boundary, sorted by id."""
-    return [
-        e
-        for e in P.cells(1)
-        if P.face(e, 1, 0) == v or P.face(e, 1, 1) == v
-    ]
-
-
-def _square_boundary_edges(P: Complex) -> set[CellRef]:
-    """All edges occurring in the boundary of some degree-2 cell."""
-    out: set[CellRef] = set()
-    for s in P.cells(2):
-        for i in (1, 2):
-            for k in (0, 1):
-                out.add(P.face(s, i, k))
-    return out
-
-
-def _squares_with_edge(P: Complex, edge: CellRef, exclude: CellRef = None) -> list[CellRef]:
-    out = []
-    for s in P.cells(2):
-        if s == exclude:
-            continue
-        if any(P.face(s, i, k) == edge for i in (1, 2) for k in (0, 1)):
-            out.append(s)
-    return out
+def _other_squares(P: Complex, x: CellRef, edges) -> list[CellRef]:
+    """The squares other than x on any of the given edges, sorted."""
+    return sorted({s for e in edges for s in P.squares_on(e) if s != x})
 
 
 def _finish(P, kind, x, params, conditions, removed, redirected, y, r_cells, mode, allow_empty_y):
@@ -139,24 +117,7 @@ def _finish(P, kind, x, params, conditions, removed, redirected, y, r_cells, mod
 
 
 def _apply(P: Complex, cert: ReductionCertificate) -> Complex:
-    removed = cert.removed
-    kept = [c for c in P.all_cells() if c not in removed]
-    redirect: dict[tuple[int, str], dict[tuple[int, int], str]] = {}
-    for (cell, i, k), target in cert.redirected.items():
-        redirect.setdefault((cell.degree, cell.id), {})[(i, k)] = target.id
-    cells: dict[int, list[str]] = {}
-    faces = {}
-    coords = {}
-    for cell in kept:
-        cells.setdefault(cell.degree, []).append(cell.id)
-        if cell.degree > 0:
-            table = P.face_table(cell)
-            table.update(redirect.get((cell.degree, cell.id), {}))
-            faces[(cell.degree, cell.id)] = table
-        pos = P.coords(cell)
-        if pos is not None:
-            coords[(cell.degree, cell.id)] = pos
-    return Complex(cells, faces, coords)
+    return P.reduced(cert.removed, cert.redirected)
 
 
 def edge_collapse(
@@ -169,25 +130,20 @@ def edge_collapse(
     """Collapse the edge x onto its d_1^b endpoint, removing the vertex
     v = d_1^{1-b} x and redirecting every edge y with d_1^b y = v to end
     (resp. start) at d_1^b x instead."""
-    _check_dimension(P)
+    _check_complex(P)
     x = _require(P, cell_id, 1)
     v = P.face(x, 1, 1 - b)  # the vertex that disappears
     w = P.face(x, 1, b)  # the vertex x collapses onto
 
     conditions = [Condition("reg", core.is_regular(P, x))]
 
-    same_endpoint = [
-        yy
-        for yy in P.cells(1)
-        if yy != x and P.face(yy, 1, 1 - b) == v
-    ]
+    same_endpoint = [yy for yy in P.edges_at(v, 1 - b) if yy != x]
     conditions.append(Condition("i", not same_endpoint, tuple(same_endpoint)))
 
-    in_square = _square_boundary_edges(P)
-    blocked = [e for e in _edges_at_vertex(P, v) if e in in_square]
+    blocked = [e for e in P.edges_at(v) if P.squares_on(e)]
     conditions.append(Condition("ii", not blocked, tuple(blocked)))
 
-    y = [yy for yy in P.cells(1) if P.face(yy, 1, b) == v]
+    y = P.edges_at(v, b)
     redirected = {(yy, 1, b): w for yy in y}
     removed = {x, v}
     return _finish(
@@ -206,7 +162,7 @@ def square_one_free(
     """Remove a square x together with the edges d_1^{1-b} x and d_2^b x
     and the corner vertex between them. Requires both edges to be free
     (in no other square) and the corner to meet no other edge."""
-    _check_dimension(P)
+    _check_complex(P)
     x = _require(P, cell_id, 2)
     e1 = P.face(x, 1, 1 - b)
     e2 = P.face(x, 2, b)
@@ -214,13 +170,10 @@ def square_one_free(
 
     conditions = [Condition("reg", core.is_regular(P, x))]
 
-    other = sorted(
-        set(_squares_with_edge(P, e1, exclude=x))
-        | set(_squares_with_edge(P, e2, exclude=x))
-    )
+    other = _other_squares(P, x, (e1, e2))
     conditions.append(Condition("i", not other, tuple(other)))
 
-    extra = [e for e in _edges_at_vertex(P, corner) if e not in (e1, e2)]
+    extra = [e for e in P.edges_at(corner) if e not in (e1, e2)]
     conditions.append(Condition("ii", not extra, tuple(extra)))
 
     removed = {x, e1, e2, corner}
@@ -241,7 +194,7 @@ def square_two_free(
     """Remove a square x and its free edge d_{3-a}^b x. The edge
     d_a^{1-b} x survives and takes over the role of the removed one; the
     certificate records the subset R on which the homotopy is relative."""
-    _check_dimension(P)
+    _check_complex(P)
     x = _require(P, cell_id, 2)
     if a not in (1, 2):
         raise ValueError("a must be 1 or 2")
@@ -250,33 +203,20 @@ def square_two_free(
 
     conditions = [Condition("reg", core.is_regular(P, x))]
 
-    other = sorted(
-        set(_squares_with_edge(P, e_keep, exclude=x))
-        | set(_squares_with_edge(P, e_drop, exclude=x))
-    )
+    other = _other_squares(P, x, (e_keep, e_drop))
     conditions.append(Condition("i", not other, tuple(other)))
 
     v_keep = P.face(e_keep, 1, b)
-    parallel = [
-        yy
-        for yy in P.cells(1)
-        if yy != e_keep and P.face(yy, 1, b) == v_keep
-    ]
+    parallel = [yy for yy in P.edges_at(v_keep, b) if yy != e_keep]
     conditions.append(Condition("ii", not parallel, tuple(parallel)))
 
     v_drop = P.face(e_drop, 1, 1 - b)
-    y = [
-        yy
-        for yy in P.cells(1)
-        if yy != e_drop and P.face(yy, 1, 1 - b) == v_drop
-    ]
-    in_square = _square_boundary_edges(P)
-    bad_y = [yy for yy in y if yy in in_square]
+    y = [yy for yy in P.edges_at(v_drop, 1 - b) if yy != e_drop]
+    bad_y = [yy for yy in y if P.squares_on(yy)]
     conditions.append(Condition("iii", not bad_y, tuple(bad_y)))
 
     removed = {x, e_drop}
-    r_excluded = {x, e_drop, v_drop, e_keep} | set(y)
-    r_cells = [c for c in P.all_cells() if c not in r_excluded]
+    r_cells = P.cell_set() - {x, e_drop, v_drop, e_keep} - frozenset(y)
     return _finish(
         P, SQUARE_TWO_FREE, x, {"a": a, "b": b}, conditions, removed, {}, y,
         r_cells, mode, allow_empty_y,
@@ -338,15 +278,81 @@ GREEDY_ATTEMPTS: tuple[tuple[str, Optional[int], int], ...] = (
 )
 
 
-def _greedy_step(P: Complex) -> Optional[tuple[Complex, ReductionCertificate]]:
-    for kind, a, b in GREEDY_ATTEMPTS:
-        degree = 1 if kind == EDGE_COLLAPSE else 2
-        for cell in P.cells(degree):
-            cert = check(P, kind, cell.id, a, b)
-            if cert.all_conditions_hold and cert.fbg_guaranteed:
-                Q, cert = run(P, kind, cell.id, a, b)
-                return Q, cert
-    return None
+def _vertices(P: Complex, cell: CellRef) -> set[CellRef]:
+    """The vertices among the iterated faces of a cell of P."""
+    level = {cell}
+    for r in range(cell.degree, 0, -1):
+        level = {P.face(c, i, k) for c in level for i in range(1, r + 1) for k in (0, 1)}
+    return level
+
+
+def greedy_reduce(
+    P: Complex,
+    attempts: tuple[tuple[str, Optional[int], int], ...] = GREEDY_ATTEMPTS,
+) -> tuple[Complex, list[ReductionCertificate]]:
+    """Apply guaranteed reductions until none applies. Each step takes the
+    first entry of `attempts` that applies to some cell, on the smallest
+    such cell id, and the trail lists the applied certificates.
+
+    A worklist keeps, per entry of `attempts`, the cells not yet known to
+    fail; cells leave it when their check fails. It is exact because of
+    the locality rule:
+
+    - Under every entry, whether a cell passes depends only on its own
+      faces, on the edges at its vertices and on the squares on those
+      edges.
+    - A step changes those only for cells with a vertex in D, the set of
+      the vertices of the removed cells and of the redirected edges (old
+      endpoints and new targets alike).
+    - So after a step, re-queueing every edge at a vertex of D and every
+      square on such an edge, under every entry, leaves out no cell whose
+      answer may have changed.
+
+    Each step then costs what the step touches, not a scan of the complex.
+    Checks and applications go through the module's `check` and `run`.
+    """
+    degrees = [1 if kind == EDGE_COLLAPSE else 2 for kind, _, _ in attempts]
+    pending = [set(P.cell_ids(d)) for d in degrees]
+    heaps = [sorted(ids) for ids in pending]  # a sorted list is a heap
+    trail: list[ReductionCertificate] = []
+    while True:
+        chosen = None
+        for index, (kind, a, b) in enumerate(attempts):
+            queue, heap = pending[index], heaps[index]
+            while heap:
+                cid = heap[0]
+                if cid in queue:
+                    cert = check(P, kind, cid, a, b)
+                    if cert.all_conditions_hold and cert.fbg_guaranteed:
+                        chosen = (kind, cid, a, b)
+                        break
+                    queue.discard(cid)
+                heapq.heappop(heap)
+            if chosen is not None:
+                break
+        if chosen is None:
+            return P, trail
+        kind, cid, a, b = chosen
+        Q, cert = run(P, kind, cid, a, b)
+        trail.append(cert)
+
+        touched: set[CellRef] = set()
+        for cell in cert.removed:
+            touched |= _vertices(P, cell)
+        for (cell, i, k), target in cert.redirected.items():
+            touched |= _vertices(P, P.face(cell, i, k)) | _vertices(Q, target)
+        star = {1: set(), 2: set()}
+        for v in touched:
+            if Q.has(v):
+                for e in Q.edges_at(v):
+                    star[1].add(e.id)
+                    star[2].update(s.id for s in Q.squares_on(e))
+        for queue, heap, degree in zip(pending, heaps, degrees):
+            queue -= {cell.id for cell in cert.removed if cell.degree == degree}
+            for cid in star[degree] - queue:
+                queue.add(cid)
+                heapq.heappush(heap, cid)
+        P = Q
 
 
 def auto_reduce(
@@ -373,9 +379,4 @@ def auto_reduce(
         return P, trail
     if policy != "greedy":
         raise ValueError(f"unknown policy {policy!r}")
-    while True:
-        result = _greedy_step(P)
-        if result is None:
-            return P, trail
-        P, cert = result
-        trail.append(cert)
+    return greedy_reduce(P)

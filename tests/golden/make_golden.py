@@ -1,0 +1,127 @@
+"""Record the reduction outputs that refactors must reproduce exactly.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python3 tests/golden/make_golden.py
+
+It writes tests/golden/golden.json with
+
+- "sweep": for each of the 200 random instances of the acceptance
+  suite's reduction sweep, the sha256 of the check-mode certificates of
+  every candidate reduction, rendered with the CLI's certificate JSON;
+- "greedy": for every named fixture, for grids of side 8 and 12 with
+  holes at (1, 1) and (n-2, n-2), and for directed paths of 200 and
+  1500 edges, the greedy trail as step strings plus the sha256 of its
+  full certificate list and of the reduced document;
+- "recipes": the grid_reduction_recipe step lists of those grids.
+
+tests/test_golden.py recomputes the same records and compares.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.dirname(HERE))
+
+from precubical import modelio, recipes, reductions  # noqa: E402
+from precubical.cli import _certificate_json  # noqa: E402
+from precubical.core import Complex  # noqa: E402
+
+from conftest import random_grid_complex  # noqa: E402
+from test_acceptance import candidates  # noqa: E402
+
+GOLDEN_PATH = os.path.join(HERE, "golden.json")
+SWEEP_SEED = 20240817  # the acceptance suite's reduction_sweep seed
+SWEEP_INSTANCES = 200
+GRID_SIDES = (8, 12)
+PATH_LENGTHS = (200, 1500)
+
+
+def sha256_json(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def step_str(cert) -> str:
+    return str(reductions.Step(cert.kind, cert.cell.id, cert.params["b"], cert.params.get("a")))
+
+
+def grid_holes(n: int):
+    return {(1, 1), (n - 2, n - 2)}
+
+
+def path_complex(length: int) -> Complex:
+    return Complex(
+        {0: [f"x{t}" for t in range(length + 1)], 1: [f"e{t}" for t in range(length)]},
+        {(1, f"e{t}"): {(1, 0): f"x{t}", (1, 1): f"x{t + 1}"} for t in range(length)},
+    )
+
+
+def greedy_inputs():
+    for name in modelio.FIXTURE_NAMES:
+        yield f"fixture {name}", modelio.named_fixture(name)
+    for n in GRID_SIDES:
+        yield f"grid {n}", modelio.grid_with_holes(n, n, grid_holes(n))
+    for length in PATH_LENGTHS:
+        yield f"path {length}", path_complex(length)
+
+
+def sweep_record(instances: int = SWEEP_INSTANCES) -> list[str]:
+    rng = random.Random(SWEEP_SEED)
+    out = []
+    for _ in range(instances):
+        P = random_grid_complex(rng, max_side=4)
+        certs = [
+            _certificate_json(reductions.check(P, kind, cell, a, b))
+            for kind, cell, a, b in candidates(P)
+        ]
+        out.append(sha256_json(certs))
+    return out
+
+
+def greedy_record(P: Complex) -> dict:
+    Q, trail = reductions.auto_reduce(P)
+    return {
+        "steps": [step_str(c) for c in trail],
+        "certificates": sha256_json([_certificate_json(c) for c in trail]),
+        "result": hashlib.sha256(modelio.serialize(Q).encode("utf-8")).hexdigest(),
+    }
+
+
+def recipe_record(n: int) -> list[str]:
+    return [str(step) for step in recipes.grid_reduction_recipe(n, n, grid_holes(n))]
+
+
+def build() -> dict:
+    return {
+        "sweep": sweep_record(),
+        "greedy": {label: greedy_record(P) for label, P in greedy_inputs()},
+        "recipes": {f"grid {n}": recipe_record(n) for n in GRID_SIDES},
+    }
+
+
+def main():
+    record = build()
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], cwd=HERE,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    record["recorded_at"] = commit
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    main()

@@ -144,3 +144,20 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["reduce"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, recipe",
+    [
+        (["gen", "--grid", "2", "2", "--holes", "bad"], None),
+        (["auto-reduce", "{input}", "--recipe", "{recipe}"], "edge-collapse e x\n"),
+        (["reduce", "{input}", "--op", "square-two-free", "--cell", "s", "--b", "0"], None),
+    ],
+    ids=["gen-bad-holes", "recipe-bad-line", "two-free-without-a"],
+)
+def test_usage_errors_exit_2(tmp_path, capsys, argv, recipe):
+    paths = {"input": write_fixture(tmp_path, "square"), "recipe": str(tmp_path / "steps.txt")}
+    if recipe is not None:
+        (tmp_path / "steps.txt").write_text(recipe)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

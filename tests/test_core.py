@@ -7,7 +7,7 @@ from precubical import core, modelio
 from precubical.core import CellRef, Complex
 from precubical.errors import UnknownCell
 
-from conftest import random_grid_complex
+from conftest import glued_complexes, random_grid_complex
 
 
 S = CellRef(2, "s")
@@ -134,6 +134,14 @@ class TestRegularity:
                     for i in range(1, n + 1):
                         for k in (0, 1):
                             assert core.is_regular(P, P.face(x, i, k))
+
+    @settings(max_examples=60, deadline=None)
+    @given(glued_complexes())
+    def test_regular_iff_cube_morphism_injective(self, P):
+        for x in P.all_cells():
+            assignment = core.cube_morphism(P, x).assignment
+            injective = len(set(assignment.values())) == len(assignment)
+            assert core.is_regular(P, x) == injective, x
 
 
 class TestDuality:

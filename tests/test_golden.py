@@ -1,0 +1,34 @@
+"""Certificates, greedy trails and recipes must match the recorded golden
+file exactly. Regenerate it only for an intended change of output:
+`PYTHONPATH=src python3 tests/golden/make_golden.py`."""
+
+import json
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden"))
+
+import make_golden  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(make_golden.GOLDEN_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_sweep_certificates(golden):
+    assert make_golden.sweep_record() == golden["sweep"]
+
+
+@pytest.mark.parametrize("label", [label for label, _ in make_golden.greedy_inputs()])
+def test_greedy_trail(golden, label):
+    P = dict(make_golden.greedy_inputs())[label]
+    assert make_golden.greedy_record(P) == golden["greedy"][label]
+
+
+@pytest.mark.parametrize("n", make_golden.GRID_SIDES)
+def test_recipe_steps(golden, n):
+    assert make_golden.recipe_record(n) == golden["recipes"][f"grid {n}"]

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from precubical import core, fbg, modelio, reductions
-from precubical.core import CellRef
+from precubical.core import CellRef, Complex
 from precubical.errors import (
     ConditionsFailed,
     DimensionUnsupported,
     GuaranteeLost,
     RecipeStepFailed,
     UnknownCell,
+    ValidationFailed,
     WrongDegree,
 )
 from precubical.reductions import (
@@ -105,6 +106,36 @@ class TestEdgeCollapse:
     def test_dimension_guard(self):
         with pytest.raises(DimensionUnsupported):
             edge_collapse(core.standard_cube(3), "0**", 0)
+
+
+class TestBrokenFaceTables:
+    """No reduction certifies on a complex whose face entries do not
+    resolve: building the coface tables reports them."""
+
+    def test_dangling_face(self):
+        P = Complex(
+            {0: ["a", "b"], 1: ["x", "y"]},
+            {(1, "x"): {(1, 0): "a", (1, 1): "b"}, (1, "y"): {(1, 0): "b", (1, 1): "ghost"}},
+        )
+        with pytest.raises(ValidationFailed) as excinfo:
+            edge_collapse(P, "y", 0, mode="check")
+        [violation] = excinfo.value.report
+        assert violation.kind == "dangling-face"
+        assert violation.cell == CellRef(1, "y")
+        assert violation.indices == (1, 1)
+        with pytest.raises(ValidationFailed):
+            auto_reduce(P)
+
+    def test_missing_face(self):
+        P = modelio.named_fixture("square")
+        faces = {
+            (n, c.id): P.face_table(c) for n in (1, 2) for c in P.cells(n)
+        }
+        del faces[(2, "s")][(2, 1)]
+        broken = Complex({n: P.cell_ids(n) for n in P.degrees()}, faces)
+        with pytest.raises(ValidationFailed) as excinfo:
+            square_one_free(broken, "s", 0, mode="check")
+        assert [v.kind for v in excinfo.value.report] == ["missing-face"]
 
 
 class TestSquareOneFree:
