@@ -13,7 +13,14 @@ It writes tests/golden/golden.json with
   holes at (1, 1) and (n-2, n-2), and for directed paths of 200 and
   1500 edges, the greedy trail as step strings plus the sha256 of its
   full certificate list and of the reduced document;
-- "recipes": the grid_reduction_recipe step lists of those grids.
+- "recipes": the grid_reduction_recipe step lists of those grids;
+- "fbg": the fundamental bipartite graph table of every named fixture,
+  of the 200 sweep instances and of every non-square m-by-n grid with
+  2 <= m, n <= 6 and a hole at (1, 1): minimal and maximal vertex ids
+  and, per (minimal, maximal) pair, the class count and the edge ids of
+  each representative. It was recorded from the brute-force oracle
+  (path enumeration plus union-find), which the dynamic program must
+  reproduce exactly.
 
 tests/test_golden.py recomputes the same records and compares.
 """
@@ -30,9 +37,10 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.dirname(HERE))
 
-from precubical import modelio, recipes, reductions  # noqa: E402
+from precubical import fbg, modelio, recipes, reductions  # noqa: E402
 from precubical.cli import _certificate_json  # noqa: E402
 from precubical.core import Complex  # noqa: E402
+from precubical.errors import NotAcyclic  # noqa: E402
 
 from conftest import random_grid_complex  # noqa: E402
 from test_acceptance import candidates  # noqa: E402
@@ -42,6 +50,7 @@ SWEEP_SEED = 20240817  # the acceptance suite's reduction_sweep seed
 SWEEP_INSTANCES = 200
 GRID_SIDES = (8, 12)
 PATH_LENGTHS = (200, 1500)
+FBG_SIDES = range(2, 7)
 
 
 def sha256_json(payload) -> str:
@@ -73,6 +82,18 @@ def greedy_inputs():
         yield f"path {length}", path_complex(length)
 
 
+def fbg_inputs():
+    for name in modelio.FIXTURE_NAMES:
+        yield f"fixture {name}", modelio.named_fixture(name)
+    rng = random.Random(SWEEP_SEED)
+    for t in range(SWEEP_INSTANCES):
+        yield f"sweep {t}", random_grid_complex(rng, max_side=4)
+    for m in FBG_SIDES:
+        for n in FBG_SIDES:
+            if m != n:
+                yield f"grid {m}x{n}", modelio.grid_with_holes(m, n, {(1, 1)})
+
+
 def sweep_record(instances: int = SWEEP_INSTANCES) -> list[str]:
     rng = random.Random(SWEEP_SEED)
     out = []
@@ -99,8 +120,24 @@ def recipe_record(n: int) -> list[str]:
     return [str(step) for step in recipes.grid_reduction_recipe(n, n, grid_holes(n))]
 
 
+def fbg_record(P: Complex) -> dict:
+    try:
+        table = fbg.fundamental_bipartite_graph(P)
+    except NotAcyclic:
+        return {"error": "NotAcyclic"}
+    return {
+        "minimals": [v.id for v in table.minimals],
+        "maximals": [v.id for v in table.maximals],
+        "classes": [
+            [m.id, M.id, count, [list(p.edge_ids()) for p in reps]]
+            for (m, M), (count, reps) in table.classes.items()
+        ],
+    }
+
+
 def build() -> dict:
     return {
+        "fbg": {label: fbg_record(P) for label, P in fbg_inputs()},
         "sweep": sweep_record(),
         "greedy": {label: greedy_record(P) for label, P in greedy_inputs()},
         "recipes": {f"grid {n}": recipe_record(n) for n in GRID_SIDES},

@@ -1,6 +1,6 @@
-"""Certificates, greedy trails and recipes must match the recorded golden
-file exactly. Regenerate it only for an intended change of output:
-`PYTHONPATH=src python3 tests/golden/make_golden.py`."""
+"""Certificates, greedy trails, recipes and FBG tables must match the
+recorded golden file exactly. Regenerate it only for an intended change
+of output: `PYTHONPATH=src python3 tests/golden/make_golden.py`."""
 
 import json
 import os
@@ -32,3 +32,10 @@ def test_greedy_trail(golden, label):
 @pytest.mark.parametrize("n", make_golden.GRID_SIDES)
 def test_recipe_steps(golden, n):
     assert make_golden.recipe_record(n) == golden["recipes"][f"grid {n}"]
+
+
+def test_fbg_tables(golden):
+    records = dict(golden["fbg"])
+    for label, P in make_golden.fbg_inputs():
+        assert make_golden.fbg_record(P) == records.pop(label), label
+    assert not records
