@@ -258,6 +258,12 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+MAX_PATHS_HELP = (
+    "cap on the number of path classes from one minimal vertex to any one "
+    "vertex; more raise PathExplosion (default %(default)s)"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="precubical",
@@ -310,14 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fbg", help="fundamental bipartite graph table")
     p.add_argument("input")
-    p.add_argument("--max-paths", type=int, default=fbg.DEFAULT_MAX_PATHS)
+    p.add_argument("--max-paths", type=int, default=fbg.DEFAULT_MAX_PATHS, help=MAX_PATHS_HELP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fbg)
 
     p = sub.add_parser("compare-fbg", help="compare two tables")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--max-paths", type=int, default=fbg.DEFAULT_MAX_PATHS)
+    p.add_argument("--max-paths", type=int, default=fbg.DEFAULT_MAX_PATHS, help=MAX_PATHS_HELP)
     p.add_argument("--profile", action="store_true", help="compare count profiles only")
     p.set_defaults(func=cmd_compare_fbg)
 

@@ -455,14 +455,12 @@ def transpose(P: Complex) -> Complex:
 
 def minimal_vertices(P: Complex) -> set[CellRef]:
     """Vertices with no incoming edge (no edge y with d_1^1 y = v)."""
-    targets = {P.face(e, 1, 1) for e in P.cells(1)}
-    return {v for v in P.cells(0) if v not in targets}
+    return {v for v in P.cells(0) if not P.edges_at(v, 1)}
 
 
 def maximal_vertices(P: Complex) -> set[CellRef]:
     """Vertices with no outgoing edge (no edge y with d_1^0 y = v)."""
-    sources = {P.face(e, 1, 0) for e in P.cells(1)}
-    return {v for v in P.cells(0) if v not in sources}
+    return {v for v in P.cells(0) if not P.edges_at(v, 0)}
 
 
 def extremal(P: Complex) -> set[CellRef]:

@@ -1,11 +1,18 @@
-"""Brute-force fundamental bipartite graph of a 2-dimensional complex.
+"""Fundamental bipartite graph of a 2-dimensional complex.
 
-Directed edge paths between extremal vertices are enumerated exhaustively
-(the 1-skeleton must be acyclic) and partitioned by the reflexive-
-transitive closure of elementary square exchange: two paths are
-elementarily related when they differ in two consecutive edges replaced
-as [d_2^0 s, d_1^1 s] <-> [d_1^0 s, d_2^1 s] for some square s. The
-partition is computed by union-find over the enumerated path set.
+Two directed edge paths are elementarily related when they differ in two
+consecutive edges replaced as [d_2^0 s, d_1^1 s] <-> [d_1^0 s, d_2^1 s]
+for some square s; dihomotopy classes are the reflexive-transitive
+closure. The table counts the classes between every minimal and every
+maximal vertex (the 1-skeleton must be acyclic).
+
+:func:`fundamental_bipartite_graph` computes it by dynamic programming
+over the path category: from each minimal vertex m, in topological
+order, the classes of paths m -> w are the pairs (class at v, edge
+v -> w) modulo one exchange per square whose top vertex is w. Its cost
+is polynomial in the cells and the class counts. :func:`enumerate_dipaths`
+and :func:`dihomotopy_classes` keep the definition-level brute force
+(every path, then union-find) as the reference it is checked against.
 
 This is the verification oracle for the reduction operations: a
 reduction whose certificate claims preservation must leave the table
@@ -14,12 +21,13 @@ produced here unchanged.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from . import core
 from .core import CellRef, Complex
-from .errors import NotAcyclic, PathExplosion, UnknownCell
+from .errors import NotAcyclic, PathExplosion, UnknownCell, ValidationFailed
 
 DEFAULT_MAX_PATHS = 1_000_000
 
@@ -39,25 +47,35 @@ class EdgePath:
         return tuple(e.id for e in self.edges)
 
 
+def _topological_order(P: Complex) -> list[CellRef]:
+    """The vertices ordered so that every edge points forward (Kahn's
+    algorithm over the coface tables). Raises NotAcyclic on a directed
+    cycle (a self-loop counts) and ValidationFailed on a broken face
+    table."""
+    indegree = {v: len(P.edges_at(v, 1)) for v in P.cells(0)}
+    ready = [v for v, d in indegree.items() if d == 0]
+    order = []
+    while ready:
+        v = ready.pop()
+        order.append(v)
+        for e in P.edges_at(v, 0):
+            w = P.face(e, 1, 1)
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                ready.append(w)
+    if len(order) != len(indegree):
+        raise NotAcyclic("the 1-skeleton has a directed cycle")
+    return order
+
+
 def one_skeleton_is_acyclic(P: Complex) -> bool:
     """True iff the directed graph on vertices and edges has no directed
     cycle (a self-loop counts as a cycle)."""
-    outgoing: dict[CellRef, list[CellRef]] = {v: [] for v in P.cells(0)}
-    indegree: dict[CellRef, int] = {v: 0 for v in P.cells(0)}
-    for e in P.cells(1):
-        src, tgt = P.face(e, 1, 0), P.face(e, 1, 1)
-        outgoing[src].append(tgt)
-        indegree[tgt] += 1
-    queue = [v for v, d in indegree.items() if d == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in outgoing[v]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                queue.append(w)
-    return seen == len(indegree)
+    try:
+        _topological_order(P)
+    except NotAcyclic:
+        return False
+    return True
 
 
 def enumerate_dipaths(
@@ -67,34 +85,38 @@ def enumerate_dipaths(
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> list[EdgePath]:
     """All directed edge paths from start to end, in lexicographic order
-    of their edge-id sequences."""
+    of their edge-id sequences (depth first, exponential in general)."""
     for v in (start, end):
         if not P.has(v) or v.degree != 0:
             raise UnknownCell(f"no vertex {v.id!r}")
     if not one_skeleton_is_acyclic(P):
         raise NotAcyclic("the 1-skeleton has a directed cycle")
 
-    outgoing: dict[CellRef, list[CellRef]] = {v: [] for v in P.cells(0)}
-    for e in P.cells(1):
-        outgoing[P.face(e, 1, 0)].append(e)
-    for v in outgoing:
-        outgoing[v].sort(key=lambda e: e.id)
-
     paths: list[EdgePath] = []
-    stack: list[CellRef] = []
+    stack: list[CellRef] = []  # the edges of the current path
 
-    def walk(at: CellRef):
+    def record():
+        if len(paths) >= max_paths:
+            raise PathExplosion(
+                f"more than max_paths={max_paths} paths from {start.id!r} to {end.id!r}"
+            )
+        paths.append(EdgePath(start, end, tuple(stack)))
+
+    if start == end:
+        record()  # end may still have outgoing edges elsewhere
+    pending = [iter(P.edges_at(start, 0))]  # unexplored out-edges per path vertex
+    while pending:
+        e = next(pending[-1], None)
+        if e is None:
+            pending.pop()
+            if stack:
+                stack.pop()
+            continue
+        stack.append(e)
+        at = P.face(e, 1, 1)
         if at == end:
-            if len(paths) >= max_paths:
-                raise PathExplosion(f"more than {max_paths} paths from {start.id!r}")
-            paths.append(EdgePath(start, end, tuple(stack)))
-            # fall through: end may still have outgoing edges elsewhere
-        for e in outgoing[at]:
-            stack.append(e)
-            walk(P.face(e, 1, 1))
-            stack.pop()
-
-    walk(start)
+            record()
+        pending.append(iter(P.edges_at(at, 0)))
     return paths
 
 
@@ -172,18 +194,96 @@ def fundamental_bipartite_graph(
 ) -> FbgTable:
     """The table of dihomotopy-class counts between all pairs of one
     minimal and one maximal vertex, with the lexicographically least
-    path of each class as representative."""
-    if not one_skeleton_is_acyclic(P):
-        raise NotAcyclic("the 1-skeleton has a directed cycle")
+    path of each class as representative. Raises PathExplosion when more
+    than max_paths classes of paths from one minimal vertex reach one
+    vertex."""
+    order = [v.id for v in _topological_order(P)]
     minimals = tuple(sorted(core.minimal_vertices(P)))
     maximals = tuple(sorted(core.maximal_vertices(P)))
+    # Per vertex id: its in-edges as (edge id, source id), and as
+    # (a, b, a', b') the squares with top vertex there, [a, b] and
+    # [a', b'] being the sides [d_2^0 s, d_1^1 s] and [d_1^0 s, d_2^1 s].
+    into: dict[str, list[tuple[str, str]]] = {}
+    tops: dict[str, list[tuple[str, str, str, str]]] = {}
+    for w in order:
+        edges = P.edges_at(CellRef(0, w), 1)
+        into[w] = [(e.id, P.face(e, 1, 0).id) for e in edges]
+        tops[w] = [
+            (P.face(s, 2, 0).id, e.id, P.face(s, 1, 0).id, P.face(s, 2, 1).id)
+            for e in edges
+            for s in P.squares_on(e)
+            if P.face(s, 1, 1) == e
+        ]
+    ends = {e: (u, w) for w in order for e, u in into[w]}
+    for w in order:
+        for a, b, a2, b2 in tops[w]:
+            # the cubical identities: the sides of the square meet at its corners
+            if (ends[a][0], ends[a][1], ends[a2][1], ends[b2][1]) != (
+                ends[a2][0], ends[b][0], ends[b2][0], w
+            ):
+                raise ValidationFailed(core.validate(P))
+    outdegree = Counter(u for u, _ in ends.values())
     classes = {}
     for m in minimals:
+        reps = _classes_from(order[order.index(m.id) :], into, tops, outdegree, max_paths)
         for M in maximals:
-            partition = dihomotopy_classes(P, m, M, max_paths)
-            reps = tuple(cls[0] for cls in partition)
-            classes[(m, M)] = (len(partition), reps)
+            found = reps.get(M.id, ())
+            paths = (EdgePath(m, M, tuple(CellRef(1, e) for e in rep)) for rep in found)
+            classes[(m, M)] = (len(found), tuple(paths))
     return FbgTable(minimals, maximals, classes)
+
+
+def _classes_from(order, into, tops, outdegree, max_paths) -> dict[str, list[tuple[str, ...]]]:
+    """The sorted class representatives (edge-id tuples) of the paths
+    from order[0] to each maximal vertex it reaches.
+
+    A class at w is a union-find class of pairs (class c at v, edge v -> w):
+    an exchange inside a prefix keeps its class, so the only relation left
+    is (class of c.a, b) ~ (class of c.a', b') for each square with top w
+    and each class c at its start. Classes are length-homogeneous, so the
+    least path of a class is the least rep(c) + (e,) over its pairs. A
+    vertex's representatives are dropped once its out-edges are consumed.
+    """
+    m = order[0]
+    reps = {m: [()]}  # vertex -> its classes' representatives, sorted
+    count = {m: 1}  # vertex -> number of classes
+    via: dict[str, list[int]] = {}  # edge u -> v: class at v of (c, edge), by class c at u
+    unused = dict(outdegree)
+    for w in order[1:]:
+        ins = [(e, u) for e, u in into[w] if u in count]
+        if not ins:
+            continue
+        offset, total = {}, 0
+        for e, u in ins:
+            offset[e] = total
+            total += count[u]
+        uf = _UnionFind(total)
+        for a, b, a2, b2 in tops[w]:
+            if a in via:
+                for x, y in zip(via[a], via[a2]):
+                    uf.union(offset[b] + x, offset[b2] + y)
+        least: dict[int, tuple] = {}  # root -> least (rep(c), e) of its pairs
+        for e, u in ins:
+            for c, rep in enumerate(reps[u]):
+                root, key = uf.find(offset[e] + c), (rep, e)
+                if root not in least or key < least[root]:
+                    least[root] = key
+        if len(least) > max_paths:
+            raise PathExplosion(
+                f"{len(least)} classes of paths from {m!r} reach {w!r}, "
+                f"more than max_paths={max_paths}"
+            )
+        paths = {root: rep + (e,) for root, (rep, e) in least.items()}
+        roots = sorted(paths, key=paths.get)  # classes may differ in length
+        index = {root: k for k, root in enumerate(roots)}
+        reps[w] = [paths[r] for r in roots]
+        count[w] = len(roots)
+        for e, u in ins:
+            via[e] = [index[uf.find(offset[e] + c)] for c in range(count[u])]
+            unused[u] -= 1
+            if not unused[u]:
+                del reps[u]
+    return reps
 
 
 def count_profile(table: FbgTable) -> tuple:

@@ -196,3 +196,20 @@ def test_criterion_8_oracle_sanity():
                     classes = fbg.dihomotopy_classes(holed, corner_a, corner_b)
                     assert len(classes) == 2, (m, n, i, j)
     report(8, "full grids give one class, one-hole grids give two")
+
+
+def test_fbg_preservation_at_size():
+    """Greedy and recipe reductions of grids where path enumeration
+    cannot finish (C(32, 16) paths at 16x16) keep the four classes."""
+    start = time.perf_counter()
+    for n, policy in ((16, "greedy"), (32, "recipe")):
+        holes = {(1, 1), (n - 2, n - 2)}
+        P = modelio.grid_with_holes(n, n, holes)
+        recipe = recipes.grid_reduction_recipe(n, n, holes) if policy == "recipe" else None
+        Q, trail = reductions.auto_reduce(P, policy=policy, recipe=recipe)
+        assert trail and all(c.fbg_guaranteed for c in trail)
+        before = fbg.fundamental_bipartite_graph(P)
+        assert before.count(CellRef(0, "(0,0)"), CellRef(0, f"({n},{n})")) == 4
+        assert fbg.fbg_equal(before, fbg.fundamental_bipartite_graph(Q)), policy
+    elapsed = time.perf_counter() - start
+    report("at size", f"16x16 greedy and 32x32 recipe preserve 4 classes in {elapsed:.1f}s")

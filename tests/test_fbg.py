@@ -2,13 +2,14 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from precubical import core, fbg, modelio
+from precubical.cli import main
 from precubical.core import CellRef, Complex
 from precubical.errors import NotAcyclic, PathExplosion, UnknownCell
 
-from conftest import random_grid_complex
+from conftest import glued_complexes, random_grid_complex
 
 
 def v(i, j):
@@ -71,6 +72,10 @@ class TestEnumeration:
         with pytest.raises(PathExplosion):
             fbg.enumerate_dipaths(shared_memory, v(0, 0), v(3, 3), max_paths=5)
 
+    def test_path_cap_message(self, shared_memory):
+        with pytest.raises(PathExplosion, match=r"max_paths=5 paths from '\(0,0\)' to '\(3,3\)'"):
+            fbg.enumerate_dipaths(shared_memory, v(0, 0), v(3, 3), max_paths=5)
+
 
 class TestDihomotopyClasses:
     def test_full_square_has_one_class(self):
@@ -123,6 +128,73 @@ class TestTable:
     def test_cyclic_rejected(self, circle):
         with pytest.raises(NotAcyclic):
             fbg.fundamental_bipartite_graph(circle)
+
+    def test_class_cap_message(self, double_edge):
+        fbg.fundamental_bipartite_graph(double_edge, max_paths=2)
+        with pytest.raises(
+            PathExplosion, match=r"^2 classes of paths from 'u' reach 'w', more than max_paths=1$"
+        ):
+            fbg.fundamental_bipartite_graph(double_edge, max_paths=1)
+
+    def test_unreachable_pair_and_isolated_vertex(self):
+        P = Complex(
+            {0: ["a", "b", "c", "z"], 1: ["x", "y"]},
+            {(1, "x"): {(1, 0): "a", (1, 1): "b"}, (1, "y"): {(1, 0): "c", (1, 1): "b"}},
+        )
+        table = fbg.fundamental_bipartite_graph(P)
+        assert table.classes[(CellRef(0, "a"), CellRef(0, "z"))] == (0, ())
+        [rep] = table.classes[(CellRef(0, "z"), CellRef(0, "z"))][1]
+        assert rep.edges == () and rep.start == rep.end == CellRef(0, "z")
+
+
+def brute_force_table(P):
+    """The table assembled from the path-enumerating reference."""
+    minimals = tuple(sorted(core.minimal_vertices(P)))
+    maximals = tuple(sorted(core.maximal_vertices(P)))
+    classes = {}
+    for m in minimals:
+        for M in maximals:
+            partition = fbg.dihomotopy_classes(P, m, M)
+            classes[(m, M)] = (len(partition), tuple(cls[0] for cls in partition))
+    return fbg.FbgTable(minimals, maximals, classes)
+
+
+class TestAgainstEnumeration:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_random_grids(self, seed):
+        P = random_grid_complex(random.Random(seed), max_side=4)
+        assert fbg.fundamental_bipartite_graph(P) == brute_force_table(P)
+
+    @settings(max_examples=60, deadline=None)
+    @given(glued_complexes())
+    def test_glued_complexes(self, P):
+        assume(fbg.one_skeleton_is_acyclic(P))
+        assert fbg.fundamental_bipartite_graph(P) == brute_force_table(P)
+
+
+class TestLongPath:
+    """Paths far deeper than the interpreter's recursion limit."""
+
+    LENGTH = 1500
+
+    @pytest.fixture(scope="class")
+    def long_path(self):
+        return Complex(
+            {0: [f"x{t}" for t in range(self.LENGTH + 1)], 1: [f"e{t}" for t in range(self.LENGTH)]},
+            {(1, f"e{t}"): {(1, 0): f"x{t}", (1, 1): f"x{t + 1}"} for t in range(self.LENGTH)},
+        )
+
+    def test_enumeration(self, long_path):
+        end = CellRef(0, f"x{self.LENGTH}")
+        [path] = fbg.enumerate_dipaths(long_path, CellRef(0, "x0"), end)
+        assert len(path) == self.LENGTH
+
+    def test_cli_fbg(self, long_path, tmp_path, capsys):
+        out = tmp_path / "path.pcs"
+        modelio.save(long_path, out)
+        assert main(["fbg", str(out)]) == 0
+        assert f"x0 -> x{self.LENGTH}: 1 class" in capsys.readouterr().out
 
 
 class TestEquality:

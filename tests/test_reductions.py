@@ -138,6 +138,44 @@ class TestBrokenFaceTables:
         assert [v.kind for v in excinfo.value.report] == ["missing-face"]
 
 
+class TestBrokenFaceTablesInFbg:
+    """The FBG layer reads the same coface tables, so a dangling face is
+    reported as a typed ValidationFailed there too."""
+
+    @pytest.fixture
+    def dangling(self):
+        return Complex(
+            {0: ["a", "b"], 1: ["x", "y"]},
+            {(1, "x"): {(1, 0): "a", (1, 1): "b"}, (1, "y"): {(1, 0): "b", (1, 1): "ghost"}},
+        )
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            fbg.one_skeleton_is_acyclic,
+            fbg.fundamental_bipartite_graph,
+            core.minimal_vertices,
+            core.maximal_vertices,
+        ],
+    )
+    def test_dangling_face(self, dangling, query):
+        with pytest.raises(ValidationFailed) as excinfo:
+            query(dangling)
+        [violation] = excinfo.value.report
+        assert violation.kind == "dangling-face"
+        assert violation.cell == CellRef(1, "y")
+
+    def test_broken_identity(self):
+        P = modelio.named_fixture("square")
+        faces = {(n, c.id): P.face_table(c) for n in (1, 2) for c in P.cells(n)}
+        table = faces[(2, "s")]
+        table[(1, 0)], table[(1, 1)] = table[(1, 1)], table[(1, 0)]
+        broken = Complex({n: P.cell_ids(n) for n in P.degrees()}, faces)
+        with pytest.raises(ValidationFailed) as excinfo:
+            fbg.fundamental_bipartite_graph(broken)
+        assert {v.kind for v in excinfo.value.report} == {"identity"}
+
+
 class TestSquareOneFree:
     def test_square_b0(self):
         P = modelio.named_fixture("square")
