@@ -3,16 +3,12 @@
 Two directed edge paths are elementarily related when they differ in two
 consecutive edges replaced as [d_2^0 s, d_1^1 s] <-> [d_1^0 s, d_2^1 s]
 for some square s; dihomotopy classes are the reflexive-transitive
-closure. The table counts the classes between every minimal and every
-maximal vertex (the 1-skeleton must be acyclic).
-
-:func:`fundamental_bipartite_graph` computes it by dynamic programming
-over the path category: from each minimal vertex m, in topological
-order, the classes of paths m -> w are the pairs (class at v, edge
-v -> w) modulo one exchange per square whose top vertex is w. Its cost
-is polynomial in the cells and the class counts. :func:`enumerate_dipaths`
-and :func:`dihomotopy_classes` keep the definition-level brute force
-(every path, then union-find) as the reference it is checked against.
+closure. :func:`fundamental_bipartite_graph` counts them between every
+minimal and every maximal vertex of an acyclic 1-skeleton, in polynomial
+time, by dynamic programming over the path category.
+:func:`enumerate_dipaths` and :func:`dihomotopy_classes` are the
+exponential brute force (every path, then union-find) it is checked
+against.
 
 This is the verification oracle for the reduction operations: a
 reduction whose certificate claims preservation must leave the table
@@ -246,17 +242,16 @@ def _classes_from(order, into, tops, outdegree, max_paths) -> dict[str, list[tup
     """
     m = order[0]
     reps = {m: [()]}  # vertex -> its classes' representatives, sorted
-    count = {m: 1}  # vertex -> number of classes
     via: dict[str, list[int]] = {}  # edge u -> v: class at v of (c, edge), by class c at u
     unused = dict(outdegree)
     for w in order[1:]:
-        ins = [(e, u) for e, u in into[w] if u in count]
+        ins = [(e, u) for e, u in into[w] if u in reps]
         if not ins:
             continue
         offset, total = {}, 0
         for e, u in ins:
             offset[e] = total
-            total += count[u]
+            total += len(reps[u])
         uf = _UnionFind(total)
         for a, b, a2, b2 in tops[w]:
             if a in via:
@@ -277,9 +272,8 @@ def _classes_from(order, into, tops, outdegree, max_paths) -> dict[str, list[tup
         roots = sorted(paths, key=paths.get)  # classes may differ in length
         index = {root: k for k, root in enumerate(roots)}
         reps[w] = [paths[r] for r in roots]
-        count[w] = len(roots)
         for e, u in ins:
-            via[e] = [index[uf.find(offset[e] + c)] for c in range(count[u])]
+            via[e] = [index[uf.find(offset[e] + c)] for c in range(len(reps[u]))]
             unused[u] -= 1
             if not unused[u]:
                 del reps[u]
