@@ -20,7 +20,14 @@ It writes tests/golden/golden.json with
   and, per (minimal, maximal) pair, the class count and the edge ids of
   each representative. It was recorded from the brute-force oracle
   (path enumeration plus union-find), which the dynamic program must
-  reproduce exactly.
+  reproduce exactly;
+- "validate": the `core.validate` report, each violation as its string
+  and its indices, of seeded perturbations of the 200 sweep instances
+  and of the standard n-cubes for n <= 4. A perturbation rewires one
+  face entry to another cell of the right degree or to an unknown id,
+  deletes one face entry, or repeats one id in a cell list; each cube
+  of dimension >= 1 also gets pairs of perturbations, so that one
+  report mixes kinds and degrees.
 
 tests/test_golden.py recomputes the same records and compares.
 """
@@ -37,9 +44,9 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.dirname(HERE))
 
-from precubical import fbg, modelio, recipes, reductions  # noqa: E402
+from precubical import core, fbg, modelio, recipes, reductions  # noqa: E402
 from precubical.cli import _certificate_json  # noqa: E402
-from precubical.core import Complex  # noqa: E402
+from precubical.core import CellRef, Complex  # noqa: E402
 from precubical.errors import NotAcyclic  # noqa: E402
 
 from conftest import random_grid_complex  # noqa: E402
@@ -51,6 +58,10 @@ SWEEP_INSTANCES = 200
 GRID_SIDES = (8, 12)
 PATH_LENGTHS = (200, 1500)
 FBG_SIDES = range(2, 7)
+VALIDATE_SEED = 4401
+PERTURBATIONS = ("rewire", "unknown", "delete", "repeat")
+CUBE_DIMENSIONS = range(5)
+CUBE_DRAWS = 5  # perturbations per cube and kind
 
 
 def sha256_json(payload) -> str:
@@ -92,6 +103,56 @@ def fbg_inputs():
         for n in FBG_SIDES:
             if m != n:
                 yield f"grid {m}x{n}", modelio.grid_with_holes(m, n, {(1, 1)})
+
+
+def perturb(P: Complex, rng: random.Random, how: str):
+    """P with one defect of kind `how` drawn by rng, or None when P has
+    no face entry (or no other cell) to perturb."""
+    cells = {n: list(P.cell_ids(n)) for n in P.degrees()}
+    faces = {(n, cid): P.face_table(CellRef(n, cid)) for n in cells if n > 0 for cid in cells[n]}
+    if how == "repeat":
+        ids = cells[rng.choice(sorted(cells))]
+        ids.insert(rng.randrange(len(ids) + 1), rng.choice(ids))
+        return Complex(cells, faces)
+    entries = sorted((n, cid, i, k) for (n, cid), table in faces.items() for i, k in table)
+    if not entries:
+        return None
+    n, cid, i, k = rng.choice(entries)
+    table = faces[(n, cid)]
+    if how == "delete":
+        del table[(i, k)]
+    elif how == "unknown":
+        table[(i, k)] = "ghost"
+    else:
+        others = [c for c in cells[n - 1] if c != table[(i, k)]]
+        if not others:
+            return None
+        table[(i, k)] = rng.choice(others)
+    return Complex(cells, faces)
+
+
+def validate_inputs():
+    rng, draws = random.Random(SWEEP_SEED), random.Random(VALIDATE_SEED)
+    for t in range(SWEEP_INSTANCES):
+        how = PERTURBATIONS[t % len(PERTURBATIONS)]
+        P = perturb(random_grid_complex(rng, max_side=4), draws, how)
+        if P is not None:
+            yield f"sweep {t} {how}", P
+    for n in CUBE_DIMENSIONS:
+        for how in PERTURBATIONS:
+            for r in range(CUBE_DRAWS):
+                P = perturb(core.standard_cube(n), draws, how)
+                if P is not None:
+                    yield f"cube {n} {how} {r}", P
+        for r in range(CUBE_DRAWS if n else 0):
+            first, second = draws.choice(PERTURBATIONS), draws.choice(PERTURBATIONS)
+            P = perturb(perturb(core.standard_cube(n), draws, first), draws, second)
+            if P is not None:
+                yield f"cube {n} {first}+{second} {r}", P
+
+
+def validate_record(P: Complex) -> list:
+    return [[str(v), None if v.indices is None else list(v.indices)] for v in core.validate(P)]
 
 
 def sweep_record(instances: int = SWEEP_INSTANCES) -> list[str]:
@@ -141,6 +202,7 @@ def build() -> dict:
         "sweep": sweep_record(),
         "greedy": {label: greedy_record(P) for label, P in greedy_inputs()},
         "recipes": {f"grid {n}": recipe_record(n) for n in GRID_SIDES},
+        "validate": {label: validate_record(P) for label, P in validate_inputs()},
     }
 
 

@@ -1,6 +1,6 @@
-"""Certificates, greedy trails, recipes and FBG tables must match the
-recorded golden file exactly. Regenerate it only for an intended change
-of output: `PYTHONPATH=src python3 tests/golden/make_golden.py`."""
+"""Certificates, greedy trails, recipes, FBG tables and validation
+reports must match the recorded golden file exactly. Regenerate it only
+for an intended change of output: `PYTHONPATH=src python3 tests/golden/make_golden.py`."""
 
 import json
 import os
@@ -38,4 +38,11 @@ def test_fbg_tables(golden):
     records = dict(golden["fbg"])
     for label, P in make_golden.fbg_inputs():
         assert make_golden.fbg_record(P) == records.pop(label), label
+    assert not records
+
+
+def test_validate_reports(golden):
+    records = dict(golden["validate"])
+    for label, P in make_golden.validate_inputs():
+        assert make_golden.validate_record(P) == records.pop(label), label
     assert not records
