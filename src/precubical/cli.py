@@ -16,6 +16,7 @@ from .errors import (
     ConditionsFailed,
     GuaranteeLost,
     DocumentSyntaxError,
+    OutOfRange,
     PrecubicalError,
     RecipeStepFailed,
     UsageError,
@@ -25,34 +26,6 @@ from .errors import (
 
 def _cell_str(cell: core.CellRef) -> str:
     return f"{cell.id}/{cell.degree}"
-
-
-def _certificate_lines(cert: reductions.ReductionCertificate) -> list[str]:
-    lines = [f"{cert.kind} on {cert.cell.id}"]
-    params = " ".join(f"{k}={v}" for k, v in sorted(cert.params.items()))
-    lines.append(f"  params: {params}")
-    lines.append("  conditions:")
-    for c in cert.conditions:
-        status = "ok" if c.holds else "FAILED"
-        witness = ""
-        if c.witnesses:
-            witness = "  witnesses: " + " ".join(_cell_str(w) for w in c.witnesses)
-        lines.append(f"    ({c.label}) {status}{witness}")
-    lines.append(
-        "  removed: " + " ".join(_cell_str(c) for c in sorted(cert.removed))
-    )
-    if cert.redirected:
-        lines.append("  redirected:")
-        for (cell, i, k), target in sorted(
-            cert.redirected.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-        ):
-            lines.append(f"    d{i}_{k} {cell.id} -> {target.id}")
-    if cert.y is not None:
-        lines.append("  Y: " + (" ".join(c.id for c in sorted(cert.y)) or "(empty)"))
-    if cert.r_cells is not None:
-        lines.append(f"  R: {len(cert.r_cells)} cells")
-    lines.append(f"  fbg_guaranteed: {'yes' if cert.fbg_guaranteed else 'no'}")
-    return lines
 
 
 def _certificate_json(cert: reductions.ReductionCertificate) -> dict:
@@ -83,11 +56,32 @@ def _certificate_json(cert: reductions.ReductionCertificate) -> dict:
     }
 
 
+def _certificate_lines(payload: dict) -> list[str]:
+    """The text form of a certificate, read from its JSON payload."""
+    lines = [f"{payload['kind']} on {payload['cell']}"]
+    lines.append("  params: " + " ".join(f"{k}={v}" for k, v in sorted(payload["params"].items())))
+    lines.append("  conditions:")
+    for c in payload["conditions"]:
+        witness = "  witnesses: " + " ".join(c["witnesses"]) if c["witnesses"] else ""
+        lines.append(f"    ({c['label']}) {'ok' if c['holds'] else 'FAILED'}{witness}")
+    lines.append("  removed: " + " ".join(payload["removed"]))
+    if payload["redirected"]:
+        lines.append("  redirected:")
+        lines.extend(f"    d{r['i']}_{r['k']} {r['cell']} -> {r['to']}" for r in payload["redirected"])
+    if payload["Y"] is not None:
+        lines.append("  Y: " + (" ".join(payload["Y"]) or "(empty)"))
+    if payload["R"] is not None:
+        lines.append(f"  R: {len(payload['R'])} cells")
+    lines.append(f"  fbg_guaranteed: {'yes' if payload['fbg_guaranteed'] else 'no'}")
+    return lines
+
+
 def _print_certificate(cert, as_json: bool):
+    payload = _certificate_json(cert)
     if as_json:
-        print(json.dumps(_certificate_json(cert), indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print("\n".join(_certificate_lines(cert)))
+        print("\n".join(_certificate_lines(payload)))
 
 
 def _load(path: str) -> core.Complex:
@@ -132,7 +126,10 @@ def cmd_gen(args) -> int:
                     holes.add((int(i), int(j)))
             except ValueError:
                 raise UsageError(f"--holes expects 'i,j;i,j', not {args.holes!r}") from None
-        P = modelio.grid_with_holes(args.grid[0], args.grid[1], holes)
+        try:
+            P = modelio.grid_with_holes(args.grid[0], args.grid[1], holes)
+        except OutOfRange as exc:
+            raise UsageError(str(exc)) from None
         name = f"grid({args.grid[0]},{args.grid[1]})"
     text = modelio.serialize(P, name)
     if args.output:
@@ -163,15 +160,11 @@ def cmd_reduce(args) -> int:
 
 def cmd_auto_reduce(args) -> int:
     P = _load(args.input)
+    steps = None
     if args.recipe:
         with open(args.recipe, encoding="utf-8") as fh:
             steps = recipes.parse_recipe(fh.read())
-        policy = "recipe"
-    else:
-        steps = None
-        policy = args.policy
-        if policy == "recipe":
-            raise UsageError("--policy recipe needs --recipe <path>")
+    policy = "greedy" if steps is None else "recipe"
     try:
         Q, trail = reductions.auto_reduce(P, policy=policy, recipe=steps)
     except RecipeStepFailed as exc:
@@ -194,29 +187,26 @@ def cmd_auto_reduce(args) -> int:
 def cmd_fbg(args) -> int:
     P = _load(args.input)
     table = fbg.fundamental_bipartite_graph(P, max_paths=args.max_paths)
+    payload = {
+        "minimals": [v.id for v in table.minimals],
+        "maximals": [v.id for v in table.maximals],
+        "classes": [
+            {
+                "from": m.id,
+                "to": M.id,
+                "count": count,
+                "representatives": [list(p.edge_ids()) for p in reps],
+            }
+            for (m, M), (count, reps) in sorted(
+                table.classes.items(), key=lambda kv: (kv[0][0].id, kv[0][1].id)
+            )
+        ],
+    }
     if args.json:
-        payload = {
-            "minimals": [v.id for v in table.minimals],
-            "maximals": [v.id for v in table.maximals],
-            "classes": [
-                {
-                    "from": m.id,
-                    "to": M.id,
-                    "count": count,
-                    "representatives": [list(p.edge_ids()) for p in reps],
-                }
-                for (m, M), (count, reps) in sorted(
-                    table.classes.items(), key=lambda kv: (kv[0][0].id, kv[0][1].id)
-                )
-            ],
-        }
         print(json.dumps(payload, indent=2))
         return 0
-    for (m, M), (count, _) in sorted(
-        table.classes.items(), key=lambda kv: (kv[0][0].id, kv[0][1].id)
-    ):
-        plural = "class" if count == 1 else "classes"
-        print(f"{m.id} -> {M.id}: {count} {plural}")
+    for c in payload["classes"]:
+        print(f"{c['from']} -> {c['to']}: {c['count']} {'class' if c['count'] == 1 else 'classes'}")
     return 0
 
 
@@ -308,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("auto-reduce", help="chain reductions")
     p.add_argument("input")
-    p.add_argument("--policy", choices=["greedy", "recipe"], default="greedy")
     p.add_argument("--recipe", help="recipe file, one 'kind cell [a] b' per line")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output")

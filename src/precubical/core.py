@@ -127,31 +127,22 @@ class Complex:
 
     def build_cofaces(self):
         """Build the coface tables unless they exist. Raises ValidationFailed
-        if an edge or a square lacks a face entry or names no cell."""
+        with the report of :func:`_face_report` if a face entry is missing or
+        names no cell, or a cubical identity fails."""
         if self._cofaces is not None:
             return
-        report: list[Violation] = []
+        report = _face_report(self)
+        if report:
+            raise ValidationFailed(report)
         tables: tuple[dict, dict, dict] = ({}, {}, {})
         for n in (1, 2):
             for cid in sorted(self._cell_sets.get(n, ())):
-                table = self._faces.get((n, cid), {})
+                table = self._faces[(n, cid)]
                 for i in range(1, n + 1):
                     for k in (0, 1):
-                        fid = table.get((i, k))
-                        if fid is None:
-                            kind, message = "missing-face", f"no entry for d{i}_{k}"
-                        elif fid not in self._cell_sets.get(n - 1, ()):
-                            kind, message = "dangling-face", (
-                                f"d{i}_{k} = {fid!r} is not a cell of degree {n - 1}"
-                            )
-                        else:
-                            cofaces = tables[k if n == 1 else 2].setdefault(fid, [])
-                            if cofaces[-1:] != [cid]:
-                                cofaces.append(cid)
-                            continue
-                        report.append(Violation(kind, CellRef(n, cid), message, (i, k)))
-        if report:
-            raise ValidationFailed(report)
+                        cofaces = tables[k if n == 1 else 2].setdefault(table[(i, k)], [])
+                        if cofaces[-1:] != [cid]:
+                            cofaces.append(cid)
         self._cofaces = tables
 
     def edges_at(self, v: CellRef, k: Optional[int] = None) -> list[CellRef]:
@@ -280,62 +271,49 @@ def validate(P: Complex) -> list[Violation]:
                     Violation("duplicate-id", CellRef(n, cid), f"id {cid!r} repeated in degree {n}")
                 )
             seen.add(cid)
+    return report + _face_report(P)
 
-    def resolved_face(cell: CellRef, i: int, k: int) -> Optional[CellRef]:
-        table = P.face_table(cell)
-        fid = table.get((i, k))
-        if fid is None:
-            report.append(
-                Violation("missing-face", cell, f"no entry for d{i}_{k}", (i, k))
-            )
-            return None
-        ref = CellRef(cell.degree - 1, fid)
-        if not P.has(ref):
-            report.append(
-                Violation(
-                    "dangling-face",
-                    cell,
-                    f"d{i}_{k} = {fid!r} is not a cell of degree {cell.degree - 1}",
-                    (i, k),
-                )
-            )
-            return None
-        return ref
 
-    resolved: dict[tuple[CellRef, int, int], Optional[CellRef]] = {}
+def _face_report(P: Complex) -> list[Violation]:
+    """The missing and dangling face entries, then the violated cubical
+    identities, of every degree: all of :func:`validate` but duplicate ids.
+    An identity is checked only where its four face entries resolve."""
+    report: list[Violation] = []
+    resolved: dict[tuple[int, str], dict[tuple[int, int], str]] = {}
     for n in P.degrees():
         if n == 0:
             continue
-        for cell in P.cells(n):
+        below = P._cell_sets.get(n - 1, frozenset())
+        for cid in sorted(P._cell_sets[n]):
+            table = P._faces.get((n, cid), {})
+            faces = resolved[(n, cid)] = {}
             for i in range(1, n + 1):
                 for k in (0, 1):
-                    resolved[(cell, i, k)] = resolved_face(cell, i, k)
-
-    for n in P.degrees():
-        if n < 2:
-            continue
-        for cell in P.cells(n):
-            for i, j in itertools.combinations(range(1, n + 1), 2):
-                for k in (0, 1):
-                    for l in (0, 1):
-                        a = resolved.get((cell, j, l))
-                        b = resolved.get((cell, i, k))
-                        if a is None or b is None:
-                            continue  # already reported
-                        left = resolved.get((a, i, k))
-                        right = resolved.get((b, j - 1, l))
-                        if left is None or right is None:
-                            continue  # defect in a face, already reported
-                        if left != right:
-                            report.append(
-                                Violation(
-                                    "identity",
-                                    cell,
-                                    f"d{i}_{k} d{j}_{l} = {left.id!r} but "
-                                    f"d{j - 1}_{l} d{i}_{k} = {right.id!r}",
-                                    (i, j, k, l),
-                                )
-                            )
+                    fid = table.get((i, k))
+                    if fid is None:
+                        report.append(
+                            Violation("missing-face", CellRef(n, cid), f"no entry for d{i}_{k}", (i, k))
+                        )
+                    elif fid not in below:
+                        message = f"d{i}_{k} = {fid!r} is not a cell of degree {n - 1}"
+                        report.append(Violation("dangling-face", CellRef(n, cid), message, (i, k)))
+                    else:
+                        faces[(i, k)] = fid
+    for (n, cid), faces in resolved.items():
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            for k in (0, 1):
+                for l in (0, 1):
+                    if (j, l) not in faces or (i, k) not in faces:
+                        continue  # already reported
+                    left = resolved[(n - 1, faces[(j, l)])].get((i, k))
+                    right = resolved[(n - 1, faces[(i, k)])].get((j - 1, l))
+                    if left is None or right is None:
+                        continue  # defect in a face, already reported
+                    if left != right:
+                        message = (
+                            f"d{i}_{k} d{j}_{l} = {left!r} but d{j - 1}_{l} d{i}_{k} = {right!r}"
+                        )
+                        report.append(Violation("identity", CellRef(n, cid), message, (i, j, k, l)))
     return report
 
 

@@ -21,9 +21,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from . import core
 from .core import CellRef, Complex
-from .errors import NotAcyclic, PathExplosion, UnknownCell, ValidationFailed
+from .errors import NotAcyclic, PathExplosion, UnknownCell
 
 DEFAULT_MAX_PATHS = 1_000_000
 
@@ -194,8 +193,6 @@ def fundamental_bipartite_graph(
     than max_paths classes of paths from one minimal vertex reach one
     vertex."""
     order = [v.id for v in _topological_order(P)]
-    minimals = tuple(sorted(core.minimal_vertices(P)))
-    maximals = tuple(sorted(core.maximal_vertices(P)))
     # Per vertex id: its in-edges as (edge id, source id), and as
     # (a, b, a', b') the squares with top vertex there, [a, b] and
     # [a', b'] being the sides [d_2^0 s, d_1^1 s] and [d_1^0 s, d_2^1 s].
@@ -210,15 +207,9 @@ def fundamental_bipartite_graph(
             for s in P.squares_on(e)
             if P.face(s, 1, 1) == e
         ]
-    ends = {e: (u, w) for w in order for e, u in into[w]}
-    for w in order:
-        for a, b, a2, b2 in tops[w]:
-            # the cubical identities: the sides of the square meet at its corners
-            if (ends[a][0], ends[a][1], ends[a2][1], ends[b2][1]) != (
-                ends[a2][0], ends[b][0], ends[b2][0], w
-            ):
-                raise ValidationFailed(core.validate(P))
-    outdegree = Counter(u for u, _ in ends.values())
+    outdegree = Counter(u for w in order for _, u in into[w])
+    minimals = tuple(CellRef(0, w) for w in sorted(order) if not into[w])
+    maximals = tuple(CellRef(0, w) for w in sorted(order) if not outdegree[w])
     classes = {}
     for m in minimals:
         reps = _classes_from(order[order.index(m.id) :], into, tops, outdegree, max_paths)

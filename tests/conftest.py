@@ -65,6 +65,37 @@ def random_grid_complex(rng: random.Random, max_side: int = 4) -> Complex:
     return P
 
 
+PERTURBATIONS = ("rewire", "unknown", "delete", "repeat")
+
+
+def perturb(P: Complex, rng: random.Random, how: str):
+    """P with one defect drawn by rng: a face entry rewired to another
+    cell of the right degree ("rewire") or to an unknown id ("unknown"),
+    a face entry deleted ("delete"), or an id repeated in its cell list
+    ("repeat"). None when P has no face entry, or no other cell, to use."""
+    cells = {n: list(P.cell_ids(n)) for n in P.degrees()}
+    faces = {(n, cid): P.face_table(CellRef(n, cid)) for n in cells if n > 0 for cid in cells[n]}
+    if how == "repeat":
+        ids = cells[rng.choice(sorted(cells))]
+        ids.insert(rng.randrange(len(ids) + 1), rng.choice(ids))
+        return Complex(cells, faces)
+    entries = sorted((n, cid, i, k) for (n, cid), table in faces.items() for i, k in table)
+    if not entries:
+        return None
+    n, cid, i, k = rng.choice(entries)
+    table = faces[(n, cid)]
+    if how == "delete":
+        del table[(i, k)]
+    elif how == "unknown":
+        table[(i, k)] = "ghost"
+    else:
+        others = [c for c in cells[n - 1] if c != table[(i, k)]]
+        if not others:
+            return None
+        table[(i, k)] = rng.choice(others)
+    return Complex(cells, faces)
+
+
 @st.composite
 def glued_complexes(draw, max_side: int = 4, max_squares: int = 12):
     """Valid 2-complexes that are not grids. Vertices sit on a lattice;

@@ -46,10 +46,10 @@ sys.path.insert(0, os.path.dirname(HERE))
 
 from precubical import core, fbg, modelio, recipes, reductions  # noqa: E402
 from precubical.cli import _certificate_json  # noqa: E402
-from precubical.core import CellRef, Complex  # noqa: E402
+from precubical.core import Complex  # noqa: E402
 from precubical.errors import NotAcyclic  # noqa: E402
 
-from conftest import random_grid_complex  # noqa: E402
+from conftest import PERTURBATIONS, perturb, random_grid_complex  # noqa: E402
 from test_acceptance import candidates  # noqa: E402
 
 GOLDEN_PATH = os.path.join(HERE, "golden.json")
@@ -59,7 +59,6 @@ GRID_SIDES = (8, 12)
 PATH_LENGTHS = (200, 1500)
 FBG_SIDES = range(2, 7)
 VALIDATE_SEED = 4401
-PERTURBATIONS = ("rewire", "unknown", "delete", "repeat")
 CUBE_DIMENSIONS = range(5)
 CUBE_DRAWS = 5  # perturbations per cube and kind
 
@@ -103,32 +102,6 @@ def fbg_inputs():
         for n in FBG_SIDES:
             if m != n:
                 yield f"grid {m}x{n}", modelio.grid_with_holes(m, n, {(1, 1)})
-
-
-def perturb(P: Complex, rng: random.Random, how: str):
-    """P with one defect of kind `how` drawn by rng, or None when P has
-    no face entry (or no other cell) to perturb."""
-    cells = {n: list(P.cell_ids(n)) for n in P.degrees()}
-    faces = {(n, cid): P.face_table(CellRef(n, cid)) for n in cells if n > 0 for cid in cells[n]}
-    if how == "repeat":
-        ids = cells[rng.choice(sorted(cells))]
-        ids.insert(rng.randrange(len(ids) + 1), rng.choice(ids))
-        return Complex(cells, faces)
-    entries = sorted((n, cid, i, k) for (n, cid), table in faces.items() for i, k in table)
-    if not entries:
-        return None
-    n, cid, i, k = rng.choice(entries)
-    table = faces[(n, cid)]
-    if how == "delete":
-        del table[(i, k)]
-    elif how == "unknown":
-        table[(i, k)] = "ghost"
-    else:
-        others = [c for c in cells[n - 1] if c != table[(i, k)]]
-        if not others:
-            return None
-        table[(i, k)] = rng.choice(others)
-    return Complex(cells, faces)
 
 
 def validate_inputs():

@@ -152,8 +152,11 @@ def test_usage_error_exit_code():
         (["gen", "--grid", "2", "2", "--holes", "bad"], None),
         (["auto-reduce", "{input}", "--recipe", "{recipe}"], "edge-collapse e x\n"),
         (["reduce", "{input}", "--op", "square-two-free", "--cell", "s", "--b", "0"], None),
+        (["gen", "--grid", "0", "3"], None),
+        (["gen", "--grid", "2", "2", "--holes", "5,5"], None),
     ],
-    ids=["gen-bad-holes", "recipe-bad-line", "two-free-without-a"],
+    ids=["gen-bad-holes", "recipe-bad-line", "two-free-without-a", "gen-empty-grid",
+         "gen-hole-outside"],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, recipe):
     paths = {"input": write_fixture(tmp_path, "square"), "recipe": str(tmp_path / "steps.txt")}

@@ -27,7 +27,7 @@ from precubical.reductions import (
     square_two_free,
 )
 
-from conftest import random_grid_complex
+from conftest import PERTURBATIONS, glued_complexes, perturb, random_grid_complex
 
 
 def all_candidates(P):
@@ -136,6 +136,42 @@ class TestBrokenFaceTables:
         with pytest.raises(ValidationFailed) as excinfo:
             square_one_free(broken, "s", 0, mode="check")
         assert [v.kind for v in excinfo.value.report] == ["missing-face"]
+
+    @pytest.mark.parametrize("defect", ["swapped-sides", "rewired-eB"])
+    def test_broken_identity(self, defect):
+        # every face entry resolves, but the sides of s no longer meet
+        P = modelio.named_fixture("square")
+        faces = {(n, c.id): P.face_table(c) for n in (1, 2) for c in P.cells(n)}
+        if defect == "swapped-sides":
+            table = faces[(2, "s")]
+            table[(1, 0)], table[(1, 1)] = table[(1, 1)], table[(1, 0)]
+        else:
+            faces[(1, "eB")][(1, 1)] = "w00"
+        broken = Complex({n: P.cell_ids(n) for n in P.degrees()}, faces)
+        candidates = list(all_candidates(broken))
+        assert {kind for kind, *_ in candidates} == {EDGE_COLLAPSE, SQUARE_ONE_FREE, SQUARE_TWO_FREE}
+        for kind, cell, a, b in candidates:
+            with pytest.raises(ValidationFailed) as excinfo:
+                check(broken, kind, cell, a, b)
+            assert {v.kind for v in excinfo.value.report} == {"identity"}
+        with pytest.raises(ValidationFailed) as excinfo:
+            auto_reduce(broken)
+        assert {v.kind for v in excinfo.value.report} == {"identity"}
+
+    @settings(max_examples=80, deadline=None)
+    @given(glued_complexes(), st.sampled_from(PERTURBATIONS), st.randoms(use_true_random=False))
+    def test_build_cofaces_raises_the_face_report(self, P, how, rng):
+        # the coface tables refuse exactly what validate reports, bar duplicate ids
+        Q = perturb(P, rng, how)
+        if Q is None:
+            return
+        expected = [v for v in core.validate(Q) if v.kind != "duplicate-id"]
+        if expected:
+            with pytest.raises(ValidationFailed) as excinfo:
+                Q.build_cofaces()
+            assert excinfo.value.report == expected
+        else:
+            Q.build_cofaces()
 
 
 class TestBrokenFaceTablesInFbg:
