@@ -67,7 +67,8 @@ def _certificate_lines(payload: dict) -> list[str]:
     lines.append("  removed: " + " ".join(payload["removed"]))
     if payload["redirected"]:
         lines.append("  redirected:")
-        lines.extend(f"    d{r['i']}_{r['k']} {r['cell']} -> {r['to']}" for r in payload["redirected"])
+        for r in payload["redirected"]:
+            lines.append(f"    d{r['i']}_{r['k']} {r['cell']} -> {r['to']}")
     if payload["Y"] is not None:
         lines.append("  Y: " + (" ".join(payload["Y"]) or "(empty)"))
     if payload["R"] is not None:
@@ -164,9 +165,8 @@ def cmd_auto_reduce(args) -> int:
     if args.recipe:
         with open(args.recipe, encoding="utf-8") as fh:
             steps = recipes.parse_recipe(fh.read())
-    policy = "greedy" if steps is None else "recipe"
     try:
-        Q, trail = reductions.auto_reduce(P, policy=policy, recipe=steps)
+        Q, trail = reductions.auto_reduce(P, "greedy" if steps is None else "recipe", steps)
     except RecipeStepFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.certificate is not None:

@@ -42,7 +42,8 @@ class Complex:
     check the precubical identities and referential integrity.
 
     The coface tables behind :meth:`edges_at` and :meth:`squares_on` are
-    built on first query, not here; :meth:`reduced` patches them.
+    built, after checking the face tables, on first query, not here;
+    :meth:`reduced` patches them.
     """
 
     def __init__(
@@ -127,8 +128,8 @@ class Complex:
 
     def build_cofaces(self):
         """Build the coface tables unless they exist. Raises ValidationFailed
-        with the report of :func:`_face_report` if a face entry is missing or
-        names no cell, or a cubical identity fails."""
+        with the report of :func:`validate`, less its duplicate ids, if a
+        face entry is missing or names no cell or a cubical identity fails."""
         if self._cofaces is not None:
             return
         report = _face_report(self)
@@ -291,9 +292,8 @@ def _face_report(P: Complex) -> list[Violation]:
                 for k in (0, 1):
                     fid = table.get((i, k))
                     if fid is None:
-                        report.append(
-                            Violation("missing-face", CellRef(n, cid), f"no entry for d{i}_{k}", (i, k))
-                        )
+                        message = f"no entry for d{i}_{k}"
+                        report.append(Violation("missing-face", CellRef(n, cid), message, (i, k)))
                     elif fid not in below:
                         message = f"d{i}_{k} = {fid!r} is not a cell of degree {n - 1}"
                         report.append(Violation("dangling-face", CellRef(n, cid), message, (i, k)))

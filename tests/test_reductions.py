@@ -149,7 +149,8 @@ class TestBrokenFaceTables:
             faces[(1, "eB")][(1, 1)] = "w00"
         broken = Complex({n: P.cell_ids(n) for n in P.degrees()}, faces)
         candidates = list(all_candidates(broken))
-        assert {kind for kind, *_ in candidates} == {EDGE_COLLAPSE, SQUARE_ONE_FREE, SQUARE_TWO_FREE}
+        kinds = {kind for kind, *_ in candidates}
+        assert kinds == {EDGE_COLLAPSE, SQUARE_ONE_FREE, SQUARE_TWO_FREE}
         for kind, cell, a, b in candidates:
             with pytest.raises(ValidationFailed) as excinfo:
                 check(broken, kind, cell, a, b)
