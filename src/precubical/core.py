@@ -132,18 +132,10 @@ class Complex:
         face entry is missing or names no cell or a cubical identity fails."""
         if self._cofaces is not None:
             return
-        report = _face_report(self)
+        tables: tuple[dict, dict, dict] = ({}, {}, {})
+        report = _face_report(self, tables)
         if report:
             raise ValidationFailed(report)
-        tables: tuple[dict, dict, dict] = ({}, {}, {})
-        for n in (1, 2):
-            for cid in sorted(self._cell_sets.get(n, ())):
-                table = self._faces[(n, cid)]
-                for i in range(1, n + 1):
-                    for k in (0, 1):
-                        cofaces = tables[k if n == 1 else 2].setdefault(table[(i, k)], [])
-                        if cofaces[-1:] != [cid]:
-                            cofaces.append(cid)
         self._cofaces = tables
 
     def edges_at(self, v: CellRef, k: Optional[int] = None) -> list[CellRef]:
@@ -275,16 +267,18 @@ def validate(P: Complex) -> list[Violation]:
     return report + _face_report(P)
 
 
-def _face_report(P: Complex) -> list[Violation]:
+def _face_report(P: Complex, cofaces: Optional[tuple[dict, dict, dict]] = None) -> list[Violation]:
     """The missing and dangling face entries, then the violated cubical
     identities, of every degree: all of :func:`validate` but duplicate ids.
-    An identity is checked only where its four face entries resolve."""
+    An identity is checked only where its four face entries resolve. Fills
+    `cofaces`, if given, as :meth:`Complex.build_cofaces` lays them out."""
     report: list[Violation] = []
     resolved: dict[tuple[int, str], dict[tuple[int, int], str]] = {}
     for n in P.degrees():
         if n == 0:
             continue
         below = P._cell_sets.get(n - 1, frozenset())
+        up = cofaces if n <= 2 else None
         for cid in sorted(P._cell_sets[n]):
             table = P._faces.get((n, cid), {})
             faces = resolved[(n, cid)] = {}
@@ -299,6 +293,10 @@ def _face_report(P: Complex) -> list[Violation]:
                         report.append(Violation("dangling-face", CellRef(n, cid), message, (i, k)))
                     else:
                         faces[(i, k)] = fid
+                        if up is not None:
+                            ids = up[k if n == 1 else 2].setdefault(fid, [])
+                            if ids[-1:] != [cid]:
+                                ids.append(cid)
     for (n, cid), faces in resolved.items():
         for i, j in itertools.combinations(range(1, n + 1), 2):
             for k in (0, 1):
@@ -488,54 +486,95 @@ def restrict(P: Complex, kept: Iterable[CellRef]) -> Complex:
 def are_isomorphic(P: Complex, Q: Complex) -> Optional[dict[CellRef, CellRef]]:
     """A degree-preserving bijection commuting with all faces, or None.
 
-    Backtracking over cells ordered by degree descending then id
-    ascending; assigning a cell forces the assignment of its whole
-    face closure, so squares prune the edge search early.
+    Mapping a cell forces the images of its faces and, at each face
+    position where the cell has exactly one coface, the image of that
+    coface. The search branches only when nothing is forced: the first
+    unmapped cell of P in (degree descending, id) order tries, in id
+    order, the cells of Q with its degree and its number of cofaces at
+    each position. Raises ValidationFailed, as the coface tables do, if
+    either complex is invalid.
     """
-    degrees = set(P.degrees()) | set(Q.degrees())
-    for n in degrees:
-        if P.size(n) != Q.size(n):
-            return None
-
-    order = sorted(P.all_cells(), key=lambda c: (-c.degree, c.id))
-    mapping: dict[CellRef, CellRef] = {}
-    used: set[CellRef] = set()
-
-    def assign(p: CellRef, q: CellRef, trail: list[CellRef]) -> bool:
-        current = mapping.get(p)
-        if current is not None:
-            return current == q
-        if q in used or p.degree != q.degree:
-            return False
-        mapping[p] = q
-        used.add(q)
-        trail.append(p)
-        for i in range(1, p.degree + 1):
-            for k in (0, 1):
-                if not assign(P.face(p, i, k), Q.face(q, i, k), trail):
-                    return False
-        return True
-
-    def undo(trail: list[CellRef]):
-        for p in trail:
-            used.discard(mapping.pop(p))
-
-    def search(pos: int) -> bool:
-        while pos < len(order) and order[pos] in mapping:
+    star_p, star_q = _stars(P), _stars(Q)
+    if any(P.size(n) != Q.size(n) for n in {*P.degrees(), *Q.degrees()}):
+        return None
+    alike: dict[tuple, list[tuple[int, str]]] = {}
+    for q, (_, _, sig) in sorted(star_q.items()):
+        alike.setdefault((q[0], sig), []).append(q)
+    order = sorted(star_p, key=lambda c: (-c[0], c[1]))
+    image: dict[tuple[int, str], tuple[int, str]] = {}
+    used: set[tuple[int, str]] = set()
+    trail: list[tuple[int, str]] = []  # the cells of P mapped, in order
+    stack: list = []  # per branch: its place in order, untried cells of Q, len(trail)
+    pos = 0
+    while True:
+        while pos < len(order) and order[pos] in image:
             pos += 1
         if pos == len(order):
-            return True
+            return {CellRef(*p): CellRef(*q) for p, q in image.items()}
         p = order[pos]
-        for q in Q.cells(p.degree):
-            trail: list[CellRef] = []
-            if assign(p, q, trail) and search(pos + 1):
-                return True
-            undo(trail)
-        return False
+        stack.append((pos, iter(alike.get((p[0], star_p[p][2]), ())), len(trail)))
+        while stack:  # the next candidate of the innermost branch left
+            pos, untried, mark = stack[-1]
+            q = next(untried, None)
+            while len(trail) > mark:
+                used.discard(image.pop(trail.pop()))
+            if q is None:
+                stack.pop()
+            elif _force(order[pos], q, star_p, star_q, image, used, trail):
+                break
+        else:
+            return None
+        pos += 1
 
-    if search(0):
-        return dict(mapping)
-    return None
+
+def _stars(P: Complex) -> dict[tuple[int, str], tuple[tuple, tuple, tuple[int, ...]]]:
+    """Per cell (degree, id): its faces by face position (i, k), in order;
+    the cofaces alone at their position, in position order; and the number
+    of cofaces at each position. Cells of degree 2 and up get no cofaces."""
+    P.build_cofaces()
+    starts, ends, on_edge = P._cofaces
+    stars = {}
+    for n in P.degrees():
+        keys = [(i, k) for i in range(1, n + 1) for k in (0, 1)]
+        for c in P._cell_sets[n]:
+            ups = ()
+            if n == 0:
+                ups = (starts.get(c, ()), ends.get(c, ()))
+            elif n == 1:
+                ups = ([], [], [], [])
+                for s in on_edge.get(c, ()):
+                    faces = P._faces[(2, s)]
+                    for at, key in zip(ups, ((1, 0), (1, 1), (2, 0), (2, 1))):
+                        if faces[key] == c:
+                            at.append(s)
+            faces = P._faces.get((n, c), {})
+            stars[(n, c)] = (
+                tuple([(n - 1, faces[key]) for key in keys]),
+                tuple([(n + 1, at[0]) for at in ups if len(at) == 1]),
+                tuple(map(len, ups)),
+            )
+    return stars
+
+
+def _force(p, q, star_p, star_q, image, used, trail) -> bool:
+    """Map cell p of P to q, then every cell that forces; False on a clash."""
+    work = [(p, q)]
+    while work:
+        a, b = work.pop()
+        if a in image:
+            if image[a] != b:
+                return False
+            continue
+        faces_a, alone_a, sig = star_p[a]
+        faces_b, alone_b, sig_b = star_q[b]
+        if b in used or sig != sig_b:
+            return False
+        image[a] = b
+        used.add(b)
+        trail.append(a)
+        work += zip(faces_a, faces_b)
+        work += zip(alone_a, alone_b)  # equal signatures: the same positions
+    return True
 
 
 def euler_characteristic(P: Complex) -> int:

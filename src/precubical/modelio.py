@@ -92,7 +92,10 @@ def parse(text: str, check: bool = True) -> Complex:
             m = _FACE_KEY.match(key)
             if not m:
                 raise DocumentSyntaxError(lineno, f"bad face key {key!r}")
-            i, k = int(m.group(1)), int(m.group(2))
+            try:
+                i, k = int(m.group(1)), int(m.group(2))
+            except ValueError:  # more digits than int() reads: beyond any degree
+                i, k = 0, 0
             if not 1 <= i <= degree:
                 raise DocumentSyntaxError(
                     lineno, f"face key {key!r} out of range for degree {degree}"

@@ -142,3 +142,23 @@ def glued_complexes(draw, max_side: int = 4, max_squares: int = 12):
     P = Complex({0: list(name.values()), 1: list(edges), 2: list(squares)}, faces)
     assert core.is_valid(P)
     return P
+
+
+def relabelled(P: Complex, rng: random.Random) -> Complex:
+    """P with every id replaced by a fresh random one and every cell list
+    and face table in shuffled order: isomorphic to P by construction."""
+    rename = {}
+    cells = {}
+    for n in P.degrees():
+        ids = list(P.cell_ids(n))
+        names = rng.sample(range(16**6), len(ids))
+        rename.update({(n, c): f"c{x:06x}" for c, x in zip(ids, names)})
+        cells[n] = [rename[(n, c)] for c in ids]
+        rng.shuffle(cells[n])
+    faces = {}
+    for n in P.degrees():
+        for c in P.cell_ids(n) if n else ():
+            table = list(P.face_table(CellRef(n, c)).items())
+            rng.shuffle(table)
+            faces[(n, rename[(n, c)])] = {key: rename[(n - 1, f)] for key, f in table}
+    return Complex(cells, faces)

@@ -1,9 +1,12 @@
 import json
+import random
 
 import pytest
 
 from precubical import modelio, recipes
 from precubical.cli import main
+
+from conftest import relabelled
 
 
 def write_fixture(tmp_path, name):
@@ -93,6 +96,19 @@ def test_iso_failure(tmp_path, capsys):
     iv = write_fixture(tmp_path, "interval")
     de = write_fixture(tmp_path, "double_edge")
     assert main(["iso", iv, de]) == 1
+
+
+def test_iso_32x32_grid(tmp_path, capsys):
+    paths = {}
+    for name, holes in [("P", "0,5;1,1;30,30"), ("moved", "0,6;1,1;30,30")]:
+        paths[name] = str(tmp_path / f"{name}.pcs")
+        assert main(["gen", "--grid", "32", "32", "--holes", holes, "-o", paths[name]]) == 0
+        copy = relabelled(modelio.load(paths[name]), random.Random(name))
+        paths[name + "-relabelled"] = str(tmp_path / f"{name}-relabelled.pcs")
+        modelio.save(copy, paths[name + "-relabelled"])
+    assert main(["iso", paths["P"], paths["P-relabelled"]]) == 0
+    assert main(["iso", paths["P"], paths["moved-relabelled"]]) == 1
+    assert capsys.readouterr().out.endswith("not isomorphic\n")
 
 
 def test_info(tmp_path, capsys):

@@ -1,13 +1,14 @@
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from precubical import core, modelio
 from precubical.core import CellRef, Complex
-from precubical.errors import UnknownCell
+from precubical.errors import PrecubicalError, UnknownCell, ValidationFailed
 
-from conftest import glued_complexes, random_grid_complex
+from conftest import glued_complexes, random_grid_complex, relabelled
 
 
 S = CellRef(2, "s")
@@ -256,6 +257,179 @@ class TestIsomorphism:
         mapping = core.are_isomorphic(shared_memory, shared_memory)
         assert mapping is not None
         assert all(p == q for p, q in mapping.items())
+
+
+class TestCofaceTables:
+    @settings(max_examples=60, deadline=None)
+    @given(glued_complexes())
+    def test_match_the_definition(self, P):
+        # each coface once, sorted, even where a square has an edge twice
+        for v in P.cells(0):
+            for k in (0, 1):
+                assert P.edges_at(v, k) == sorted({e for e in P.cells(1) if P.face(e, 1, k) == v})
+        for e in P.cells(1):
+            assert P.squares_on(e) == sorted(
+                {s for s in P.cells(2) for i in (1, 2) for k in (0, 1) if P.face(s, i, k) == e}
+            )
+
+    def test_square_on_one_loop(self):
+        P = Complex(
+            {0: ["v"], 1: ["e"], 2: ["s"]},
+            {(1, "e"): {(1, 0): "v", (1, 1): "v"}, (2, "s"): {(i, k): "e" for i in (1, 2) for k in (0, 1)}},
+        )
+        assert P.squares_on(CellRef(1, "e")) == [CellRef(2, "s")]
+        assert P.edges_at(CellRef(0, "v")) == [CellRef(1, "e")]
+
+
+def backtracking_isomorphism(P: Complex, Q: Complex) -> Optional[dict[CellRef, CellRef]]:
+    """The recursive backtracking search that core.are_isomorphic used
+    before it forced cofaces, kept as the reference for which pairs are
+    isomorphic. Exponential in the worst case: small inputs only."""
+    for n in set(P.degrees()) | set(Q.degrees()):
+        if P.size(n) != Q.size(n):
+            return None
+
+    order = sorted(P.all_cells(), key=lambda c: (-c.degree, c.id))
+    mapping: dict[CellRef, CellRef] = {}
+    used: set[CellRef] = set()
+
+    def assign(p: CellRef, q: CellRef, trail: list[CellRef]) -> bool:
+        current = mapping.get(p)
+        if current is not None:
+            return current == q
+        if q in used or p.degree != q.degree:
+            return False
+        mapping[p] = q
+        used.add(q)
+        trail.append(p)
+        for i in range(1, p.degree + 1):
+            for k in (0, 1):
+                if not assign(P.face(p, i, k), Q.face(q, i, k), trail):
+                    return False
+        return True
+
+    def undo(trail: list[CellRef]):
+        for p in trail:
+            used.discard(mapping.pop(p))
+
+    def search(pos: int) -> bool:
+        while pos < len(order) and order[pos] in mapping:
+            pos += 1
+        if pos == len(order):
+            return True
+        p = order[pos]
+        for q in Q.cells(p.degree):
+            trail: list[CellRef] = []
+            if assign(p, q, trail) and search(pos + 1):
+                return True
+            undo(trail)
+        return False
+
+    return dict(mapping) if search(0) else None
+
+
+def commutes(mapping: dict[CellRef, CellRef], P: Complex, Q: Complex) -> bool:
+    """mapping is a degree-preserving bijection from the cells of P onto
+    those of Q that commutes with every face map."""
+    if sorted(mapping) != P.all_cells() or sorted(mapping.values()) != Q.all_cells():
+        return False
+    return all(
+        p.degree == q.degree
+        and all(
+            mapping[P.face(p, i, k)] == Q.face(q, i, k)
+            for i in range(1, p.degree + 1)
+            for k in (0, 1)
+        )
+        for p, q in mapping.items()
+    )
+
+
+def rewired(P: Complex, rng: random.Random) -> Optional[Complex]:
+    """P with one face entry moved so that P stays valid: an end of an
+    edge that bounds no square moved to another vertex, or a side of a
+    square moved to a parallel edge. None if P has no such entry."""
+    moves = []
+    for e in P.cells(1):
+        if not P.squares_on(e):
+            moves += [(e, (1, k), v.id) for k in (0, 1) for v in P.cells(0) if v != P.face(e, 1, k)]
+    ends = {e: (P.face(e, 1, 0), P.face(e, 1, 1)) for e in P.cells(1)}
+    for s in P.cells(2):
+        for (i, k), side in P.face_table(s).items():
+            moves += [
+                (s, (i, k), e.id) for e in ends if e.id != side and ends[e] == ends[CellRef(1, side)]
+            ]
+    if not moves:
+        return None
+    cell, (i, k), target = rng.choice(moves)
+    Q = rewire(P, cell, i, k, target)
+    assert core.is_valid(Q)
+    return Q
+
+
+class TestIsomorphismSearch:
+    """are_isomorphic propagates forced cells through faces and unique
+    cofaces and branches only when nothing is forced, with no recursion."""
+
+    @pytest.mark.parametrize(
+        "side, holes, q_holes",
+        [
+            # a RecursionError under the recursive search
+            (32, {(0, 5), (1, 1), (17, 9), (30, 30)}, {(0, 5), (1, 1), (17, 9), (30, 30)}),
+            # holes in row 0 made the face-only backtracking exponential (5-43 s)
+            (6, {(0, 2), (0, 4)}, {(0, 2), (0, 4)}),
+            (6, {(0, 1), (0, 3), (0, 5)}, {(0, 1), (0, 3), (0, 5)}),
+            (7, {(0, 2), (4, 4)}, {(0, 5), (4, 4)}),
+        ],
+    )
+    def test_relabelled_grid(self, side, holes, q_holes):
+        P = modelio.grid_with_holes(side, side, holes)
+        Q = relabelled(modelio.grid_with_holes(side, side, q_holes), random.Random(side))
+        mapping = core.are_isomorphic(P, Q)
+        if holes == q_holes:
+            assert mapping is not None and commutes(mapping, P, Q)
+        else:
+            assert mapping is None
+
+    def test_proper_part_is_not_isomorphic(self, interval):
+        # every cell of interval maps to a cell of the same signature here
+        bigger = Complex(
+            {0: ["a0", "a1", "z"], 1: ["e"]}, {(1, "e"): {(1, 0): "a0", (1, 1): "a1"}}
+        )
+        assert core.are_isomorphic(interval, bigger) is None
+        assert core.are_isomorphic(bigger, interval) is None
+
+    def test_dangling_face_raises(self, interval):
+        dangling = Complex(
+            {0: ["a", "b"], 1: ["x", "y"]},
+            {(1, "x"): {(1, 0): "a", (1, 1): "b"}, (1, "y"): {(1, 0): "b", (1, 1): "ghost"}},
+        )
+        for P, Q in [(dangling, dangling), (dangling, interval), (interval, dangling)]:
+            with pytest.raises(PrecubicalError) as excinfo:
+                core.are_isomorphic(P, Q)
+            assert isinstance(excinfo.value, ValidationFailed)
+            assert [v.kind for v in excinfo.value.report] == ["dangling-face"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        glued_complexes(),
+        st.sampled_from(["shuffled", "rewired", "opposite", "transpose"]),
+        st.integers(0, 2**32),
+    )
+    def test_agrees_with_backtracking(self, G, how, seed):
+        rng = random.Random(seed)
+        H = {
+            "shuffled": lambda: G,
+            "rewired": lambda: rewired(G, rng) or G,
+            "opposite": lambda: core.opposite(G),
+            "transpose": lambda: core.transpose(G),
+        }[how]()
+        H = relabelled(H, rng)
+        mapping = core.are_isomorphic(G, H)
+        assert (mapping is None) == (backtracking_isomorphism(G, H) is None)
+        if mapping is not None:
+            assert commutes(mapping, G, H)
+        if how == "shuffled":
+            assert mapping is not None
 
 
 class TestEuler:

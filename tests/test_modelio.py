@@ -1,13 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from precubical import core, fbg, modelio
+from precubical import core, fbg, modelio, recipes
 from precubical.core import CellRef
 from precubical.errors import (
     DocumentSyntaxError,
     OutOfRange,
+    PrecubicalError,
     UnknownFixture,
     ValidationFailed,
 )
@@ -160,3 +161,47 @@ class TestDot:
     def test_dimension_guard(self):
         with pytest.raises(Exception):
             modelio.export_dot(core.standard_cube(3))
+
+
+# Text that reaches past the header and tokenizer: digits, face keys,
+# separators and the odd unicode digit or space.
+_DOCUMENT_TEXT = st.text(alphabet="0123456789dpos_=,-# \n\t\u0663\u00a0\x00abcé", max_size=60)
+_DOCUMENT = modelio.serialize(modelio.grid_with_holes(2, 2, {(1, 0)}))
+_RECIPE = recipes.format_recipe(recipes.grid_reduction_recipe(2, 2, {(1, 0)}))
+
+
+def _splice(base: str, text: str, start: int, length: int) -> str:
+    start %= len(base) + 1
+    return base[:start] + text + base[start + length :]
+
+
+class TestParsersRaiseOnlyPrecubicalError:
+    """Whatever the text, the parsers return or raise a PrecubicalError."""
+
+    @staticmethod
+    def parses_or_raises_typed(parse, text):
+        try:
+            parse(text)
+        except PrecubicalError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | _DOCUMENT_TEXT | _DOCUMENT_TEXT.map(lambda t: "pcsv1\n" + t))
+    @example("pcsv1\n1 e d" + "9" * 5000 + "_0=a\n")
+    def test_document_of_any_text(self, text):
+        self.parses_or_raises_typed(modelio.parse, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | _DOCUMENT_TEXT, st.integers(0, 10**4), st.integers(0, 8))
+    def test_valid_document_with_text_spliced_in(self, text, start, length):
+        self.parses_or_raises_typed(modelio.parse, _splice(_DOCUMENT, text, start, length))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | _DOCUMENT_TEXT)
+    def test_recipe_of_any_text(self, text):
+        self.parses_or_raises_typed(recipes.parse_recipe, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | _DOCUMENT_TEXT, st.integers(0, 10**4), st.integers(0, 8))
+    def test_valid_recipe_with_text_spliced_in(self, text, start, length):
+        self.parses_or_raises_typed(recipes.parse_recipe, _splice(_RECIPE, text, start, length))
