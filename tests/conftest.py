@@ -96,52 +96,68 @@ def perturb(P: Complex, rng: random.Random, how: str):
     return Complex(cells, faces)
 
 
-@st.composite
-def glued_complexes(draw, max_side: int = 4, max_squares: int = 12):
-    """Valid 2-complexes that are not grids. Vertices sit on a lattice;
-    each square spans one or two steps per direction, so squares overlap
-    and are glued along shared edges, and an edge may lie on more than
-    two squares. Some sides get a parallel copy of an edge, a few squares
-    take arbitrary corners (irregular squares, loops), and pendant edges
-    are added. Ids are numbered in creation order, so their sorted order,
-    which greedy choices follow, is mixed."""
-    m, n = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
-    vertices = [(i, j) for i in range(m + 1) for j in range(n + 1)]
-    corner = st.sampled_from(vertices)
+def glued_complex(integer, choice, max_side: int = 4, max_squares: int = 12) -> Complex:
+    """A valid 2-complex that is not a grid, drawn through `integer(lo, hi)`
+    (inclusive) and `choice(seq)`. Vertices sit on a lattice; each square
+    spans one or two steps per direction, so squares overlap and are glued
+    along shared edges, and an edge may lie on more than two squares. Some
+    sides get a parallel copy of an edge, a few squares take arbitrary
+    corners (irregular squares, loops), and pendant edges are added. Ids
+    are numbered in creation order, so their sorted order, which greedy
+    choices follow, is mixed."""
+    m, n = integer(1, max_side), integer(1, max_side)
+    lattice = tuple((i, j) for i in range(m + 1) for j in range(n + 1))
+    vertices = list(lattice)
     edges: dict[str, tuple[tuple, tuple]] = {}
     squares: dict[str, dict[tuple[int, int], str]] = {}
 
     def edge(src, tgt) -> str:
         same = [e for e, ends in edges.items() if ends == (src, tgt)]
-        if same and draw(st.integers(0, 5)):
-            return draw(st.sampled_from(same))
+        if same and integer(0, 5):
+            return choice(same)
         eid = f"e{len(edges)}"
         edges[eid] = (src, tgt)
         return eid
 
-    for t in range(draw(st.integers(0, max_squares))):
-        if draw(st.integers(0, 7)):
-            i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
-            di = draw(st.integers(1, min(2, m - i)))
-            dj = draw(st.integers(1, min(2, n - j)))
+    for t in range(integer(0, max_squares)):
+        if integer(0, 7):
+            i, j = integer(0, m - 1), integer(0, n - 1)
+            di = integer(1, min(2, m - i))
+            dj = integer(1, min(2, n - j))
             p, q, r, w = (i, j), (i, j + dj), (i + di, j), (i + di, j + dj)
         else:
-            p, q, r, w = (draw(corner) for _ in range(4))
+            p, q, r, w = (choice(lattice) for _ in range(4))
         # d_1^0 = p->q, d_1^1 = r->w, d_2^0 = p->r, d_2^1 = q->w satisfy
         # the cubical identities for any choice of the four corners.
         squares[f"s{t}"] = {
             (1, 0): edge(p, q), (1, 1): edge(r, w), (2, 0): edge(p, r), (2, 1): edge(q, w),
         }
-    for _ in range(draw(st.integers(0, 3))):
-        anchor, tail = draw(corner), ("t", len(vertices))
+    for _ in range(integer(0, 3)):
+        anchor, tail = choice(lattice), ("t", len(vertices))
         vertices.append(tail)
-        edge(*((anchor, tail) if draw(st.booleans()) else (tail, anchor)))
+        edge(*((anchor, tail) if integer(0, 1) else (tail, anchor)))
     name = {v: f"v{'_'.join(map(str, v))}" for v in vertices}
     faces = {(1, e): {(1, 0): name[s], (1, 1): name[t]} for e, (s, t) in edges.items()}
     faces.update({(2, s): table for s, table in squares.items()})
     P = Complex({0: list(name.values()), 1: list(edges), 2: list(squares)}, faces)
     assert core.is_valid(P)
     return P
+
+
+@st.composite
+def glued_complexes(draw, max_side: int = 4, max_squares: int = 12):
+    """:func:`glued_complex` drawn by Hypothesis."""
+    return glued_complex(
+        lambda lo, hi: draw(st.integers(lo, hi)),
+        lambda seq: draw(st.sampled_from(seq)),
+        max_side,
+        max_squares,
+    )
+
+
+def random_glued_complex(rng: random.Random, max_side: int = 4, max_squares: int = 12) -> Complex:
+    """:func:`glued_complex` drawn by a seeded `random.Random`."""
+    return glued_complex(rng.randint, rng.choice, max_side, max_squares)
 
 
 def relabelled(P: Complex, rng: random.Random) -> Complex:

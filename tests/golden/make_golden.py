@@ -27,7 +27,13 @@ It writes tests/golden/golden.json with
   face entry to another cell of the right degree or to an unknown id,
   deletes one face entry, or repeats one id in a cell list; each cube
   of dimension >= 1 also gets pairs of perturbations, so that one
-  report mixes kinds and degrees.
+  report mixes kinds and degrees;
+- "glued": for each of 320 non-grid complexes drawn by
+  `conftest.random_glued_complex` from one seeded `random.Random` (loops,
+  parallel edges, edges on three or more squares, pendant edges), the
+  sha256 of the check-mode certificates of every candidate as in
+  "sweep", the greedy trail as in "greedy" and, where the 1-skeleton is
+  acyclic, the sha256 of the FBG table as in "fbg".
 
 tests/test_golden.py recomputes the same records and compares.
 """
@@ -49,7 +55,7 @@ from precubical.cli import _certificate_json  # noqa: E402
 from precubical.core import Complex  # noqa: E402
 from precubical.errors import NotAcyclic  # noqa: E402
 
-from conftest import PERTURBATIONS, perturb, random_grid_complex  # noqa: E402
+from conftest import PERTURBATIONS, perturb, random_glued_complex, random_grid_complex  # noqa: E402
 from test_acceptance import candidates  # noqa: E402
 
 GOLDEN_PATH = os.path.join(HERE, "golden.json")
@@ -61,6 +67,8 @@ FBG_SIDES = range(2, 7)
 VALIDATE_SEED = 4401
 CUBE_DIMENSIONS = range(5)
 CUBE_DRAWS = 5  # perturbations per cube and kind
+GLUED_SEED = 6151
+GLUED_INSTANCES = 320
 
 
 def sha256_json(payload) -> str:
@@ -124,21 +132,26 @@ def validate_inputs():
                 yield f"cube {n} {first}+{second} {r}", P
 
 
+def glued_inputs():
+    rng = random.Random(GLUED_SEED)
+    for t in range(GLUED_INSTANCES):
+        yield f"glued {t}", random_glued_complex(rng)
+
+
 def validate_record(P: Complex) -> list:
     return [[str(v), None if v.indices is None else list(v.indices)] for v in core.validate(P)]
 
 
+def candidates_hash(P: Complex) -> str:
+    return sha256_json([
+        _certificate_json(reductions.check(P, kind, cell, a, b))
+        for kind, cell, a, b in candidates(P)
+    ])
+
+
 def sweep_record(instances: int = SWEEP_INSTANCES) -> list[str]:
     rng = random.Random(SWEEP_SEED)
-    out = []
-    for _ in range(instances):
-        P = random_grid_complex(rng, max_side=4)
-        certs = [
-            _certificate_json(reductions.check(P, kind, cell, a, b))
-            for kind, cell, a, b in candidates(P)
-        ]
-        out.append(sha256_json(certs))
-    return out
+    return [candidates_hash(random_grid_complex(rng, max_side=4)) for _ in range(instances)]
 
 
 def greedy_record(P: Complex) -> dict:
@@ -169,6 +182,14 @@ def fbg_record(P: Complex) -> dict:
     }
 
 
+def glued_record(P: Complex) -> dict:
+    record = {"candidates": candidates_hash(P), **greedy_record(P)}
+    table = fbg_record(P)
+    if "error" not in table:
+        record["fbg"] = sha256_json(table)
+    return record
+
+
 def build() -> dict:
     return {
         "fbg": {label: fbg_record(P) for label, P in fbg_inputs()},
@@ -176,6 +197,7 @@ def build() -> dict:
         "greedy": {label: greedy_record(P) for label, P in greedy_inputs()},
         "recipes": {f"grid {n}": recipe_record(n) for n in GRID_SIDES},
         "validate": {label: validate_record(P) for label, P in validate_inputs()},
+        "glued": {label: glued_record(P) for label, P in glued_inputs()},
     }
 
 

@@ -1,5 +1,5 @@
-"""Certificates, greedy trails, recipes, FBG tables and validation
-reports must match the recorded golden file exactly. Regenerate it only
+"""Certificates, greedy trails, recipes, FBG tables, validation reports
+and the records of non-grid complexes must match the recorded golden file exactly. Regenerate it only
 for an intended change of output: `PYTHONPATH=src python3 tests/golden/make_golden.py`."""
 
 import json
@@ -45,4 +45,11 @@ def test_validate_reports(golden):
     records = dict(golden["validate"])
     for label, P in make_golden.validate_inputs():
         assert make_golden.validate_record(P) == records.pop(label), label
+    assert not records
+
+
+def test_glued_complexes(golden):
+    records = dict(golden["glued"])
+    for label, P in make_golden.glued_inputs():
+        assert make_golden.glued_record(P) == records.pop(label), label
     assert not records
