@@ -44,9 +44,7 @@ def _certificate_json(cert: reductions.ReductionCertificate) -> dict:
         "removed": sorted(_cell_str(c) for c in cert.removed),
         "redirected": [
             {"cell": cell.id, "i": i, "k": k, "to": target.id}
-            for (cell, i, k), target in sorted(
-                cert.redirected.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-            )
+            for (cell, i, k), target in sorted(cert.redirected.items())
         ],
         "Y": sorted(c.id for c in cert.y) if cert.y is not None else None,
         "R": sorted(_cell_str(c) for c in cert.r_cells)
@@ -85,10 +83,6 @@ def _print_certificate(cert, as_json: bool):
         print("\n".join(_certificate_lines(payload)))
 
 
-def _load(path: str) -> core.Complex:
-    return modelio.load(path)
-
-
 def cmd_validate(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         P = modelio.parse(fh.read(), check=False)
@@ -102,7 +96,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_info(args) -> int:
-    P = _load(args.input)
+    P = modelio.load(args.input)
     dim = P.dimension
     print(f"dimension: {'empty' if dim is None else dim}")
     for n in P.degrees():
@@ -144,7 +138,7 @@ def cmd_gen(args) -> int:
 def cmd_reduce(args) -> int:
     if args.op == reductions.SQUARE_TWO_FREE and args.a is None:
         raise UsageError(f"--op {args.op} needs --a 1 or --a 2")
-    P = _load(args.input)
+    P = modelio.load(args.input)
     try:
         Q, cert = reductions.run(
             P, args.op, args.cell, args.a, args.b, allow_empty_y=args.allow_empty_y
@@ -160,7 +154,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_auto_reduce(args) -> int:
-    P = _load(args.input)
+    P = modelio.load(args.input)
     steps = None
     if args.recipe:
         with open(args.recipe, encoding="utf-8") as fh:
@@ -185,7 +179,7 @@ def cmd_auto_reduce(args) -> int:
 
 
 def cmd_fbg(args) -> int:
-    P = _load(args.input)
+    P = modelio.load(args.input)
     table = fbg.fundamental_bipartite_graph(P, max_paths=args.max_paths)
     payload = {
         "minimals": [v.id for v in table.minimals],
@@ -211,8 +205,8 @@ def cmd_fbg(args) -> int:
 
 
 def cmd_compare_fbg(args) -> int:
-    A = fbg.fundamental_bipartite_graph(_load(args.a), max_paths=args.max_paths)
-    B = fbg.fundamental_bipartite_graph(_load(args.b), max_paths=args.max_paths)
+    A = fbg.fundamental_bipartite_graph(modelio.load(args.a), max_paths=args.max_paths)
+    B = fbg.fundamental_bipartite_graph(modelio.load(args.b), max_paths=args.max_paths)
     pairs = sorted(
         set(A.classes) | set(B.classes), key=lambda p: (p[0].id, p[1].id)
     )
@@ -226,8 +220,8 @@ def cmd_compare_fbg(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    P = _load(args.a)
-    Q = _load(args.b)
+    P = modelio.load(args.a)
+    Q = modelio.load(args.b)
     mapping = core.are_isomorphic(P, Q)
     if mapping is None:
         print("not isomorphic")
@@ -238,7 +232,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    P = _load(args.input)
+    P = modelio.load(args.input)
     text = modelio.export_dot(P)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

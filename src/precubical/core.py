@@ -41,9 +41,11 @@ class Complex:
     The constructor stores the tables as given; use :func:`validate` to
     check the precubical identities and referential integrity.
 
-    The coface tables behind :meth:`edges_at` and :meth:`squares_on` are
-    built, after checking the face tables, on first query, not here;
-    :meth:`reduced` patches them.
+    Internal code reads ids through :meth:`faces_of` and
+    :meth:`coface_tables`; :class:`CellRef` is the type of the public API.
+    The coface tables are filled by the check of the face tables, in a
+    clean :func:`validate` or on first query, not here; :meth:`reduced`
+    patches them.
     """
 
     def __init__(
@@ -88,10 +90,7 @@ class Complex:
         return [CellRef(degree, i) for i in sorted(self._cell_sets.get(degree, ()))]
 
     def all_cells(self) -> list[CellRef]:
-        out = []
-        for n in self.degrees():
-            out.extend(self.cells(n))
-        return out
+        return [cell for n in self.degrees() for cell in self.cells(n)]
 
     def cell_set(self) -> frozenset[CellRef]:
         """Every cell, as a set built once per complex."""
@@ -105,18 +104,22 @@ class Complex:
     def size(self, degree: int) -> int:
         return len(self._cell_sets.get(degree, frozenset()))
 
+    def faces_of(self, degree: int, cid: str) -> dict[tuple[int, int], str]:
+        """The stored face table (i, k) -> face id of a cell (not a copy)."""
+        return self._faces.get((degree, cid), {})
+
     def face(self, cell: CellRef, i: int, k: int) -> CellRef:
         if not self.has(cell):
             raise UnknownCell(f"no cell {cell.id!r} of degree {cell.degree}")
-        table = self._faces.get((cell.degree, cell.id))
-        if table is None or (i, k) not in table:
+        fid = self.faces_of(cell.degree, cell.id).get((i, k))
+        if fid is None:
             raise UnknownCell(
                 f"cell {cell.id!r} of degree {cell.degree} has no face d{i}_{k}"
             )
-        return CellRef(cell.degree - 1, table[(i, k)])
+        return CellRef(cell.degree - 1, fid)
 
     def face_table(self, cell: CellRef) -> dict[tuple[int, int], str]:
-        return dict(self._faces.get((cell.degree, cell.id), {}))
+        return dict(self.faces_of(cell.degree, cell.id))
 
     def coords(self, cell: CellRef) -> Optional[tuple[int, ...]]:
         return self._coords.get((cell.degree, cell.id))
@@ -126,32 +129,34 @@ class Complex:
 
     # -- coface tables -----------------------------------------------------
 
+    def coface_tables(self) -> tuple[dict, dict, dict]:
+        """The stored coface tables (edges by d_1^0, edges by d_1^1, squares by
+        face), each id -> nonempty sorted id list, built unless they exist.
+        Building raises ValidationFailed with :func:`validate`'s report, less
+        duplicate ids, on a missing or dangling face or a broken identity."""
+        if self._cofaces is None:
+            report = _face_report(self)
+            if report:
+                raise ValidationFailed(report)
+        return self._cofaces
+
     def build_cofaces(self):
-        """Build the coface tables unless they exist. Raises ValidationFailed
-        with the report of :func:`validate`, less its duplicate ids, if a
-        face entry is missing or names no cell or a cubical identity fails."""
-        if self._cofaces is not None:
-            return
-        tables: tuple[dict, dict, dict] = ({}, {}, {})
-        report = _face_report(self, tables)
-        if report:
-            raise ValidationFailed(report)
-        self._cofaces = tables
+        """Build the coface tables unless they exist (see :meth:`coface_tables`)."""
+        self.coface_tables()
 
     def edges_at(self, v: CellRef, k: Optional[int] = None) -> list[CellRef]:
         """The edges e with d_1^k e = v, or with v at either end if k is
         None, sorted by id."""
-        self.build_cofaces()
+        starts, ends, _ = self.coface_tables()
         if k is not None:
-            ids = self._cofaces[k].get(v.id, ())
+            ids = (starts, ends)[k].get(v.id, ())
         else:
-            ids = sorted({*self._cofaces[0].get(v.id, ()), *self._cofaces[1].get(v.id, ())})
+            ids = sorted({*starts.get(v.id, ()), *ends.get(v.id, ())})
         return [CellRef(1, e) for e in ids]
 
     def squares_on(self, e: CellRef) -> list[CellRef]:
         """The squares having e among their faces, sorted by id."""
-        self.build_cofaces()
-        return [CellRef(2, s) for s in self._cofaces[2].get(e.id, ())]
+        return [CellRef(2, s) for s in self.coface_tables()[2].get(e.id, ())]
 
     def reduced(
         self,
@@ -195,7 +200,7 @@ class Complex:
                     tables[t].pop(key, None)
 
             for cell in removed:
-                faces = self._faces.get((cell.degree, cell.id), {})
+                faces = self.faces_of(cell.degree, cell.id)
                 if cell.degree == 0:
                     tables[0].pop(cell.id, None)
                     tables[1].pop(cell.id, None)
@@ -216,15 +221,10 @@ class Complex:
     def __eq__(self, other):
         if not isinstance(other, Complex):
             return NotImplemented
-        if self._cell_sets != other._cell_sets:
-            return False
-        for n, ids in self._cell_sets.items():
-            if n == 0:
-                continue
-            for cid in ids:
-                if self._faces.get((n, cid), {}) != other._faces.get((n, cid), {}):
-                    return False
-        return True
+        return self._cell_sets == other._cell_sets and all(
+            self.faces_of(n, cid) == other.faces_of(n, cid)
+            for n, ids in self._cell_sets.items() if n > 0 for cid in ids
+        )
 
     __hash__ = None
 
@@ -267,18 +267,19 @@ def validate(P: Complex) -> list[Violation]:
     return report + _face_report(P)
 
 
-def _face_report(P: Complex, cofaces: Optional[tuple[dict, dict, dict]] = None) -> list[Violation]:
+def _face_report(P: Complex) -> list[Violation]:
     """The missing and dangling face entries, then the violated cubical
     identities, of every degree: all of :func:`validate` but duplicate ids.
-    An identity is checked only where its four face entries resolve. Fills
-    `cofaces`, if given, as :meth:`Complex.build_cofaces` lays them out."""
+    An identity is checked only where its four face entries resolve. If
+    the report is empty, P keeps the coface tables filled on the way, so
+    they are built, and the face tables checked, once per complex."""
     report: list[Violation] = []
     resolved: dict[tuple[int, str], dict[tuple[int, int], str]] = {}
+    cofaces: tuple[dict, dict, dict] = ({}, {}, {})
     for n in P.degrees():
         if n == 0:
             continue
         below = P._cell_sets.get(n - 1, frozenset())
-        up = cofaces if n <= 2 else None
         for cid in sorted(P._cell_sets[n]):
             table = P._faces.get((n, cid), {})
             faces = resolved[(n, cid)] = {}
@@ -293,8 +294,8 @@ def _face_report(P: Complex, cofaces: Optional[tuple[dict, dict, dict]] = None) 
                         report.append(Violation("dangling-face", CellRef(n, cid), message, (i, k)))
                     else:
                         faces[(i, k)] = fid
-                        if up is not None:
-                            ids = up[k if n == 1 else 2].setdefault(fid, [])
+                        if n <= 2:
+                            ids = cofaces[k if n == 1 else 2].setdefault(fid, [])
                             if ids[-1:] != [cid]:
                                 ids.append(cid)
     for (n, cid), faces in resolved.items():
@@ -312,6 +313,8 @@ def _face_report(P: Complex, cofaces: Optional[tuple[dict, dict, dict]] = None) 
                             f"d{i}_{k} d{j}_{l} = {left!r} but d{j - 1}_{l} d{i}_{k} = {right!r}"
                         )
                         report.append(Violation("identity", CellRef(n, cid), message, (i, j, k, l)))
+    if not report and P._cofaces is None:
+        P._cofaces = cofaces
     return report
 
 
@@ -382,16 +385,23 @@ def is_regular(P: Complex, x: CellRef) -> bool:
     The images of the degree-r cells of the cube are the faces of the
     images of its degree-(r+1) cells, so x is regular iff every level r
     holds C(n, r) * 2^(n-r) distinct cells, as many as the n-cube has.
+    Raises ValidationFailed, as the coface tables do, if P is invalid.
     """
     if not P.has(x):
         raise UnknownCell(f"no cell {x.id!r} of degree {x.degree}")
+    P.coface_tables()  # checks that every face entry resolves
     n = x.degree
-    level = {x}
-    for r in range(n - 1, -1, -1):
-        level = {P.face(c, i, k) for c in level for i in range(1, r + 2) for k in (0, 1)}
-        if len(level) != comb(n, r) * 2 ** (n - r):
-            return False
-    return True
+    levels = zip(range(n, -1, -1), _iterated_faces(P, n, x.id))
+    return all(len(level) == comb(n, r) * 2 ** (n - r) for r, level in levels)
+
+
+def _iterated_faces(P: Complex, n: int, cid: str):
+    """Yield the ids of the iterated faces of a cell, one set per degree."""
+    level = {cid}
+    yield level
+    for r in range(n, 0, -1):
+        level = {P.faces_of(r, c)[(i, k)] for c in level for i in range(1, r + 1) for k in (0, 1)}
+        yield level
 
 
 # -- duality functors ------------------------------------------------------
@@ -399,31 +409,24 @@ def is_regular(P: Complex, x: CellRef) -> bool:
 
 def opposite(P: Complex) -> Complex:
     """Reverse direction: face entry (i, k) becomes the old (i, 1-k)."""
-    faces = {}
-    for n in P.degrees():
-        if n == 0:
-            continue
-        for cell in P.cells(n):
-            table = P.face_table(cell)
-            faces[(n, cell.id)] = {(i, 1 - k): fid for (i, k), fid in table.items()}
-    return Complex(
-        {n: P.cell_ids(n) for n in P.degrees()}, faces, P.coords_table()
-    )
+    return _moved_faces(P, lambda n, i, k: (i, 1 - k))
 
 
 def transpose(P: Complex) -> Complex:
     """Swap coordinate roles: on degree-r cells, entry (i, k) becomes the
     old (r+1-i, k). Degree-1 tables are unchanged."""
-    faces = {}
-    for n in P.degrees():
-        if n == 0:
-            continue
-        for cell in P.cells(n):
-            table = P.face_table(cell)
-            faces[(n, cell.id)] = {(n + 1 - i, k): fid for (i, k), fid in table.items()}
-    return Complex(
-        {n: P.cell_ids(n) for n in P.degrees()}, faces, P.coords_table()
-    )
+    return _moved_faces(P, lambda n, i, k: (n + 1 - i, k))
+
+
+def _moved_faces(P: Complex, key) -> Complex:
+    """P with each face entry (i, k) of a degree-n cell moved to key(n, i, k)."""
+    faces = {
+        (n, cid): {key(n, i, k): fid for (i, k), fid in P.faces_of(n, cid).items()}
+        for n in P.degrees()
+        if n > 0
+        for cid in P.cell_ids(n)
+    }
+    return Complex({n: P.cell_ids(n) for n in P.degrees()}, faces, P.coords_table())
 
 
 # -- extremal vertices -----------------------------------------------------
@@ -431,12 +434,14 @@ def transpose(P: Complex) -> Complex:
 
 def minimal_vertices(P: Complex) -> set[CellRef]:
     """Vertices with no incoming edge (no edge y with d_1^1 y = v)."""
-    return {v for v in P.cells(0) if not P.edges_at(v, 1)}
+    ends = P.coface_tables()[1]
+    return {CellRef(0, v) for v in P.cell_ids(0) if v not in ends}
 
 
 def maximal_vertices(P: Complex) -> set[CellRef]:
     """Vertices with no outgoing edge (no edge y with d_1^0 y = v)."""
-    return {v for v in P.cells(0) if not P.edges_at(v, 0)}
+    starts = P.coface_tables()[0]
+    return {CellRef(0, v) for v in P.cell_ids(0) if v not in starts}
 
 
 def extremal(P: Complex) -> set[CellRef]:
@@ -454,13 +459,11 @@ def is_subcomplex(P: Complex, Q: Complex) -> bool:
             return False
         if n == 0:
             continue
-        for cell in Q.cells(n):
-            table = Q.face_table(cell)
-            if table != P.face_table(cell):
+        below = Q._cell_sets.get(n - 1, frozenset())
+        for cid in Q._cell_sets[n]:
+            table = Q.faces_of(n, cid)
+            if table != P.faces_of(n, cid) or not below.issuperset(table.values()):
                 return False
-            for fid in table.values():
-                if not Q.has(CellRef(n - 1, fid)):
-                    return False
     return True
 
 
@@ -531,8 +534,7 @@ def _stars(P: Complex) -> dict[tuple[int, str], tuple[tuple, tuple, tuple[int, .
     """Per cell (degree, id): its faces by face position (i, k), in order;
     the cofaces alone at their position, in position order; and the number
     of cofaces at each position. Cells of degree 2 and up get no cofaces."""
-    P.build_cofaces()
-    starts, ends, on_edge = P._cofaces
+    starts, ends, on_edge = P.coface_tables()
     stars = {}
     for n in P.degrees():
         keys = [(i, k) for i in range(1, n + 1) for k in (0, 1)]
@@ -543,11 +545,11 @@ def _stars(P: Complex) -> dict[tuple[int, str], tuple[tuple, tuple, tuple[int, .
             elif n == 1:
                 ups = ([], [], [], [])
                 for s in on_edge.get(c, ()):
-                    faces = P._faces[(2, s)]
+                    faces = P.faces_of(2, s)
                     for at, key in zip(ups, ((1, 0), (1, 1), (2, 0), (2, 1))):
                         if faces[key] == c:
                             at.append(s)
-            faces = P._faces.get((n, c), {})
+            faces = P.faces_of(n, c)
             stars[(n, c)] = (
                 tuple([(n - 1, faces[key]) for key in keys]),
                 tuple([(n + 1, at[0]) for at in ups if len(at) == 1]),

@@ -42,19 +42,20 @@ class EdgePath:
         return tuple(e.id for e in self.edges)
 
 
-def _topological_order(P: Complex) -> list[CellRef]:
-    """The vertices ordered so that every edge points forward (Kahn's
+def _topological_order(P: Complex) -> list[str]:
+    """The vertex ids ordered so that every edge points forward (Kahn's
     algorithm over the coface tables). Raises NotAcyclic on a directed
     cycle (a self-loop counts) and ValidationFailed on a broken face
     table."""
-    indegree = {v: len(P.edges_at(v, 1)) for v in P.cells(0)}
+    starts, ends, _ = P.coface_tables()
+    indegree = {v: len(ends.get(v, ())) for v in sorted(P.cell_ids(0))}
     ready = [v for v, d in indegree.items() if d == 0]
     order = []
     while ready:
         v = ready.pop()
         order.append(v)
-        for e in P.edges_at(v, 0):
-            w = P.face(e, 1, 1)
+        for e in starts.get(v, ()):
+            w = P.faces_of(1, e)[(1, 1)]
             indegree[w] -= 1
             if indegree[w] == 0:
                 ready.append(w)
@@ -192,20 +193,21 @@ def fundamental_bipartite_graph(
     path of each class as representative. Raises PathExplosion when more
     than max_paths classes of paths from one minimal vertex reach one
     vertex."""
-    order = [v.id for v in _topological_order(P)]
+    order = _topological_order(P)
+    _, ends, on_edge = P.coface_tables()
     # Per vertex id: its in-edges as (edge id, source id), and as
     # (a, b, a', b') the squares with top vertex there, [a, b] and
     # [a', b'] being the sides [d_2^0 s, d_1^1 s] and [d_1^0 s, d_2^1 s].
     into: dict[str, list[tuple[str, str]]] = {}
     tops: dict[str, list[tuple[str, str, str, str]]] = {}
     for w in order:
-        edges = P.edges_at(CellRef(0, w), 1)
-        into[w] = [(e.id, P.face(e, 1, 0).id) for e in edges]
+        edges = ends.get(w, ())
+        into[w] = [(e, P.faces_of(1, e)[(1, 0)]) for e in edges]
         tops[w] = [
-            (P.face(s, 2, 0).id, e.id, P.face(s, 1, 0).id, P.face(s, 2, 1).id)
+            (f[(2, 0)], e, f[(1, 0)], f[(2, 1)])
             for e in edges
-            for s in P.squares_on(e)
-            if P.face(s, 1, 1) == e
+            for s in on_edge.get(e, ())
+            if (f := P.faces_of(2, s))[(1, 1)] == e
         ]
     outdegree = Counter(u for w in order for _, u in into[w])
     minimals = tuple(CellRef(0, w) for w in sorted(order) if not into[w])

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from . import core
-from .core import CellRef, Complex
+from .core import Complex
 from .errors import (
     DimensionUnsupported,
     DocumentSyntaxError,
@@ -38,13 +38,12 @@ def serialize(P: Complex, name: str = None) -> str:
     lines = [HEADER]
     if name:
         lines.append(f"# {name}")
+    coords = P.coords_table()
     for n in P.degrees():
-        for cell in P.cells(n):
-            parts = [str(n), cell.id]
-            table = P.face_table(cell)
-            for (i, k) in sorted(table):
-                parts.append(f"d{i}_{k}={table[(i, k)]}")
-            pos = P.coords(cell)
+        for cid in sorted(set(P.cell_ids(n))):
+            table = P.faces_of(n, cid)
+            parts = [str(n), cid, *(f"d{i}_{k}={table[(i, k)]}" for i, k in sorted(table))]
+            pos = coords.get((n, cid))
             if pos is not None:
                 parts.append("pos=" + ",".join(str(c) for c in pos))
             lines.append(" ".join(parts))
@@ -288,30 +287,33 @@ def export_dot(P: Complex, name: str = "complex") -> str:
     dim = P.dimension
     if dim is not None and dim > 2:
         raise DimensionUnsupported(f"cannot draw dimension {dim}")
+    on_edge = P.coface_tables()[2]
+    coords = P.coords_table()
     out = [f'digraph "{name}" {{']
-    for v in P.cells(0):
-        attrs = [f'label="{v.id}"']
-        pos = P.coords(v)
+    for v in sorted(set(P.cell_ids(0))):
+        attrs = [f'label="{v}"']
+        pos = coords.get((0, v))
         if pos is not None and len(pos) >= 2:
             attrs.append(f'pos="{pos[0]},{pos[1]}!"')
-        out.append(f'  "{v.id}" [{" ".join(attrs)}];')
-    for e in P.cells(1):
-        src, tgt = P.face(e, 1, 0), P.face(e, 1, 1)
-        if P.squares_on(e):
+        out.append(f'  "{v}" [{" ".join(attrs)}];')
+    for e in sorted(set(P.cell_ids(1))):
+        faces = P.faces_of(1, e)
+        src, tgt = faces[(1, 0)], faces[(1, 1)]
+        if e in on_edge:
             # route through a label node so squares have an anchor
-            mid = f"mid:{e.id}"
-            out.append(f'  "{mid}" [shape=plaintext label="{e.id}"];')
-            out.append(f'  "{src.id}" -> "{mid}" [arrowhead=none];')
-            out.append(f'  "{mid}" -> "{tgt.id}";')
+            mid = f"mid:{e}"
+            out.append(f'  "{mid}" [shape=plaintext label="{e}"];')
+            out.append(f'  "{src}" -> "{mid}" [arrowhead=none];')
+            out.append(f'  "{mid}" -> "{tgt}";')
         else:
-            out.append(f'  "{src.id}" -> "{tgt.id}" [label="{e.id}"];')
-    for s in P.cells(2):
-        boundary = [P.face(s, 1, 0), P.face(s, 1, 1), P.face(s, 2, 0), P.face(s, 2, 1)]
-        ids = " ".join(e.id for e in boundary)
-        out.append(f"  // square {s.id}: [{ids}]")
-        sq = f"sq:{s.id}"
-        out.append(f'  "{sq}" [shape=plaintext label="{s.id}"];')
+            out.append(f'  "{src}" -> "{tgt}" [label="{e}"];')
+    for s in sorted(set(P.cell_ids(2))):
+        faces = P.faces_of(2, s)
+        boundary = [faces[(1, 0)], faces[(1, 1)], faces[(2, 0)], faces[(2, 1)]]
+        out.append(f"  // square {s}: [{' '.join(boundary)}]")
+        sq = f"sq:{s}"
+        out.append(f'  "{sq}" [shape=plaintext label="{s}"];')
         for e in boundary:
-            out.append(f'  "{sq}" -> "mid:{e.id}" [style=dashed dir=none];')
+            out.append(f'  "{sq}" -> "mid:{e}" [style=dashed dir=none];')
     out.append("}")
     return "\n".join(out) + "\n"

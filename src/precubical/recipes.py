@@ -48,11 +48,6 @@ def grid_reduction_recipe(m: int, n: int, holes=()) -> list[Step]:
     holes = set(holes)
     steps: list[Step] = []
 
-    def apply_step(P: Complex, step: Step) -> Complex:
-        Q, _ = reductions.run(P, step.kind, step.cell, step.a, step.b)
-        steps.append(step)
-        return Q
-
     remaining = [
         (i, j)
         for j in range(n - 1, -1, -1)
@@ -67,7 +62,8 @@ def grid_reduction_recipe(m: int, n: int, holes=()) -> list[Step]:
             for kind, a, b in attempts:
                 cert = reductions.check(P, kind, sid, a, b)
                 if cert.all_conditions_hold and cert.fbg_guaranteed:
-                    P = apply_step(P, Step(kind, sid, b, a))
+                    P, _ = reductions.run(P, kind, sid, a, b)
+                    steps.append(Step(kind, sid, b, a))
                     done.append((i, j))
                     break
         return P, done

@@ -28,6 +28,7 @@ from .errors import (
     ConditionsFailed,
     DimensionUnsupported,
     GuaranteeLost,
+    OutOfRange,
     RecipeStepFailed,
     UnknownCell,
     WrongDegree,
@@ -78,20 +79,35 @@ def _require(P: Complex, cell_id: str, degree: int) -> CellRef:
     return x
 
 
-def _check_complex(P: Complex):
-    """Reductions need dimension <= 2 and face entries that resolve; the
-    latter is checked once per complex, when its coface tables are built."""
+def _checked_tables(P: Complex, mode: str, b: int, a: int = 1) -> tuple[dict, dict, dict]:
+    """P's coface tables, after checking the parameters (kinds without `a`
+    pass none), that P has dimension <= 2 and that its face entries resolve."""
+    if b not in (0, 1):
+        raise OutOfRange(f"b must be 0 or 1, not {b!r}")
+    if a not in (1, 2):
+        raise OutOfRange(f"a must be 1 or 2, not {a!r}")
+    if mode not in ("apply", "check"):
+        raise OutOfRange(f"mode must be 'apply' or 'check', not {mode!r}")
     dim = P.dimension
     if dim is not None and dim > 2:
         raise DimensionUnsupported(
             f"reductions operate in dimension <= 2, complex has dimension {dim}"
         )
-    P.build_cofaces()
+    return P.coface_tables()
 
 
-def _other_squares(P: Complex, x: CellRef, edges) -> list[CellRef]:
+def _cells(degree: int, ids) -> tuple[CellRef, ...]:
+    return tuple(CellRef(degree, c) for c in ids)
+
+
+def _edges_at(cofaces, v: str) -> set[str]:
+    """The ids of the edges with v at either end."""
+    return {*cofaces[0].get(v, ()), *cofaces[1].get(v, ())}
+
+
+def _other_squares(on_edge: dict, x: str, edges) -> tuple[CellRef, ...]:
     """The squares other than x on any of the given edges, sorted."""
-    return sorted({s for e in edges for s in P.squares_on(e) if s != x})
+    return _cells(2, sorted({s for e in edges for s in on_edge.get(e, ()) if s != x}))
 
 
 def _finish(P, kind, x, params, conditions, removed, redirected, y, r_cells, mode, allow_empty_y):
@@ -113,11 +129,7 @@ def _finish(P, kind, x, params, conditions, removed, redirected, y, r_cells, mod
         raise ConditionsFailed(cert)
     if not guaranteed and not allow_empty_y:
         raise GuaranteeLost(cert)
-    return _apply(P, cert), cert
-
-
-def _apply(P: Complex, cert: ReductionCertificate) -> Complex:
-    return P.reduced(cert.removed, cert.redirected)
+    return P.reduced(cert.removed, cert.redirected), cert
 
 
 def edge_collapse(
@@ -130,22 +142,23 @@ def edge_collapse(
     """Collapse the edge x onto its d_1^b endpoint, removing the vertex
     v = d_1^{1-b} x and redirecting every edge y with d_1^b y = v to end
     (resp. start) at d_1^b x instead."""
-    _check_complex(P)
+    cofaces = _checked_tables(P, mode, b)
     x = _require(P, cell_id, 1)
-    v = P.face(x, 1, 1 - b)  # the vertex that disappears
-    w = P.face(x, 1, b)  # the vertex x collapses onto
+    faces = P.faces_of(1, cell_id)
+    v = faces[(1, 1 - b)]  # the vertex that disappears
+    w = CellRef(0, faces[(1, b)])  # the vertex x collapses onto
 
     conditions = [Condition("reg", core.is_regular(P, x))]
 
-    same_endpoint = [yy for yy in P.edges_at(v, 1 - b) if yy != x]
-    conditions.append(Condition("i", not same_endpoint, tuple(same_endpoint)))
+    same_endpoint = _cells(1, [yy for yy in cofaces[1 - b].get(v, ()) if yy != cell_id])
+    conditions.append(Condition("i", not same_endpoint, same_endpoint))
 
-    blocked = [e for e in P.edges_at(v) if P.squares_on(e)]
-    conditions.append(Condition("ii", not blocked, tuple(blocked)))
+    blocked = _cells(1, sorted(e for e in _edges_at(cofaces, v) if e in cofaces[2]))
+    conditions.append(Condition("ii", not blocked, blocked))
 
-    y = P.edges_at(v, b)
+    y = _cells(1, cofaces[b].get(v, ()))
     redirected = {(yy, 1, b): w for yy in y}
-    removed = {x, v}
+    removed = {x, CellRef(0, v)}
     return _finish(
         P, EDGE_COLLAPSE, x, {"b": b}, conditions, removed, redirected, y, None,
         mode, allow_empty_y,
@@ -162,21 +175,21 @@ def square_one_free(
     """Remove a square x together with the edges d_1^{1-b} x and d_2^b x
     and the corner vertex between them. Requires both edges to be free
     (in no other square) and the corner to meet no other edge."""
-    _check_complex(P)
+    cofaces = _checked_tables(P, mode, b)
     x = _require(P, cell_id, 2)
-    e1 = P.face(x, 1, 1 - b)
-    e2 = P.face(x, 2, b)
-    corner = P.face(e1, 1, b)  # equals d_1^{1-b} d_2^b x
+    faces = P.faces_of(2, cell_id)
+    e1, e2 = faces[(1, 1 - b)], faces[(2, b)]
+    corner = P.faces_of(1, e1)[(1, b)]  # equals d_1^{1-b} d_2^b x
 
     conditions = [Condition("reg", core.is_regular(P, x))]
 
-    other = _other_squares(P, x, (e1, e2))
-    conditions.append(Condition("i", not other, tuple(other)))
+    other = _other_squares(cofaces[2], cell_id, (e1, e2))
+    conditions.append(Condition("i", not other, other))
 
-    extra = [e for e in P.edges_at(corner) if e not in (e1, e2)]
-    conditions.append(Condition("ii", not extra, tuple(extra)))
+    extra = _cells(1, sorted(_edges_at(cofaces, corner) - {e1, e2}))
+    conditions.append(Condition("ii", not extra, extra))
 
-    removed = {x, e1, e2, corner}
+    removed = {x, CellRef(1, e1), CellRef(1, e2), CellRef(0, corner)}
     return _finish(
         P, SQUARE_ONE_FREE, x, {"b": b}, conditions, removed, {}, None, None,
         mode, allow_empty_y,
@@ -194,29 +207,27 @@ def square_two_free(
     """Remove a square x and its free edge d_{3-a}^b x. The edge
     d_a^{1-b} x survives and takes over the role of the removed one; the
     certificate records the subset R on which the homotopy is relative."""
-    _check_complex(P)
+    cofaces = _checked_tables(P, mode, b, a)
     x = _require(P, cell_id, 2)
-    if a not in (1, 2):
-        raise ValueError("a must be 1 or 2")
-    e_keep = P.face(x, a, 1 - b)
-    e_drop = P.face(x, 3 - a, b)
+    faces = P.faces_of(2, cell_id)
+    e_keep, e_drop = faces[(a, 1 - b)], faces[(3 - a, b)]
 
     conditions = [Condition("reg", core.is_regular(P, x))]
 
-    other = _other_squares(P, x, (e_keep, e_drop))
-    conditions.append(Condition("i", not other, tuple(other)))
+    other = _other_squares(cofaces[2], cell_id, (e_keep, e_drop))
+    conditions.append(Condition("i", not other, other))
 
-    v_keep = P.face(e_keep, 1, b)
-    parallel = [yy for yy in P.edges_at(v_keep, b) if yy != e_keep]
-    conditions.append(Condition("ii", not parallel, tuple(parallel)))
+    v_keep = P.faces_of(1, e_keep)[(1, b)]
+    parallel = _cells(1, [yy for yy in cofaces[b].get(v_keep, ()) if yy != e_keep])
+    conditions.append(Condition("ii", not parallel, parallel))
 
-    v_drop = P.face(e_drop, 1, 1 - b)
-    y = [yy for yy in P.edges_at(v_drop, 1 - b) if yy != e_drop]
-    bad_y = [yy for yy in y if P.squares_on(yy)]
-    conditions.append(Condition("iii", not bad_y, tuple(bad_y)))
+    v_drop = P.faces_of(1, e_drop)[(1, 1 - b)]
+    y = _cells(1, [yy for yy in cofaces[1 - b].get(v_drop, ()) if yy != e_drop])
+    bad_y = tuple(yy for yy in y if yy.id in cofaces[2])
+    conditions.append(Condition("iii", not bad_y, bad_y))
 
-    removed = {x, e_drop}
-    r_cells = P.cell_set() - {x, e_drop, v_drop, e_keep} - frozenset(y)
+    removed = {x, CellRef(1, e_drop)}
+    r_cells = P.cell_set() - {*removed, CellRef(0, v_drop), CellRef(1, e_keep), *y}
     return _finish(
         P, SQUARE_TWO_FREE, x, {"a": a, "b": b}, conditions, removed, {}, y,
         r_cells, mode, allow_empty_y,
@@ -243,10 +254,8 @@ def run(
     if kind == SQUARE_ONE_FREE:
         return square_one_free(P, cell_id, b, mode, allow_empty_y)
     if kind == SQUARE_TWO_FREE:
-        if a is None:
-            raise ValueError("square-two-free needs parameter a")
         return square_two_free(P, cell_id, a, b, mode, allow_empty_y)
-    raise ValueError(f"unknown reduction kind {kind!r}")
+    raise OutOfRange(f"unknown reduction kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -278,14 +287,6 @@ GREEDY_ATTEMPTS: tuple[tuple[str, Optional[int], int], ...] = (
 )
 
 
-def _vertices(P: Complex, cell: CellRef) -> set[CellRef]:
-    """The vertices among the iterated faces of a cell of P."""
-    level = {cell}
-    for r in range(cell.degree, 0, -1):
-        level = {P.face(c, i, k) for c in level for i in range(1, r + 1) for k in (0, 1)}
-    return level
-
-
 def greedy_reduce(
     P: Complex,
     attempts: tuple[tuple[str, Optional[int], int], ...] = GREEDY_ATTEMPTS,
@@ -303,7 +304,9 @@ def greedy_reduce(
       edges.
     - A step changes those only for cells with a vertex in D, the set of
       the vertices of the removed cells and of the redirected edges (old
-      endpoints and new targets alike).
+      endpoints and new targets alike). An edge collapse redirects edges
+      from one end of the removed edge to the other, so D is the set of
+      the vertices of the removed cells.
     - So after a step, re-queueing every edge at a vertex of D and every
       square on such an edge, under every entry, leaves out no cell whose
       answer may have changed.
@@ -336,17 +339,16 @@ def greedy_reduce(
         Q, cert = run(P, kind, cid, a, b)
         trail.append(cert)
 
-        touched: set[CellRef] = set()
+        touched: set[str] = set()  # D, as vertex ids
         for cell in cert.removed:
-            touched |= _vertices(P, cell)
-        for (cell, i, k), target in cert.redirected.items():
-            touched |= _vertices(P, P.face(cell, i, k)) | _vertices(Q, target)
+            *_, vertices = core._iterated_faces(P, cell.degree, cell.id)
+            touched |= vertices
+        cofaces = Q.coface_tables()
         star = {1: set(), 2: set()}
-        for v in touched:
-            if Q.has(v):
-                for e in Q.edges_at(v):
-                    star[1].add(e.id)
-                    star[2].update(s.id for s in Q.squares_on(e))
+        for v in touched:  # a removed vertex has no entries left
+            for e in _edges_at(cofaces, v):
+                star[1].add(e)
+                star[2].update(cofaces[2].get(e, ()))
         for queue, heap, degree in zip(pending, heaps, degrees):
             queue -= {cell.id for cell in cert.removed if cell.degree == degree}
             for cid in star[degree] - queue:
@@ -372,7 +374,7 @@ def auto_reduce(
                 Q, cert = run(P, step.kind, step.cell, step.a, step.b)
             except (ConditionsFailed, GuaranteeLost) as exc:
                 raise RecipeStepFailed(index, step, exc.certificate) from exc
-            except (UnknownCell, WrongDegree) as exc:
+            except (UnknownCell, WrongDegree, OutOfRange) as exc:
                 raise RecipeStepFailed(index, step, None) from exc
             trail.append(cert)
             P = Q

@@ -9,6 +9,7 @@ from precubical.errors import (
     ConditionsFailed,
     DimensionUnsupported,
     GuaranteeLost,
+    OutOfRange,
     RecipeStepFailed,
     UnknownCell,
     ValidationFailed,
@@ -106,6 +107,28 @@ class TestEdgeCollapse:
     def test_dimension_guard(self):
         with pytest.raises(DimensionUnsupported):
             edge_collapse(core.standard_cube(3), "0**", 0)
+
+
+@pytest.mark.parametrize(
+    "kind, a, b, mode",
+    [
+        (EDGE_COLLAPSE, None, 2, "check"),
+        (EDGE_COLLAPSE, None, -1, "apply"),
+        (SQUARE_ONE_FREE, None, 2, "check"),
+        (SQUARE_TWO_FREE, 3, 0, "check"),
+        (SQUARE_TWO_FREE, 0, 1, "apply"),
+        (SQUARE_TWO_FREE, None, 0, "check"),
+        ("square-zero-free", None, 0, "check"),
+        (EDGE_COLLAPSE, None, 0, "chek"),
+        (SQUARE_ONE_FREE, None, 1, "Apply"),
+    ],
+)
+def test_bad_parameters_raise_out_of_range(kind, a, b, mode):
+    P = modelio.named_fixture("square_plus_tail")
+    cell = "g" if kind == EDGE_COLLAPSE else "s"
+    with pytest.raises(OutOfRange):
+        run(P, kind, cell, a, b, mode=mode)
+    assert P._cofaces is None  # refused before any table was read
 
 
 class TestBrokenFaceTables:
@@ -388,6 +411,14 @@ class TestAutoReduce:
             auto_reduce(P, policy="recipe", recipe=steps)
         assert excinfo.value.step_index == 0
         assert not excinfo.value.certificate.condition("i").holds
+
+    def test_recipe_step_with_a_bad_parameter_names_its_index(self):
+        P = modelio.named_fixture("square")
+        steps = [Step(SQUARE_ONE_FREE, "s", 1), Step(EDGE_COLLAPSE, "eB", 2)]
+        with pytest.raises(RecipeStepFailed) as excinfo:
+            auto_reduce(P, policy="recipe", recipe=steps)
+        assert excinfo.value.step_index == 1
+        assert excinfo.value.certificate is None
 
     def test_greedy_preserves_fbg(self, shared_memory):
         before = fbg.fundamental_bipartite_graph(shared_memory)
