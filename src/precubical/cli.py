@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 on a domain failure (invalid complex, failed
 reduction conditions, cyclic 1-skeleton, non-isomorphic inputs), 2 on a
-usage or parse error.
+usage or parse error or an argument out of range.
 """
 
 from __future__ import annotations
@@ -121,10 +121,7 @@ def cmd_gen(args) -> int:
                     holes.add((int(i), int(j)))
             except ValueError:
                 raise UsageError(f"--holes expects 'i,j;i,j', not {args.holes!r}") from None
-        try:
-            P = modelio.grid_with_holes(args.grid[0], args.grid[1], holes)
-        except OutOfRange as exc:
-            raise UsageError(str(exc)) from None
+        P = modelio.grid_with_holes(args.grid[0], args.grid[1], holes)
         name = f"grid({args.grid[0]},{args.grid[1]})"
     text = modelio.serialize(P, name)
     if args.output:
@@ -328,7 +325,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentSyntaxError, UsageError) as exc:
+    except (DocumentSyntaxError, OutOfRange, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationFailed as exc:

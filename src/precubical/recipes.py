@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from . import reductions
 from .core import Complex
-from .errors import DocumentSyntaxError
+from .errors import DocumentSyntaxError, OutOfRange
 from .reductions import (
     EDGE_COLLAPSE,
     SQUARE_ONE_FREE,
@@ -62,7 +62,7 @@ def grid_reduction_recipe(m: int, n: int, holes=()) -> list[Step]:
             for kind, a, b in attempts:
                 cert = reductions.check(P, kind, sid, a, b)
                 if cert.all_conditions_hold and cert.fbg_guaranteed:
-                    P, _ = reductions.run(P, kind, sid, a, b)
+                    P = P.reduced(cert.removed, cert.redirected)
                     steps.append(Step(kind, sid, b, a))
                     done.append((i, j))
                     break
@@ -79,7 +79,7 @@ def grid_reduction_recipe(m: int, n: int, holes=()) -> list[Step]:
         remaining = [sq for sq in remaining if sq not in done]
         stalled = 0 if done else stalled + 1
         if stalled >= 2:
-            raise RuntimeError(
+            raise OutOfRange(
                 f"no square elimination applies to any of {remaining}"
             )
         downward = not downward

@@ -79,23 +79,6 @@ def _require(P: Complex, cell_id: str, degree: int) -> CellRef:
     return x
 
 
-def _checked_tables(P: Complex, mode: str, b: int, a: int = 1) -> tuple[dict, dict, dict]:
-    """P's coface tables, after checking the parameters (kinds without `a`
-    pass none), that P has dimension <= 2 and that its face entries resolve."""
-    if b not in (0, 1):
-        raise OutOfRange(f"b must be 0 or 1, not {b!r}")
-    if a not in (1, 2):
-        raise OutOfRange(f"a must be 1 or 2, not {a!r}")
-    if mode not in ("apply", "check"):
-        raise OutOfRange(f"mode must be 'apply' or 'check', not {mode!r}")
-    dim = P.dimension
-    if dim is not None and dim > 2:
-        raise DimensionUnsupported(
-            f"reductions operate in dimension <= 2, complex has dimension {dim}"
-        )
-    return P.coface_tables()
-
-
 def _cells(degree: int, ids) -> tuple[CellRef, ...]:
     return tuple(CellRef(degree, c) for c in ids)
 
@@ -110,26 +93,53 @@ def _other_squares(on_edge: dict, x: str, edges) -> tuple[CellRef, ...]:
     return _cells(2, sorted({s for e in edges for s in on_edge.get(e, ()) if s != x}))
 
 
-def _finish(P, kind, x, params, conditions, removed, redirected, y, r_cells, mode, allow_empty_y):
-    guaranteed = kind == SQUARE_ONE_FREE or bool(y)
-    cert = ReductionCertificate(
-        kind=kind,
-        cell=x,
-        params=params,
-        conditions=tuple(conditions),
-        removed=frozenset(removed),
-        redirected=dict(redirected),
-        y=frozenset(y) if y is not None else None,
-        r_cells=frozenset(r_cells) if r_cells is not None else None,
-        fbg_guaranteed=guaranteed,
-    )
-    if mode == "check":
-        return None, cert
-    if not cert.all_conditions_hold:
-        raise ConditionsFailed(cert)
-    if not guaranteed and not allow_empty_y:
-        raise GuaranteeLost(cert)
-    return P.reduced(cert.removed, cert.redirected), cert
+# Each move's own conditions. Given P, its coface tables, the cell x and
+# the parameters a, b, a move returns its conditions after "reg" as
+# (label, witnesses) pairs, each holding when it has no witness, then the
+# removed cells, the redirected face entries, Y and R.
+
+
+def _edge_collapse_conditions(P, cofaces, x, a, b):
+    faces = P.faces_of(1, x.id)
+    v = faces[(1, 1 - b)]  # the vertex that disappears
+    w = CellRef(0, faces[(1, b)])  # the vertex x collapses onto
+    same_endpoint = _cells(1, [yy for yy in cofaces[1 - b].get(v, ()) if yy != x.id])
+    blocked = _cells(1, sorted(e for e in _edges_at(cofaces, v) if e in cofaces[2]))
+    y = _cells(1, cofaces[b].get(v, ()))
+    redirected = {(yy, 1, b): w for yy in y}
+    return (("i", same_endpoint), ("ii", blocked)), {x, CellRef(0, v)}, redirected, y, None
+
+
+def _square_one_free_conditions(P, cofaces, x, a, b):
+    faces = P.faces_of(2, x.id)
+    e1, e2 = faces[(1, 1 - b)], faces[(2, b)]
+    corner = P.faces_of(1, e1)[(1, b)]  # equals d_1^{1-b} d_2^b x
+    other = _other_squares(cofaces[2], x.id, (e1, e2))
+    extra = _cells(1, sorted(_edges_at(cofaces, corner) - {e1, e2}))
+    removed = {x, CellRef(1, e1), CellRef(1, e2), CellRef(0, corner)}
+    return (("i", other), ("ii", extra)), removed, {}, None, None
+
+
+def _square_two_free_conditions(P, cofaces, x, a, b):
+    faces = P.faces_of(2, x.id)
+    e_keep, e_drop = faces[(a, 1 - b)], faces[(3 - a, b)]
+    other = _other_squares(cofaces[2], x.id, (e_keep, e_drop))
+    v_keep = P.faces_of(1, e_keep)[(1, b)]
+    parallel = _cells(1, [yy for yy in cofaces[b].get(v_keep, ()) if yy != e_keep])
+    v_drop = P.faces_of(1, e_drop)[(1, 1 - b)]
+    y = _cells(1, [yy for yy in cofaces[1 - b].get(v_drop, ()) if yy != e_drop])
+    bad_y = tuple(yy for yy in y if yy.id in cofaces[2])
+    removed = {x, CellRef(1, e_drop)}
+    r_cells = P.cell_set() - {*removed, CellRef(0, v_drop), CellRef(1, e_keep), *y}
+    return (("i", other), ("ii", parallel), ("iii", bad_y)), removed, {}, y, r_cells
+
+
+# kind -> (degree of the reduced cell, the move's conditions)
+_MOVES = {
+    EDGE_COLLAPSE: (1, _edge_collapse_conditions),
+    SQUARE_ONE_FREE: (2, _square_one_free_conditions),
+    SQUARE_TWO_FREE: (2, _square_two_free_conditions),
+}
 
 
 def edge_collapse(
@@ -142,27 +152,7 @@ def edge_collapse(
     """Collapse the edge x onto its d_1^b endpoint, removing the vertex
     v = d_1^{1-b} x and redirecting every edge y with d_1^b y = v to end
     (resp. start) at d_1^b x instead."""
-    cofaces = _checked_tables(P, mode, b)
-    x = _require(P, cell_id, 1)
-    faces = P.faces_of(1, cell_id)
-    v = faces[(1, 1 - b)]  # the vertex that disappears
-    w = CellRef(0, faces[(1, b)])  # the vertex x collapses onto
-
-    conditions = [Condition("reg", core.is_regular(P, x))]
-
-    same_endpoint = _cells(1, [yy for yy in cofaces[1 - b].get(v, ()) if yy != cell_id])
-    conditions.append(Condition("i", not same_endpoint, same_endpoint))
-
-    blocked = _cells(1, sorted(e for e in _edges_at(cofaces, v) if e in cofaces[2]))
-    conditions.append(Condition("ii", not blocked, blocked))
-
-    y = _cells(1, cofaces[b].get(v, ()))
-    redirected = {(yy, 1, b): w for yy in y}
-    removed = {x, CellRef(0, v)}
-    return _finish(
-        P, EDGE_COLLAPSE, x, {"b": b}, conditions, removed, redirected, y, None,
-        mode, allow_empty_y,
-    )
+    return run(P, EDGE_COLLAPSE, cell_id, None, b, mode, allow_empty_y)
 
 
 def square_one_free(
@@ -175,25 +165,7 @@ def square_one_free(
     """Remove a square x together with the edges d_1^{1-b} x and d_2^b x
     and the corner vertex between them. Requires both edges to be free
     (in no other square) and the corner to meet no other edge."""
-    cofaces = _checked_tables(P, mode, b)
-    x = _require(P, cell_id, 2)
-    faces = P.faces_of(2, cell_id)
-    e1, e2 = faces[(1, 1 - b)], faces[(2, b)]
-    corner = P.faces_of(1, e1)[(1, b)]  # equals d_1^{1-b} d_2^b x
-
-    conditions = [Condition("reg", core.is_regular(P, x))]
-
-    other = _other_squares(cofaces[2], cell_id, (e1, e2))
-    conditions.append(Condition("i", not other, other))
-
-    extra = _cells(1, sorted(_edges_at(cofaces, corner) - {e1, e2}))
-    conditions.append(Condition("ii", not extra, extra))
-
-    removed = {x, CellRef(1, e1), CellRef(1, e2), CellRef(0, corner)}
-    return _finish(
-        P, SQUARE_ONE_FREE, x, {"b": b}, conditions, removed, {}, None, None,
-        mode, allow_empty_y,
-    )
+    return run(P, SQUARE_ONE_FREE, cell_id, None, b, mode, allow_empty_y)
 
 
 def square_two_free(
@@ -207,31 +179,7 @@ def square_two_free(
     """Remove a square x and its free edge d_{3-a}^b x. The edge
     d_a^{1-b} x survives and takes over the role of the removed one; the
     certificate records the subset R on which the homotopy is relative."""
-    cofaces = _checked_tables(P, mode, b, a)
-    x = _require(P, cell_id, 2)
-    faces = P.faces_of(2, cell_id)
-    e_keep, e_drop = faces[(a, 1 - b)], faces[(3 - a, b)]
-
-    conditions = [Condition("reg", core.is_regular(P, x))]
-
-    other = _other_squares(cofaces[2], cell_id, (e_keep, e_drop))
-    conditions.append(Condition("i", not other, other))
-
-    v_keep = P.faces_of(1, e_keep)[(1, b)]
-    parallel = _cells(1, [yy for yy in cofaces[b].get(v_keep, ()) if yy != e_keep])
-    conditions.append(Condition("ii", not parallel, parallel))
-
-    v_drop = P.faces_of(1, e_drop)[(1, 1 - b)]
-    y = _cells(1, [yy for yy in cofaces[1 - b].get(v_drop, ()) if yy != e_drop])
-    bad_y = tuple(yy for yy in y if yy.id in cofaces[2])
-    conditions.append(Condition("iii", not bad_y, bad_y))
-
-    removed = {x, CellRef(1, e_drop)}
-    r_cells = P.cell_set() - {*removed, CellRef(0, v_drop), CellRef(1, e_keep), *y}
-    return _finish(
-        P, SQUARE_TWO_FREE, x, {"a": a, "b": b}, conditions, removed, {}, y,
-        r_cells, mode, allow_empty_y,
-    )
+    return run(P, SQUARE_TWO_FREE, cell_id, a, b, mode, allow_empty_y)
 
 
 def check(P: Complex, kind: str, cell_id: str, a: Optional[int], b: int) -> ReductionCertificate:
@@ -249,13 +197,48 @@ def run(
     mode: str = "apply",
     allow_empty_y: bool = False,
 ) -> tuple[Optional[Complex], ReductionCertificate]:
-    if kind == EDGE_COLLAPSE:
-        return edge_collapse(P, cell_id, b, mode, allow_empty_y)
-    if kind == SQUARE_ONE_FREE:
-        return square_one_free(P, cell_id, b, mode, allow_empty_y)
-    if kind == SQUARE_TWO_FREE:
-        return square_two_free(P, cell_id, a, b, mode, allow_empty_y)
-    raise OutOfRange(f"unknown reduction kind {kind!r}")
+    """Certify one reduction of P: check the parameters, that P has
+    dimension <= 2 and that its face entries resolve, then the conditions
+    on the cell. In check mode return (None, certificate); in apply mode
+    raise ConditionsFailed or GuaranteeLost (unless allow_empty_y) or
+    return the reduced complex with the certificate. `a` is read only for
+    square-two-free."""
+    if kind not in _MOVES:
+        raise OutOfRange(f"unknown reduction kind {kind!r}")
+    if b not in (0, 1):
+        raise OutOfRange(f"b must be 0 or 1, not {b!r}")
+    if kind == SQUARE_TWO_FREE and a not in (1, 2):
+        raise OutOfRange(f"a must be 1 or 2, not {a!r}")
+    if mode not in ("apply", "check"):
+        raise OutOfRange(f"mode must be 'apply' or 'check', not {mode!r}")
+    dim = P.dimension
+    if dim is not None and dim > 2:
+        raise DimensionUnsupported(
+            f"reductions operate in dimension <= 2, complex has dimension {dim}"
+        )
+    cofaces = P.coface_tables()
+    degree, conditions_of = _MOVES[kind]
+    x = _require(P, cell_id, degree)
+    reg = core.is_regular(P, x)
+    found, removed, redirected, y, r_cells = conditions_of(P, cofaces, x, a, b)
+    cert = ReductionCertificate(
+        kind=kind,
+        cell=x,
+        params={"a": a, "b": b} if kind == SQUARE_TWO_FREE else {"b": b},
+        conditions=(Condition("reg", reg), *(Condition(label, not w, w) for label, w in found)),
+        removed=frozenset(removed),
+        redirected=redirected,
+        y=None if y is None else frozenset(y),
+        r_cells=r_cells,
+        fbg_guaranteed=kind == SQUARE_ONE_FREE or bool(y),
+    )
+    if mode == "check":
+        return None, cert
+    if not cert.all_conditions_hold:
+        raise ConditionsFailed(cert)
+    if not cert.fbg_guaranteed and not allow_empty_y:
+        raise GuaranteeLost(cert)
+    return P.reduced(cert.removed, cert.redirected), cert
 
 
 @dataclass(frozen=True)
@@ -312,9 +295,10 @@ def greedy_reduce(
       answer may have changed.
 
     Each step then costs what the step touches, not a scan of the complex.
-    Checks and applications go through the module's `check` and `run`.
+    Checks go through the module's `check`, and a step applies the
+    certificate its check passed.
     """
-    degrees = [1 if kind == EDGE_COLLAPSE else 2 for kind, _, _ in attempts]
+    degrees = [_MOVES[kind][0] for kind, _, _ in attempts]
     pending = [set(P.cell_ids(d)) for d in degrees]
     heaps = [sorted(ids) for ids in pending]  # a sorted list is a heap
     trail: list[ReductionCertificate] = []
@@ -327,7 +311,7 @@ def greedy_reduce(
                 if cid in queue:
                     cert = check(P, kind, cid, a, b)
                     if cert.all_conditions_hold and cert.fbg_guaranteed:
-                        chosen = (kind, cid, a, b)
+                        chosen = cert
                         break
                     queue.discard(cid)
                 heapq.heappop(heap)
@@ -335,8 +319,8 @@ def greedy_reduce(
                 break
         if chosen is None:
             return P, trail
-        kind, cid, a, b = chosen
-        Q, cert = run(P, kind, cid, a, b)
+        cert = chosen
+        Q = P.reduced(cert.removed, cert.redirected)
         trail.append(cert)
 
         touched: set[str] = set()  # D, as vertex ids
@@ -368,7 +352,7 @@ def auto_reduce(
     trail: list[ReductionCertificate] = []
     if policy == "recipe":
         if recipe is None:
-            raise ValueError("recipe policy needs a step list")
+            raise OutOfRange("recipe policy needs a step list")
         for index, step in enumerate(recipe):
             try:
                 Q, cert = run(P, step.kind, step.cell, step.a, step.b)
@@ -380,5 +364,5 @@ def auto_reduce(
             P = Q
         return P, trail
     if policy != "greedy":
-        raise ValueError(f"unknown policy {policy!r}")
+        raise OutOfRange(f"unknown policy {policy!r}")
     return greedy_reduce(P)

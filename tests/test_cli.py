@@ -170,9 +170,11 @@ def test_usage_error_exit_code():
         (["reduce", "{input}", "--op", "square-two-free", "--cell", "s", "--b", "0"], None),
         (["gen", "--grid", "0", "3"], None),
         (["gen", "--grid", "2", "2", "--holes", "5,5"], None),
+        (["fbg", "{input}", "--max-paths", "0"], None),
+        (["compare-fbg", "{input}", "{input}", "--max-paths", "-1"], None),
     ],
     ids=["gen-bad-holes", "recipe-bad-line", "two-free-without-a", "gen-empty-grid",
-         "gen-hole-outside"],
+         "gen-hole-outside", "fbg-max-paths-0", "compare-fbg-max-paths-negative"],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, recipe):
     paths = {"input": write_fixture(tmp_path, "square"), "recipe": str(tmp_path / "steps.txt")}

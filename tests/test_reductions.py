@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from precubical import core, fbg, modelio, reductions
+from precubical import core, fbg, modelio, recipes, reductions
 from precubical.core import CellRef, Complex
 from precubical.errors import (
     ConditionsFailed,
@@ -419,6 +419,16 @@ class TestAutoReduce:
             auto_reduce(P, policy="recipe", recipe=steps)
         assert excinfo.value.step_index == 1
         assert excinfo.value.certificate is None
+
+    @pytest.mark.parametrize("policy", ["grdy", "recipe"])
+    def test_bad_policy_or_missing_recipe_raise_out_of_range(self, square, policy):
+        with pytest.raises(OutOfRange):
+            auto_reduce(square, policy)
+
+    def test_recipe_stall_names_the_squares_left(self):
+        kept_only_middle = {(i, j) for i in range(3) for j in range(3)} - {(1, 1)}
+        with pytest.raises(OutOfRange, match=r"\[\(1, 1\)\]"):
+            recipes.grid_reduction_recipe(3, 3, kept_only_middle)
 
     def test_greedy_preserves_fbg(self, shared_memory):
         before = fbg.fundamental_bipartite_graph(shared_memory)

@@ -6,7 +6,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from precubical import modelio
+from precubical import core, modelio, recipes, reductions
 from precubical.core import Complex
 from precubical.reductions import (
     EDGE_COLLAPSE,
@@ -95,3 +95,25 @@ def test_patched_tables_on_a_fixture_reduction():
         Q, _ = run(P, cert.kind, cert.cell.id, cert.params.get("a"), cert.params["b"])
         assert Q._cofaces == fresh_tables(Q)
         P = Q
+
+
+def test_each_step_is_certified_once(monkeypatch):
+    """Greedy and recipe generation apply the certificate their check
+    passed, so `is_regular` runs once per check and never again."""
+    calls = {"check": 0, "is_regular": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(core, "is_regular")
+    counted(reductions, "check")
+    _, trail = greedy_reduce(modelio.named_fixture("swiss_flag"))
+    steps = recipes.grid_reduction_recipe(8, 8, {(1, 1), (6, 6)})
+    assert trail and steps and calls["check"] > 0
+    assert calls["is_regular"] == calls["check"]
