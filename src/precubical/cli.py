@@ -84,8 +84,7 @@ def _print_certificate(cert, as_json: bool):
 
 
 def cmd_validate(args) -> int:
-    with open(args.input, encoding="utf-8") as fh:
-        P = modelio.parse(fh.read(), check=False)
+    P = modelio.parse(modelio.read_text(args.input), check=False)
     report = core.validate(P)
     if not report:
         print("valid")
@@ -152,10 +151,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_auto_reduce(args) -> int:
     P = modelio.load(args.input)
-    steps = None
-    if args.recipe:
-        with open(args.recipe, encoding="utf-8") as fh:
-            steps = recipes.parse_recipe(fh.read())
+    steps = recipes.parse_recipe(modelio.read_text(args.recipe)) if args.recipe else None
     try:
         Q, trail = reductions.auto_reduce(P, "greedy" if steps is None else "recipe", steps)
     except RecipeStepFailed as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping, Optional
 
-from .errors import UnknownCell, ValidationFailed
+from .errors import OutOfRange, UnknownCell, ValidationFailed
 
 
 @dataclass(frozen=True, order=True)
@@ -237,7 +237,9 @@ class Complex:
 class Violation:
     """One defect found by validate."""
 
-    kind: str  # duplicate-id | missing-face | dangling-face | identity
+    # duplicate-id | negative-degree | missing-face | dangling-face |
+    # extra-face | identity
+    kind: str
     cell: Optional[CellRef]
     message: str
     indices: Optional[tuple[int, ...]] = None
@@ -250,8 +252,10 @@ class Violation:
 def validate(P: Complex) -> list[Violation]:
     """Check a raw complex and report every defect (empty report = valid).
 
-    Reports duplicate ids, missing or dangling face entries, and every
-    violated cubical identity with its (i, j, k, l) indices.
+    Reports duplicate ids, cells of negative degree, missing or dangling
+    face entries, entries at no face position (i, k), 1 <= i <= n,
+    k in {0, 1}, of their cell, and every violated cubical identity with
+    its (i, j, k, l) indices.
     """
     report: list[Violation] = []
     for n in P.degrees():
@@ -268,8 +272,9 @@ def validate(P: Complex) -> list[Violation]:
 
 
 def _face_report(P: Complex) -> list[Violation]:
-    """The missing and dangling face entries, then the violated cubical
-    identities, of every degree: all of :func:`validate` but duplicate ids.
+    """The cells of negative degree, the missing, dangling and extra face
+    entries, then the violated cubical identities, of every degree: all of
+    :func:`validate` but duplicate ids.
     An identity is checked only where its four face entries resolve. If
     the report is empty, P keeps the coface tables filled on the way, so
     they are built, and the face tables checked, once per complex."""
@@ -277,16 +282,25 @@ def _face_report(P: Complex) -> list[Violation]:
     resolved: dict[tuple[int, str], dict[tuple[int, int], str]] = {}
     cofaces: tuple[dict, dict, dict] = ({}, {}, {})
     for n in P.degrees():
-        if n == 0:
+        if n < 0:
+            for cid in sorted(P._cell_sets[n]):
+                message = f"degree {n} is negative"
+                report.append(Violation("negative-degree", CellRef(n, cid), message))
+            continue
+        if n == 0:  # a vertex has no face positions
+            for cid in sorted(c for c in P._cell_sets[0] if P._faces.get((0, c))):
+                report += _extra_entries(0, cid, P._faces[(0, cid)])
             continue
         below = P._cell_sets.get(n - 1, frozenset())
         for cid in sorted(P._cell_sets[n]):
             table = P._faces.get((n, cid), {})
             faces = resolved[(n, cid)] = {}
+            missing = 0
             for i in range(1, n + 1):
                 for k in (0, 1):
                     fid = table.get((i, k))
                     if fid is None:
+                        missing += 1
                         message = f"no entry for d{i}_{k}"
                         report.append(Violation("missing-face", CellRef(n, cid), message, (i, k)))
                     elif fid not in below:
@@ -298,6 +312,8 @@ def _face_report(P: Complex) -> list[Violation]:
                             ids = cofaces[k if n == 1 else 2].setdefault(fid, [])
                             if ids[-1:] != [cid]:
                                 ids.append(cid)
+            if len(table) + missing > 2 * n:  # an entry at no face position
+                report += _extra_entries(n, cid, table)
     for (n, cid), faces in resolved.items():
         for i, j in itertools.combinations(range(1, n + 1), 2):
             for k in (0, 1):
@@ -318,6 +334,16 @@ def _face_report(P: Complex) -> list[Violation]:
     return report
 
 
+def _extra_entries(n: int, cid: str, table) -> list[Violation]:
+    """The entries of a degree-n cell's face table at no face position."""
+    positions = {(i, k) for i in range(1, n + 1) for k in (0, 1)}
+    return [
+        Violation("extra-face", CellRef(n, cid), f"entry {key!r} is not a face position")
+        for key in table
+        if key not in positions
+    ]
+
+
 def is_valid(P: Complex) -> bool:
     return not validate(P)
 
@@ -329,7 +355,7 @@ def standard_cube(n: int) -> Complex:
     """The precubical n-cube: cells are words over {0, 1, *}, a degree-r
     cell has exactly r stars, and d_i^k substitutes k for the i-th star."""
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise OutOfRange(f"a cube has degree n >= 0, not {n}")
     cells: dict[int, list[str]] = {}
     faces: dict[tuple[int, str], dict[tuple[int, int], str]] = {}
     for word in itertools.product("01*", repeat=n):

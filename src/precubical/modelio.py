@@ -121,9 +121,20 @@ def parse(text: str, check: bool = True) -> Complex:
     return P
 
 
+def read_text(path) -> str:
+    """A file's text. Bytes that are not UTF-8 raise DocumentSyntaxError
+    naming the line of the first one."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise DocumentSyntaxError(lineno, f"byte {data[exc.start]:#04x} is not UTF-8") from None
+
+
 def load(path) -> Complex:
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+    return parse(read_text(path))
 
 
 def save(P: Complex, path, name: str = None):

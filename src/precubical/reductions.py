@@ -278,18 +278,20 @@ def greedy_reduce(
     first entry of `attempts` that applies to some cell, on the smallest
     such cell id, and the trail lists the applied certificates.
 
-    A worklist keeps, per entry of `attempts`, the cells not yet known to
-    fail; cells leave it when their check fails. It is exact because of
-    the locality rule:
+    One heap holds the (entry index, cell id) pairs not yet known to fail,
+    so its least pair is the first entry that may apply, on its smallest
+    cell id. A pair leaves the heap when its check fails or its cell is
+    gone. It is exact because of the locality rule:
 
     - Under every entry, whether a cell passes depends only on its own
       faces, on the edges at its vertices and on the squares on those
       edges.
     - A step changes those only for cells with a vertex in D, the set of
-      the vertices of the removed cells and of the redirected edges (old
-      endpoints and new targets alike). An edge collapse redirects edges
-      from one end of the removed edge to the other, so D is the set of
-      the vertices of the removed cells.
+      the vertices of the reduced cell. Every removed cell is the reduced
+      cell or one of its faces, and an edge collapse redirects edges from
+      one end of the removed edge to the other, so D holds every vertex of
+      a removed cell and every old endpoint and new target of a
+      redirected edge.
     - So after a step, re-queueing every edge at a vertex of D and every
       square on such an edge, under every entry, leaves out no cell whose
       answer may have changed.
@@ -299,46 +301,30 @@ def greedy_reduce(
     certificate its check passed.
     """
     degrees = [_MOVES[kind][0] for kind, _, _ in attempts]
-    pending = [set(P.cell_ids(d)) for d in degrees]
-    heaps = [sorted(ids) for ids in pending]  # a sorted list is a heap
+    pending = {(index, cid) for index, d in enumerate(degrees) for cid in P.cell_ids(d)}
+    heap = sorted(pending)  # a sorted list is a heap
     trail: list[ReductionCertificate] = []
-    while True:
-        chosen = None
-        for index, (kind, a, b) in enumerate(attempts):
-            queue, heap = pending[index], heaps[index]
-            while heap:
-                cid = heap[0]
-                if cid in queue:
-                    cert = check(P, kind, cid, a, b)
-                    if cert.all_conditions_hold and cert.fbg_guaranteed:
-                        chosen = cert
-                        break
-                    queue.discard(cid)
-                heapq.heappop(heap)
-            if chosen is not None:
-                break
-        if chosen is None:
-            return P, trail
-        cert = chosen
-        Q = P.reduced(cert.removed, cert.redirected)
+    while heap:
+        pair = heapq.heappop(heap)
+        pending.remove(pair)
+        index, cid = pair
+        kind, a, b = attempts[index]
+        if not P.has(CellRef(degrees[index], cid)):
+            continue
+        cert = check(P, kind, cid, a, b)
+        if not (cert.all_conditions_hold and cert.fbg_guaranteed):
+            continue
+        *_, touched = core._iterated_faces(P, degrees[index], cid)  # D
+        P = P.reduced(cert.removed, cert.redirected)
         trail.append(cert)
-
-        touched: set[str] = set()  # D, as vertex ids
-        for cell in cert.removed:
-            *_, vertices = core._iterated_faces(P, cell.degree, cell.id)
-            touched |= vertices
-        cofaces = Q.coface_tables()
-        star = {1: set(), 2: set()}
-        for v in touched:  # a removed vertex has no entries left
-            for e in _edges_at(cofaces, v):
-                star[1].add(e)
-                star[2].update(cofaces[2].get(e, ()))
-        for queue, heap, degree in zip(pending, heaps, degrees):
-            queue -= {cell.id for cell in cert.removed if cell.degree == degree}
-            for cid in star[degree] - queue:
-                queue.add(cid)
-                heapq.heappush(heap, cid)
-        P = Q
+        cofaces = P.coface_tables()
+        edges = {e for v in touched for e in _edges_at(cofaces, v)}
+        star = {1: edges, 2: {s for e in edges for s in cofaces[2].get(e, ())}}
+        for pair in ((i, c) for i, d in enumerate(degrees) for c in star[d]):
+            if pair not in pending:
+                pending.add(pair)
+                heapq.heappush(heap, pair)
+    return P, trail
 
 
 def auto_reduce(

@@ -172,13 +172,59 @@ def test_usage_error_exit_code():
         (["gen", "--grid", "2", "2", "--holes", "5,5"], None),
         (["fbg", "{input}", "--max-paths", "0"], None),
         (["compare-fbg", "{input}", "{input}", "--max-paths", "-1"], None),
+        (["info", "{recipe}"], b"pcsv1\n0 a\xff\n"),
+        (["validate", "{recipe}"], b"pcsv1\n0 a\xff\n"),
+        (["auto-reduce", "{input}", "--recipe", "{recipe}"], b"square-one-free s\xff 1\n"),
     ],
     ids=["gen-bad-holes", "recipe-bad-line", "two-free-without-a", "gen-empty-grid",
-         "gen-hole-outside", "fbg-max-paths-0", "compare-fbg-max-paths-negative"],
+         "gen-hole-outside", "fbg-max-paths-0", "compare-fbg-max-paths-negative",
+         "info-not-utf8", "validate-not-utf8", "recipe-not-utf8"],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, recipe):
     paths = {"input": write_fixture(tmp_path, "square"), "recipe": str(tmp_path / "steps.txt")}
     if recipe is not None:
-        (tmp_path / "steps.txt").write_text(recipe)
+        data = recipe if isinstance(recipe, bytes) else recipe.encode()
+        (tmp_path / "steps.txt").write_bytes(data)
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_invalid_document_exits_1_with_its_report(tmp_path, capsys):
+    bad = tmp_path / "bad.pcs"
+    bad.write_text("pcsv1\n0 a\n1 e d1_0=a d1_1=ghost\n")
+    assert main(["info", str(bad)]) == 1
+    assert "dangling-face" in capsys.readouterr().err
+
+
+def test_domain_error_exits_1(tmp_path, capsys):
+    assert main(["fbg", write_fixture(tmp_path, "circle")]) == 1
+    assert capsys.readouterr().err == "error: the 1-skeleton has a directed cycle\n"
+
+
+def test_missing_file_exits_2(tmp_path, capsys):
+    assert main(["info", str(tmp_path / "nosuch.pcs")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_certificate_text_lists_redirected_entries(tmp_path, capsys):
+    path2 = write_fixture(tmp_path, "path2")
+    assert main(["reduce", path2, "--op", "edge-collapse", "--cell", "e1", "--b", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[lines.index("  redirected:") + 1] == "    d1_0 e2 -> v0"
+
+
+def test_certificate_text_counts_r(tmp_path, capsys):
+    sq = write_fixture(tmp_path, "square")
+    code = main(["reduce", sq, "--op", "square-two-free", "--cell", "s", "--a", "1", "--b", "0"])
+    assert code == 1
+    assert "  R: 5 cells" in capsys.readouterr().out.splitlines()
+
+
+def test_fbg_json(tmp_path, capsys):
+    assert main(["fbg", write_fixture(tmp_path, "shared_memory"), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["minimals"] == ["(0,0)"]
+    assert payload["maximals"] == ["(3,3)"]
+    [pair] = payload["classes"]
+    assert (pair["from"], pair["to"], pair["count"]) == ("(0,0)", "(3,3)", 2)
+    assert len(pair["representatives"]) == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from precubical import core, modelio
 from precubical.core import CellRef, Complex
-from precubical.errors import PrecubicalError, UnknownCell, ValidationFailed
+from precubical.errors import OutOfRange, PrecubicalError, UnknownCell, ValidationFailed
 
 from conftest import glued_complexes, random_grid_complex, relabelled
 
@@ -60,6 +60,10 @@ class TestValidate:
 
 
 class TestStandardCube:
+    def test_negative_degree_is_out_of_range(self):
+        with pytest.raises(OutOfRange):
+            core.standard_cube(-1)
+
     def test_point(self):
         P = core.standard_cube(0)
         assert P.cell_ids(0) == ("",)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from precubical import core, fbg, modelio, recipes
-from precubical.core import CellRef
+from precubical.core import CellRef, Complex
 from precubical.errors import (
     DocumentSyntaxError,
     OutOfRange,
@@ -13,7 +13,7 @@ from precubical.errors import (
     ValidationFailed,
 )
 
-from conftest import random_grid_complex
+from conftest import glued_complexes, random_grid_complex
 
 
 class TestSerialization:
@@ -66,6 +66,62 @@ class TestSerialization:
         Q = modelio.parse(modelio.serialize(P))
         assert Q.coords(CellRef(0, "(0,0)")) == (0, 0)
         assert Q.coords(CellRef(0, "(1,1)")) == (1, 1)
+
+
+_INTERVAL_FACES = {(1, 0): "a", (1, 1): "b"}
+
+
+class TestValidateCoversTheFormat:
+    """A complex that validates is one that pcsv1 carries: each of these
+    complexes holds a face entry, or a degree, that a document cannot
+    state, so validate and the coface tables must refuse it. The empty
+    vertex id of `standard_cube(0)` and ids holding whitespace are limits
+    of the format that validate does not report; they are left out here."""
+
+    @pytest.mark.parametrize(
+        "P, kind",
+        [
+            (Complex({0: ["a", "b"], 1: ["e"]}, {(1, "e"): {**_INTERVAL_FACES, (2, 0): "a"}}),
+             "extra-face"),
+            (Complex({0: ["a", "b"], 1: ["e"]}, {(1, "e"): {**_INTERVAL_FACES, (0, 1): "a"}}),
+             "extra-face"),
+            (Complex({0: ["a", "b"], 1: ["e"]}, {(1, "e"): {**_INTERVAL_FACES, (1, 2): "a"}}),
+             "extra-face"),
+            (Complex({0: ["a", "b"], 1: ["e"]},
+                     {(1, "e"): _INTERVAL_FACES, (0, "a"): {(1, 0): "b"}}),
+             "extra-face"),
+            (Complex({-1: ["z"], 0: ["a"]}), "negative-degree"),
+        ],
+        ids=["entry-d2_0-on-edge", "entry-d0_1-on-edge", "entry-k-2-on-edge",
+             "entry-on-vertex", "negative-degree"],
+    )
+    def test_what_the_format_cannot_carry_is_reported(self, P, kind):
+        assert [v.kind for v in core.validate(P)] == [kind]
+        with pytest.raises(ValidationFailed):
+            P.coface_tables()
+        with pytest.raises(DocumentSyntaxError):
+            modelio.parse(modelio.serialize(P))
+
+    @settings(max_examples=100, deadline=None)
+    @given(glued_complexes())
+    def test_valid_complexes_round_trip(self, P):
+        assert core.validate(P) == []
+        assert modelio.parse(modelio.serialize(P)) == P
+
+
+class TestReadText:
+    def test_bad_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.pcs"
+        path.write_bytes(b"pcsv1\r\n0 a\n0 b\xe9\n")
+        with pytest.raises(DocumentSyntaxError) as excinfo:
+            modelio.load(path)
+        assert excinfo.value.line_number == 3
+        assert "0xe9" in str(excinfo.value)
+
+    def test_utf8_text_is_read(self, tmp_path):
+        path = tmp_path / "ok.pcs"
+        path.write_bytes("pcsv1\r\n0 é\n".encode())
+        assert modelio.load(path).cell_ids(0) == ("é",)
 
 
 class TestGrid:
