@@ -5,10 +5,13 @@ d_i^k sending a degree-n cell to a degree-(n-1) cell (1 <= i <= n,
 k in {0, 1}) subject to the cubical identities
 d_i^k d_j^l = d_{j-1}^l d_i^k for i < j.
 
-Complexes are immutable after construction and all operations here are
-pure. Cell identity is the pair (degree, id string); coordinates attached
-by generators are layout metadata only and are never consulted by any
-algorithm.
+Complexes are immutable after construction, as any caller sees them, and
+all public operations here are pure. The library's reduction chains
+(greedy, recipe generation and replay) copy their input once and then
+patch that private working copy in place, step by step; no caller ever
+holds a complex that is patched. Cell identity is the pair (degree, id
+string); coordinates attached by generators are layout metadata only and
+are never consulted by any algorithm.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ class Complex:
     The coface tables are filled by the check of the face tables, in a
     clean :func:`validate` or on first query, not here; :meth:`reduced`
     patches them.
+
+    A complex never changes once a caller holds it. Only the library's
+    private working copies, made by :meth:`_copy`, are changed, by
+    :meth:`_patch`; face-table dicts and coface lists may be shared
+    between complexes, so a patch replaces them and never mutates one.
     """
 
     def __init__(
@@ -54,19 +62,17 @@ class Complex:
         faces: Mapping[tuple[int, str], Mapping[tuple[int, int], str]] = (),
         coords: Mapping[tuple[int, str], tuple[int, ...]] = (),
     ):
-        self._cells: dict[int, tuple[str, ...]] = {
+        self._cells: Optional[dict[int, tuple[str, ...]]] = {  # None once patched
             n: tuple(ids) for n, ids in cells.items() if ids
         }
-        self._cell_sets: dict[int, frozenset[str]] = {
-            n: frozenset(ids) for n, ids in self._cells.items()
-        }
+        self._cell_sets: dict[int, set[str]] = {n: set(ids) for n, ids in self._cells.items()}
         self._faces: dict[tuple[int, str], dict[tuple[int, int], str]] = {
             key: dict(table) for key, table in dict(faces).items()
         }
         self._coords: dict[tuple[int, str], tuple[int, ...]] = {
             key: tuple(pos) for key, pos in dict(coords).items()
         }
-        self._all: Optional[frozenset[CellRef]] = None
+        self._all: Optional[set[CellRef]] = None
         # (edges by d_1^0, edges by d_1^1, squares by face): id -> sorted ids
         self._cofaces: Optional[tuple[dict, dict, dict]] = None
 
@@ -93,16 +99,16 @@ class Complex:
         return [cell for n in self.degrees() for cell in self.cells(n)]
 
     def cell_set(self) -> frozenset[CellRef]:
-        """Every cell, as a set built once per complex."""
+        """Every cell, copied from a set built once per complex."""
         if self._all is None:
-            self._all = frozenset(self.all_cells())
-        return self._all
+            self._all = set(self.all_cells())
+        return frozenset(self._all)
 
     def has(self, cell: CellRef) -> bool:
-        return cell.id in self._cell_sets.get(cell.degree, frozenset())
+        return cell.id in self._cell_sets.get(cell.degree, ())
 
     def size(self, degree: int) -> int:
-        return len(self._cell_sets.get(degree, frozenset()))
+        return len(self._cell_sets.get(degree, ()))
 
     def faces_of(self, degree: int, cid: str) -> dict[tuple[int, int], str]:
         """The stored face table (i, k) -> face id of a cell (not a copy)."""
@@ -166,32 +172,38 @@ class Complex:
         """This complex without the cells `removed`, with each face entry
         (cell, i, k) of `redirected` pointing at its target instead.
 
-        Unchanged tables are shared, and coface tables built here are
-        patched for the successor, not rebuilt: the cost is what the change
-        touches plus copying the table dicts.
+        This complex is left as it is: the successor is a copy of its
+        outer tables, patched where the step changes them (coface tables
+        included, unless they were not built yet).
         """
-        removed = frozenset(removed)
-        redirected = {key: t for key, t in dict(redirected).items() if key[0] not in removed}
+        Q = self._copy()
+        Q._patch(removed, redirected)
+        return Q
+
+    def _copy(self) -> Complex:
+        """A working copy: the outer tables are copied, the face-table
+        dicts and coface lists inside them are shared."""
         Q = Complex.__new__(Complex)
-        Q._cells = None
-        Q._cell_sets = dict(self._cell_sets)
+        Q._cells = self._cells
+        Q._cell_sets = {n: set(ids) for n, ids in self._cell_sets.items()}
         Q._faces = dict(self._faces)
         Q._coords = dict(self._coords)
-        for cell in removed:
-            Q._cell_sets[cell.degree] = Q._cell_sets.get(cell.degree, frozenset()) - {cell.id}
-            Q._faces.pop((cell.degree, cell.id), None)
-            Q._coords.pop((cell.degree, cell.id), None)
-        Q._cell_sets = {n: ids for n, ids in Q._cell_sets.items() if ids}
-        for (cell, i, k), target in redirected.items():
-            key = (cell.degree, cell.id)
-            Q._faces[key] = {**Q._faces.get(key, {}), (i, k): target.id}
-        Q._all = None if self._all is None else self._all - removed
-        Q._cofaces = None
-        if self._cofaces is not None and all(c.degree == 1 for c, _, _ in redirected):
-            Q._cofaces = tables = tuple(dict(table) for table in self._cofaces)
+        Q._all = None if self._all is None else set(self._all)
+        Q._cofaces = None if self._cofaces is None else tuple(map(dict, self._cofaces))
+        return Q
+
+    def _patch(self, removed: Iterable[CellRef], redirected: Mapping = ()):
+        """Remove the cells `removed` and redirect the face entries
+        `redirected`, as :meth:`reduced` says, in place: only for a working
+        copy no caller holds. The cost is what the change touches."""
+        removed = set(removed)
+        redirected = {key: t for key, t in dict(redirected).items() if key[0] not in removed}
+        if any(c.degree != 1 for c, _, _ in redirected):
+            self._cofaces = None
+        if (tables := self._cofaces) is not None:  # patched before the face tables they read
 
             def move(t: int, key: str, cid: str, add: bool = False):
-                ids = [c for c in tables[t].get(key, ()) if c != cid]  # self's list stays
+                ids = [c for c in tables[t].get(key, ()) if c != cid]  # a new list
                 if add:
                     bisect.insort(ids, cid)
                 if ids:
@@ -214,7 +226,19 @@ class Complex:
             for (cell, _, k), target in redirected.items():
                 move(k, self._faces[(1, cell.id)][(1, k)], cell.id)
                 move(k, target.id, cell.id, add=True)
-        return Q
+        for cell in removed:
+            ids = self._cell_sets.get(cell.degree, set())
+            ids.discard(cell.id)
+            if not ids:
+                self._cell_sets.pop(cell.degree, None)
+            self._faces.pop((cell.degree, cell.id), None)
+            self._coords.pop((cell.degree, cell.id), None)
+        for (cell, i, k), target in redirected.items():
+            key = (cell.degree, cell.id)
+            self._faces[key] = {**self._faces.get(key, {}), (i, k): target.id}
+        if self._all is not None:
+            self._all -= removed
+        self._cells = None
 
     # -- equality is cell-for-cell on cells and faces, ignoring metadata ---
 
@@ -238,7 +262,7 @@ class Violation:
     """One defect found by validate."""
 
     # duplicate-id | negative-degree | missing-face | dangling-face |
-    # extra-face | identity
+    # extra-face | identity | unlisted-cell
     kind: str
     cell: Optional[CellRef]
     message: str
@@ -254,8 +278,9 @@ def validate(P: Complex) -> list[Violation]:
 
     Reports duplicate ids, cells of negative degree, missing or dangling
     face entries, entries at no face position (i, k), 1 <= i <= n,
-    k in {0, 1}, of their cell, and every violated cubical identity with
-    its (i, j, k, l) indices.
+    k in {0, 1}, of their cell, every violated cubical identity with
+    its (i, j, k, l) indices, and every nonempty face table given for a
+    cell that is not listed.
     """
     report: list[Violation] = []
     for n in P.degrees():
@@ -273,8 +298,9 @@ def validate(P: Complex) -> list[Violation]:
 
 def _face_report(P: Complex) -> list[Violation]:
     """The cells of negative degree, the missing, dangling and extra face
-    entries, then the violated cubical identities, of every degree: all of
-    :func:`validate` but duplicate ids.
+    entries, then the violated cubical identities, of every degree, then
+    the face tables of unlisted cells: all of :func:`validate` but
+    duplicate ids.
     An identity is checked only where its four face entries resolve. If
     the report is empty, P keeps the coface tables filled on the way, so
     they are built, and the face tables checked, once per complex."""
@@ -329,6 +355,10 @@ def _face_report(P: Complex) -> list[Violation]:
                             f"d{i}_{k} d{j}_{l} = {left!r} but d{j - 1}_{l} d{i}_{k} = {right!r}"
                         )
                         report.append(Violation("identity", CellRef(n, cid), message, (i, j, k, l)))
+    stray = P._faces.keys() - resolved.keys()  # the tables of vertices and of unlisted cells
+    for n, cid in sorted(key for key in stray if P._faces[key] and not P.has(CellRef(*key))):
+        message = f"face table given, but {cid!r} is not listed in degree {n}"
+        report.append(Violation("unlisted-cell", CellRef(n, cid), message))
     if not report and P._cofaces is None:
         P._cofaces = cofaces
     return report

@@ -18,7 +18,6 @@ condition satisfied.
 from __future__ import annotations
 
 from . import reductions
-from .core import Complex
 from .errors import DocumentSyntaxError, OutOfRange
 from .reductions import (
     EDGE_COLLAPSE,
@@ -44,7 +43,7 @@ def grid_reduction_recipe(m: int, n: int, holes=()) -> list[Step]:
     """A full reduction recipe for grid_with_holes(m, n, holes)."""
     from .modelio import grid_with_holes
 
-    P = grid_with_holes(m, n, holes)
+    P = grid_with_holes(m, n, holes)._copy()  # the sweeps patch this copy
     holes = set(holes)
     steps: list[Step] = []
 
@@ -55,18 +54,18 @@ def grid_reduction_recipe(m: int, n: int, holes=()) -> list[Step]:
         if (i, j) not in holes
     ]
 
-    def sweep(P: Complex, order, attempts):
+    def sweep(order, attempts):
         done = []
         for (i, j) in order:
             sid = f"s({i},{j})"
             for kind, a, b in attempts:
                 cert = reductions.check(P, kind, sid, a, b)
                 if cert.all_conditions_hold and cert.fbg_guaranteed:
-                    P = P.reduced(cert.removed, cert.redirected)
+                    P._patch(cert.removed, cert.redirected)
                     steps.append(Step(kind, sid, b, a))
                     done.append((i, j))
                     break
-        return P, done
+        return done
 
     # Alternate a top-down-left-right sweep with a bottom-up-right-left
     # one; squares blocked in one direction fall to the other.
@@ -75,7 +74,7 @@ def grid_reduction_recipe(m: int, n: int, holes=()) -> list[Step]:
     while remaining:
         order = remaining if downward else remaining[::-1]
         attempts = _DOWNWARD_ATTEMPTS if downward else _UPWARD_ATTEMPTS
-        P, done = sweep(P, order, attempts)
+        done = sweep(order, attempts)
         remaining = [sq for sq in remaining if sq not in done]
         stalled = 0 if done else stalled + 1
         if stalled >= 2:

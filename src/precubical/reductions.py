@@ -234,11 +234,17 @@ def run(
     )
     if mode == "check":
         return None, cert
+    _require_applicable(cert, allow_empty_y)
+    return P.reduced(cert.removed, cert.redirected), cert
+
+
+def _require_applicable(cert: ReductionCertificate, allow_empty_y: bool = False):
+    """Raise what apply mode raises on a certificate that may not be
+    applied: ConditionsFailed, or GuaranteeLost unless allow_empty_y."""
     if not cert.all_conditions_hold:
         raise ConditionsFailed(cert)
     if not cert.fbg_guaranteed and not allow_empty_y:
         raise GuaranteeLost(cert)
-    return P.reduced(cert.removed, cert.redirected), cert
 
 
 @dataclass(frozen=True)
@@ -298,8 +304,9 @@ def greedy_reduce(
 
     Each step then costs what the step touches, not a scan of the complex.
     Checks go through the module's `check`, and a step applies the
-    certificate its check passed.
+    certificate its check passed to a working copy of P, made once.
     """
+    P = P._copy()
     degrees = [_MOVES[kind][0] for kind, _, _ in attempts]
     pending = {(index, cid) for index, d in enumerate(degrees) for cid in P.cell_ids(d)}
     heap = sorted(pending)  # a sorted list is a heap
@@ -315,7 +322,7 @@ def greedy_reduce(
         if not (cert.all_conditions_hold and cert.fbg_guaranteed):
             continue
         *_, touched = core._iterated_faces(P, degrees[index], cid)  # D
-        P = P.reduced(cert.removed, cert.redirected)
+        P._patch(cert.removed, cert.redirected)
         trail.append(cert)
         cofaces = P.coface_tables()
         edges = {e for v in touched for e in _edges_at(cofaces, v)}
@@ -334,20 +341,25 @@ def auto_reduce(
 ) -> tuple[Complex, list[ReductionCertificate]]:
     """Chain reductions: either replay an explicit recipe (failing on the
     first inapplicable step) or greedily apply guaranteed reductions in a
-    fixed deterministic order until no further one applies."""
+    fixed deterministic order until no further one applies.
+
+    Replay checks each step as apply mode would and applies its
+    certificate to a working copy of P, made once."""
     trail: list[ReductionCertificate] = []
     if policy == "recipe":
         if recipe is None:
             raise OutOfRange("recipe policy needs a step list")
+        P = P._copy()
         for index, step in enumerate(recipe):
             try:
-                Q, cert = run(P, step.kind, step.cell, step.a, step.b)
+                cert = check(P, step.kind, step.cell, step.a, step.b)
+                _require_applicable(cert)
             except (ConditionsFailed, GuaranteeLost) as exc:
                 raise RecipeStepFailed(index, step, exc.certificate) from exc
             except (UnknownCell, WrongDegree, OutOfRange) as exc:
                 raise RecipeStepFailed(index, step, None) from exc
+            P._patch(cert.removed, cert.redirected)
             trail.append(cert)
-            P = Q
         return P, trail
     if policy != "greedy":
         raise OutOfRange(f"unknown policy {policy!r}")

@@ -58,6 +58,21 @@ class TestValidate:
         report = core.validate(P)
         assert [v.kind for v in report] == ["missing-face"]
 
+    def test_unlisted_edge(self):
+        # the edge's face table is given, but "e" is missing from the cell lists
+        P = Complex({0: ["a"]}, {(1, "e"): {(1, 0): "a", (1, 1): "a"}})
+        report = core.validate(P)
+        assert [(v.kind, v.cell) for v in report] == [("unlisted-cell", CellRef(1, "e"))]
+        assert "'e' is not listed in degree 1" in str(report[0])
+
+    def test_unlisted_square(self, square):
+        faces = {(n, c.id): square.face_table(c) for n in (1, 2) for c in square.cells(n)}
+        faces[(2, "t")] = dict(faces[(2, "s")])
+        faces[(1, "gone")] = {}  # an empty table gives nothing to lose
+        P = Complex({n: square.cell_ids(n) for n in square.degrees()}, faces)
+        report = core.validate(P)
+        assert [(v.kind, v.cell) for v in report] == [("unlisted-cell", CellRef(2, "t"))]
+
 
 class TestStandardCube:
     def test_negative_degree_is_out_of_range(self):

@@ -160,6 +160,19 @@ class TestBrokenFaceTables:
             square_one_free(broken, "s", 0, mode="check")
         assert [v.kind for v in excinfo.value.report] == ["missing-face"]
 
+    def test_unlisted_cell(self):
+        P = Complex({0: ["a"]}, {(1, "e"): {(1, 0): "a", (1, 1): "a"}})
+        with pytest.raises(ValidationFailed) as excinfo:
+            check(P, EDGE_COLLAPSE, "e", None, 0)
+        assert [v.kind for v in excinfo.value.report] == ["unlisted-cell"]
+        Q = modelio.named_fixture("square_plus_tail")
+        faces = {(n, c.id): Q.face_table(c) for n in (1, 2) for c in Q.cells(n)}
+        # the tail "g" keeps its face table but leaves the cell lists
+        cells = {n: [c for c in Q.cell_ids(n) if c != "g"] for n in Q.degrees()}
+        with pytest.raises(ValidationFailed) as excinfo:
+            auto_reduce(Complex(cells, faces))
+        assert [v.kind for v in excinfo.value.report] == ["unlisted-cell"]
+
     @pytest.mark.parametrize("defect", ["swapped-sides", "rewired-eB"])
     def test_broken_identity(self, defect):
         # every face entry resolves, but the sides of s no longer meet
