@@ -20,7 +20,7 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 from .errors import OutOfRange, UnknownCell, ValidationFailed
 
@@ -177,7 +177,7 @@ class Complex:
         included, unless they were not built yet).
         """
         Q = self._copy()
-        Q._patch(removed, redirected)
+        Q._patch(frozenset(removed), dict(redirected))
         return Q
 
     def _copy(self) -> Complex:
@@ -192,50 +192,43 @@ class Complex:
         Q._cofaces = None if self._cofaces is None else tuple(map(dict, self._cofaces))
         return Q
 
-    def _patch(self, removed: Iterable[CellRef], redirected: Mapping = ()):
+    def _patch(self, removed: AbstractSet[CellRef], redirected: Mapping):
         """Remove the cells `removed` and redirect the face entries
         `redirected`, as :meth:`reduced` says, in place: only for a working
-        copy no caller holds. The cost is what the change touches."""
-        removed = set(removed)
-        redirected = {key: t for key, t in dict(redirected).items() if key[0] not in removed}
-        if any(c.degree != 1 for c, _, _ in redirected):
-            self._cofaces = None
-        if (tables := self._cofaces) is not None:  # patched before the face tables they read
-
-            def move(t: int, key: str, cid: str, add: bool = False):
-                ids = [c for c in tables[t].get(key, ()) if c != cid]  # a new list
-                if add:
-                    bisect.insort(ids, cid)
-                if ids:
-                    tables[t][key] = ids
-                else:
-                    tables[t].pop(key, None)
-
-            for cell in removed:
-                faces = self.faces_of(cell.degree, cell.id)
-                if cell.degree == 0:
-                    tables[0].pop(cell.id, None)
-                    tables[1].pop(cell.id, None)
-                elif cell.degree == 1:
-                    tables[2].pop(cell.id, None)
-                    move(0, faces[(1, 0)], cell.id)
-                    move(1, faces[(1, 1)], cell.id)
-                else:
-                    for e in set(faces.values()):
-                        move(2, e, cell.id)
-            for (cell, _, k), target in redirected.items():
-                move(k, self._faces[(1, cell.id)][(1, k)], cell.id)
-                move(k, target.id, cell.id, add=True)
+        copy no caller holds. Both arguments are only read. The cost is
+        what the change touches."""
+        if redirected:
+            redirected = {key: t for key, t in redirected.items() if key[0] not in removed}
+            if any(c.degree != 1 for c, _, _ in redirected):
+                self._cofaces = None
+        faces, tables = self._faces, self._cofaces
         for cell in removed:
-            ids = self._cell_sets.get(cell.degree, set())
-            ids.discard(cell.id)
-            if not ids:
-                self._cell_sets.pop(cell.degree, None)
-            self._faces.pop((cell.degree, cell.id), None)
-            self._coords.pop((cell.degree, cell.id), None)
+            n, cid = cell.degree, cell.id
+            if tables is not None:  # patched before the face tables they read
+                if n == 0:
+                    tables[0].pop(cid, None)
+                    tables[1].pop(cid, None)
+                elif n == 1:
+                    tables[2].pop(cid, None)
+                    table = faces[(1, cid)]
+                    _move(tables[0], table[(1, 0)], cid)
+                    _move(tables[1], table[(1, 1)], cid)
+                else:
+                    for e in set(faces[(n, cid)].values()):
+                        _move(tables[2], e, cid)
+            ids = self._cell_sets.get(n)
+            if ids is not None:
+                ids.discard(cid)
+                if not ids:
+                    del self._cell_sets[n]
+            faces.pop((n, cid), None)
+            self._coords.pop((n, cid), None)
         for (cell, i, k), target in redirected.items():
             key = (cell.degree, cell.id)
-            self._faces[key] = {**self._faces.get(key, {}), (i, k): target.id}
+            if tables is not None:
+                _move(tables[k], faces[key][(1, k)], cell.id)
+                _move(tables[k], target.id, cell.id, add=True)
+            faces[key] = {**faces.get(key, {}), (i, k): target.id}
         if self._all is not None:
             self._all -= removed
         self._cells = None
@@ -255,6 +248,20 @@ class Complex:
     def __repr__(self):
         counts = ", ".join(f"{n}: {len(self.cell_ids(n))}" for n in self.degrees())
         return f"Complex({{{counts}}})"
+
+
+def _move(table: dict, key: str, cid: str, add: bool = False):
+    """Take cid out of the coface list table[key], or put it in if `add`,
+    in a new list: the old one may be shared with another complex."""
+    ids = [*table.get(key, ())]
+    if add:
+        bisect.insort(ids, cid)
+    elif cid in ids:
+        ids.remove(cid)
+    if ids:
+        table[key] = ids
+    else:
+        table.pop(key, None)
 
 
 @dataclass(frozen=True)
@@ -438,17 +445,24 @@ def cube_morphism(P: Complex, x: CellRef) -> CubeMorphismImage:
 def is_regular(P: Complex, x: CellRef) -> bool:
     """True iff the induced cube morphism of x is injective.
 
-    The images of the degree-r cells of the cube are the faces of the
-    images of its degree-(r+1) cells, so x is regular iff every level r
-    holds C(n, r) * 2^(n-r) distinct cells, as many as the n-cube has.
+    The images of the degree-(r-1) cells of the cube are the faces of the
+    images of its degree-r cells, so x is regular iff every level r-1
+    holds C(n, r-1) * 2^(n-r+1) distinct cells, as many as the n-cube
+    has. Each level is built from the values of the stored face tables of
+    the level above (exact once the face report has passed), and the test
+    returns False at the first level that falls short.
     Raises ValidationFailed, as the coface tables do, if P is invalid.
     """
     if not P.has(x):
         raise UnknownCell(f"no cell {x.id!r} of degree {x.degree}")
-    P.coface_tables()  # checks that every face entry resolves
-    n = x.degree
-    levels = zip(range(n, -1, -1), _iterated_faces(P, n, x.id))
-    return all(len(level) == comb(n, r) * 2 ** (n - r) for r, level in levels)
+    P.coface_tables()  # checks that every face table holds exactly its faces
+    n, faces = x.degree, P._faces
+    level = (x.id,)
+    for r in range(n, 0, -1):
+        level = {fid for cid in level for fid in faces[(r, cid)].values()}
+        if len(level) < comb(n, r - 1) << (n - r + 1):
+            return False
+    return True
 
 
 def _iterated_faces(P: Complex, n: int, cid: str):
@@ -456,7 +470,7 @@ def _iterated_faces(P: Complex, n: int, cid: str):
     level = {cid}
     yield level
     for r in range(n, 0, -1):
-        level = {P.faces_of(r, c)[(i, k)] for c in level for i in range(1, r + 1) for k in (0, 1)}
+        level = {fid for c in level for fid in P._faces[(r, c)].values()}
         yield level
 
 

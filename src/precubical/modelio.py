@@ -35,12 +35,19 @@ _FACE_KEY = re.compile(r"^d(\d+)_([01])$")
 
 
 def serialize(P: Complex, name: str = None) -> str:
+    """The pcsv1 document of P. An id that a record cannot carry, one that
+    is empty or holds whitespace, raises OutOfRange naming the first such
+    cell by degree and id."""
     lines = [HEADER]
     if name:
         lines.append(f"# {name}")
     coords = P.coords_table()
     for n in P.degrees():
         for cid in sorted(set(P.cell_ids(n))):
+            if cid.split() != [cid]:  # what parse reads as one token
+                raise OutOfRange(
+                    f"cell {cid!r} of degree {n}: a pcsv1 id is nonempty and holds no whitespace"
+                )
             table = P.faces_of(n, cid)
             parts = [str(n), cid, *(f"d{i}_{k}={table[(i, k)]}" for i, k in sorted(table))]
             pos = coords.get((n, cid))
@@ -138,8 +145,9 @@ def load(path) -> Complex:
 
 
 def save(P: Complex, path, name: str = None):
+    text = serialize(P, name)  # before the file is opened: a refusal leaves it as it was
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(P, name))
+        fh.write(text)
 
 
 # -- generators ------------------------------------------------------------

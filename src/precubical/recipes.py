@@ -55,7 +55,7 @@ def grid_reduction_recipe(m: int, n: int, holes=()) -> list[Step]:
     ]
 
     def sweep(order, attempts):
-        done = []
+        done = set()
         for (i, j) in order:
             sid = f"s({i},{j})"
             for kind, a, b in attempts:
@@ -63,7 +63,7 @@ def grid_reduction_recipe(m: int, n: int, holes=()) -> list[Step]:
                 if cert.all_conditions_hold and cert.fbg_guaranteed:
                     P._patch(cert.removed, cert.redirected)
                     steps.append(Step(kind, sid, b, a))
-                    done.append((i, j))
+                    done.add((i, j))
                     break
         return done
 

@@ -69,6 +69,11 @@ class ReductionCertificate:
         raise KeyError(label)
 
 
+# One shared condition per label for every condition that holds: it has
+# no witness, and a Condition is immutable.
+_HOLDS = {label: Condition(label, True) for label in ("reg", "i", "ii", "iii")}
+
+
 def _require(P: Complex, cell_id: str, degree: int) -> CellRef:
     x = CellRef(degree, cell_id)
     if not P.has(x):
@@ -88,26 +93,26 @@ def _edges_at(cofaces, v: str) -> set[str]:
     return {*cofaces[0].get(v, ()), *cofaces[1].get(v, ())}
 
 
-def _other_squares(on_edge: dict, x: str, edges) -> tuple[CellRef, ...]:
-    """The squares other than x on any of the given edges, sorted."""
-    return _cells(2, sorted({s for e in edges for s in on_edge.get(e, ()) if s != x}))
+def _other_squares(on_edge: dict, x: str, edges) -> set[str]:
+    """The ids of the squares other than x on any of the given edges."""
+    return {s for e in edges for s in on_edge.get(e, ()) if s != x}
 
 
 # Each move's own conditions. Given P, its coface tables, the cell x and
 # the parameters a, b, a move returns its conditions after "reg" as
-# (label, witnesses) pairs, each holding when it has no witness, then the
-# removed cells, the redirected face entries, Y and R.
+# (label, witness degree, witness ids) triples, each holding when it has
+# no witness, then the removed cells, the redirected face entries, Y and R.
 
 
 def _edge_collapse_conditions(P, cofaces, x, a, b):
     faces = P.faces_of(1, x.id)
     v = faces[(1, 1 - b)]  # the vertex that disappears
     w = CellRef(0, faces[(1, b)])  # the vertex x collapses onto
-    same_endpoint = _cells(1, [yy for yy in cofaces[1 - b].get(v, ()) if yy != x.id])
-    blocked = _cells(1, sorted(e for e in _edges_at(cofaces, v) if e in cofaces[2]))
+    same_endpoint = [yy for yy in cofaces[1 - b].get(v, ()) if yy != x.id]
+    blocked = [e for e in _edges_at(cofaces, v) if e in cofaces[2]]
     y = _cells(1, cofaces[b].get(v, ()))
     redirected = {(yy, 1, b): w for yy in y}
-    return (("i", same_endpoint), ("ii", blocked)), {x, CellRef(0, v)}, redirected, y, None
+    return (("i", 1, same_endpoint), ("ii", 1, blocked)), {x, CellRef(0, v)}, redirected, y, None
 
 
 def _square_one_free_conditions(P, cofaces, x, a, b):
@@ -115,9 +120,9 @@ def _square_one_free_conditions(P, cofaces, x, a, b):
     e1, e2 = faces[(1, 1 - b)], faces[(2, b)]
     corner = P.faces_of(1, e1)[(1, b)]  # equals d_1^{1-b} d_2^b x
     other = _other_squares(cofaces[2], x.id, (e1, e2))
-    extra = _cells(1, sorted(_edges_at(cofaces, corner) - {e1, e2}))
+    extra = _edges_at(cofaces, corner) - {e1, e2}
     removed = {x, CellRef(1, e1), CellRef(1, e2), CellRef(0, corner)}
-    return (("i", other), ("ii", extra)), removed, {}, None, None
+    return (("i", 2, other), ("ii", 1, extra)), removed, {}, None, None
 
 
 def _square_two_free_conditions(P, cofaces, x, a, b):
@@ -125,13 +130,13 @@ def _square_two_free_conditions(P, cofaces, x, a, b):
     e_keep, e_drop = faces[(a, 1 - b)], faces[(3 - a, b)]
     other = _other_squares(cofaces[2], x.id, (e_keep, e_drop))
     v_keep = P.faces_of(1, e_keep)[(1, b)]
-    parallel = _cells(1, [yy for yy in cofaces[b].get(v_keep, ()) if yy != e_keep])
+    parallel = [yy for yy in cofaces[b].get(v_keep, ()) if yy != e_keep]
     v_drop = P.faces_of(1, e_drop)[(1, 1 - b)]
     y = _cells(1, [yy for yy in cofaces[1 - b].get(v_drop, ()) if yy != e_drop])
-    bad_y = tuple(yy for yy in y if yy.id in cofaces[2])
+    bad_y = [yy.id for yy in y if yy.id in cofaces[2]]
     removed = {x, CellRef(1, e_drop)}
     r_cells = P.cell_set() - {*removed, CellRef(0, v_drop), CellRef(1, e_keep), *y}
-    return (("i", other), ("ii", parallel), ("iii", bad_y)), removed, {}, y, r_cells
+    return (("i", 2, other), ("ii", 1, parallel), ("iii", 1, bad_y)), removed, {}, y, r_cells
 
 
 # kind -> (degree of the reduced cell, the move's conditions)
@@ -225,7 +230,10 @@ def run(
         kind=kind,
         cell=x,
         params={"a": a, "b": b} if kind == SQUARE_TWO_FREE else {"b": b},
-        conditions=(Condition("reg", reg), *(Condition(label, not w, w) for label, w in found)),
+        conditions=(_HOLDS["reg"] if reg else Condition("reg", False), *(
+            Condition(label, False, _cells(d, sorted(w))) if w else _HOLDS[label]
+            for label, d, w in found
+        )),
         removed=frozenset(removed),
         redirected=redirected,
         y=None if y is None else frozenset(y),
@@ -305,7 +313,10 @@ def greedy_reduce(
     Each step then costs what the step touches, not a scan of the complex.
     Checks go through the module's `check`, and a step applies the
     certificate its check passed to a working copy of P, made once.
+    The coface tables are built on P itself first, so an invalid P raises
+    ValidationFailed even when it has no cell to check.
     """
+    P.coface_tables()
     P = P._copy()
     degrees = [_MOVES[kind][0] for kind, _, _ in attempts]
     pending = {(index, cid) for index, d in enumerate(degrees) for cid in P.cell_ids(d)}
@@ -344,11 +355,14 @@ def auto_reduce(
     fixed deterministic order until no further one applies.
 
     Replay checks each step as apply mode would and applies its
-    certificate to a working copy of P, made once."""
+    certificate to a working copy of P, made once. Either policy builds
+    the coface tables on P itself first, so an invalid P raises
+    ValidationFailed."""
     trail: list[ReductionCertificate] = []
     if policy == "recipe":
         if recipe is None:
             raise OutOfRange("recipe policy needs a step list")
+        P.coface_tables()
         P = P._copy()
         for index, step in enumerate(recipe):
             try:

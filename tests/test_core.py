@@ -142,6 +142,38 @@ class TestRegularity:
     def test_vertices_always_regular(self, interval):
         assert core.is_regular(interval, CellRef(0, "a0"))
 
+    @pytest.mark.parametrize(
+        "cells, faces, levels",
+        [
+            # a loop edge, d_1^0 e = d_1^1 e
+            ({0: ["v"], 1: ["e"]}, {(1, "e"): {(1, 0): "v", (1, 1): "v"}}, [1, 1]),
+            # d_1^0 s = d_2^0 s: three edges, short at the edge level
+            ({0: ["p", "q", "r"], 1: ["a", "b", "d"], 2: ["s"]},
+             {(1, "a"): {(1, 0): "p", (1, 1): "q"},
+              (1, "b"): {(1, 0): "q", (1, 1): "r"},
+              (1, "d"): {(1, 0): "q", (1, 1): "r"},
+              (2, "s"): {(1, 0): "a", (1, 1): "b", (2, 0): "a", (2, 1): "d"}},
+             [1, 3, 3]),
+            # four edges, but d_1^1 d_1^0 s = d_1^0 d_1^1 s: short only at the vertex level
+            ({0: ["p", "q", "r"], 1: ["a", "b", "c", "d"], 2: ["s"]},
+             {(1, "a"): {(1, 0): "p", (1, 1): "q"},
+              (1, "c"): {(1, 0): "p", (1, 1): "q"},
+              (1, "b"): {(1, 0): "q", (1, 1): "r"},
+              (1, "d"): {(1, 0): "q", (1, 1): "r"},
+              (2, "s"): {(1, 0): "a", (1, 1): "b", (2, 0): "c", (2, 1): "d"}},
+             [1, 4, 3]),
+        ],
+        ids=["loop-edge", "repeated-edge", "repeated-corner"],
+    )
+    def test_each_level_that_falls_short(self, cells, faces, levels):
+        P = Complex(cells, faces)
+        assert core.validate(P) == []
+        x = P.cells(P.dimension)[0]
+        assert [len(level) for level in core._iterated_faces(P, x.degree, x.id)] == levels
+        assignment = core.cube_morphism(P, x).assignment
+        assert len(set(assignment.values())) < len(assignment)
+        assert not core.is_regular(P, x)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     def test_faces_of_regular_cells_are_regular(self, seed):

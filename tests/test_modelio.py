@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -75,8 +76,8 @@ class TestValidateCoversTheFormat:
     """A complex that validates is one that pcsv1 carries: each of these
     complexes holds a face entry, or a degree, that a document cannot
     state, so validate and the coface tables must refuse it. The empty
-    vertex id of `standard_cube(0)` and ids holding whitespace are limits
-    of the format that validate does not report; they are left out here."""
+    vertex id of `standard_cube(0)` and ids holding whitespace validate,
+    but no record can carry them, so serialize refuses them instead."""
 
     @pytest.mark.parametrize(
         "P, kind",
@@ -101,6 +102,26 @@ class TestValidateCoversTheFormat:
             P.coface_tables()
         with pytest.raises(DocumentSyntaxError):
             modelio.parse(modelio.serialize(P))
+
+    @pytest.mark.parametrize(
+        "P, degree, cid",
+        [
+            (Complex({0: ["a b"]}), 0, "a b"),
+            (core.standard_cube(0), 0, ""),
+            (Complex({0: ["a", "b"], 1: ["e\tf"]}, {(1, "e\tf"): _INTERVAL_FACES}), 1, "e\tf"),
+        ],
+        ids=["space-in-vertex-id", "empty-vertex-id", "tab-in-edge-id"],
+    )
+    def test_ids_the_format_cannot_carry_are_refused(self, P, degree, cid, tmp_path):
+        assert core.validate(P) == []
+        named = re.escape(f"cell {cid!r} of degree {degree}")
+        with pytest.raises(OutOfRange, match=named):
+            modelio.serialize(P)
+        path = tmp_path / "out.pcsv"
+        path.write_text("kept\n")
+        with pytest.raises(OutOfRange, match=named):
+            modelio.save(P, path)
+        assert path.read_text() == "kept\n"
 
     @settings(max_examples=100, deadline=None)
     @given(glued_complexes())

@@ -173,6 +173,14 @@ class TestBrokenFaceTables:
             auto_reduce(Complex(cells, faces))
         assert [v.kind for v in excinfo.value.report] == ["unlisted-cell"]
 
+    @pytest.mark.parametrize("policy", ["greedy", "recipe"])
+    def test_unlisted_cell_with_nothing_to_check(self, policy):
+        # no listed edge or square, so no step ever checks a cell
+        P = Complex({0: ["a"]}, {(1, "e"): {(1, 0): "a", (1, 1): "a"}})
+        with pytest.raises(ValidationFailed) as excinfo:
+            auto_reduce(P, policy, [] if policy == "recipe" else None)
+        assert [v.kind for v in excinfo.value.report] == ["unlisted-cell"]
+
     @pytest.mark.parametrize("defect", ["swapped-sides", "rewired-eB"])
     def test_broken_identity(self, defect):
         # every face entry resolves, but the sides of s no longer meet

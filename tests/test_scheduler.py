@@ -4,6 +4,7 @@ tables built from scratch."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from precubical import core, modelio, recipes, reductions
@@ -117,3 +118,24 @@ def test_each_step_is_certified_once(monkeypatch):
     steps = recipes.grid_reduction_recipe(8, 8, {(1, 1), (6, 6)})
     assert trail and steps and calls["check"] > 0
     assert calls["is_regular"] == calls["check"]
+
+
+# Checks per applied step on two-hole n x n grids: recipe generation
+# 153/88, 422/312 and 1302/1144 checks/steps for n = 8, 16, 32, greedy
+# 245/78, 955/286 and 4435/1086. A cheaper check must not mean more of them.
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_checks_per_step_stay_bounded(monkeypatch, n):
+    calls = [0]
+    original = reductions.check
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reductions, "check", counted)
+    holes = {(1, 1), (n - 2, n - 2)}
+    steps = recipes.grid_reduction_recipe(n, n, holes)
+    assert 0 < calls[0] <= 2 * len(steps)
+    calls[0] = 0
+    _, trail = greedy_reduce(modelio.grid_with_holes(n, n, holes))
+    assert 0 < calls[0] <= 5 * len(trail)
