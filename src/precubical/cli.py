@@ -132,8 +132,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    if args.op == reductions.SQUARE_TWO_FREE and args.a is None:
-        raise UsageError(f"--op {args.op} needs --a 1 or --a 2")
     P = modelio.load(args.input)
     try:
         Q, cert = reductions.run(
@@ -160,9 +158,7 @@ def cmd_auto_reduce(args) -> int:
             _print_certificate(exc.certificate, args.json)
         return 1
     for cert in trail:
-        a = cert.params.get("a")
-        astr = f" a={a}" if a is not None else ""
-        print(f"{cert.kind} {cert.cell.id}{astr} b={cert.params['b']}")
+        print(reductions.Step.of(cert))
     print(f"{len(trail)} reductions applied")
     for n in Q.degrees():
         print(f"cells[{n}]: {Q.size(n)}")

@@ -7,8 +7,12 @@ or directly below a hole) the free-face variants take over, preferring
 (a, b) = (2, 0) to the right of holes and (1, 1) below them. The
 remaining 1-dimensional complex is then simplified by edge collapses,
 first with b=0, then with b=1, taking only collapses that keep the
-bipartite-graph guarantee; each phase is the greedy scheduler with a
-one-entry attempt table.
+bipartite-graph guarantee. Each phase is one run of the reduction
+scheduler on one working copy of the grid. A square phase tries the
+three moves of its direction on each square, ranked top-down (downward)
+or the reverse (upward); a square that fails waits at its vertices for a
+step there. The directions alternate until no square is left, or until
+two phases in a row take no step.
 
 The generator simulates the sequence while producing it, so a returned
 recipe replays step by step from the original complex with every side
@@ -43,50 +47,28 @@ def grid_reduction_recipe(m: int, n: int, holes=()) -> list[Step]:
     """A full reduction recipe for grid_with_holes(m, n, holes)."""
     from .modelio import grid_with_holes
 
-    P = grid_with_holes(m, n, holes)._copy()  # the sweeps patch this copy
+    P = grid_with_holes(m, n, holes)._copy()  # every phase patches this copy
     holes = set(holes)
+    order = [(i, j) for j in range(n - 1, -1, -1) for i in range(m) if (i, j) not in holes]
+    down = {f"s({i},{j})": r for r, (i, j) in enumerate(order)}  # the downward rank
+    phases = (([_DOWNWARD_ATTEMPTS], down), ([_UPWARD_ATTEMPTS], {s: -r for s, r in down.items()}))
     steps: list[Step] = []
-
-    remaining = [
-        (i, j)
-        for j in range(n - 1, -1, -1)
-        for i in range(m)
-        if (i, j) not in holes
-    ]
-
-    def sweep(order, attempts):
-        done = set()
-        for (i, j) in order:
-            sid = f"s({i},{j})"
-            for kind, a, b in attempts:
-                cert = reductions.check(P, kind, sid, a, b)
-                if cert.all_conditions_hold and cert.fbg_guaranteed:
-                    P._patch(cert.removed, cert.redirected)
-                    steps.append(Step(kind, sid, b, a))
-                    done.add((i, j))
-                    break
-        return done
-
-    # Alternate a top-down-left-right sweep with a bottom-up-right-left
-    # one; squares blocked in one direction fall to the other.
-    downward = True
-    stalled = 0
-    while remaining:
-        order = remaining if downward else remaining[::-1]
-        attempts = _DOWNWARD_ATTEMPTS if downward else _UPWARD_ATTEMPTS
-        done = sweep(order, attempts)
-        remaining = [sq for sq in remaining if sq not in done]
-        stalled = 0 if done else stalled + 1
+    phase = stalled = 0
+    while P.size(2):
+        taken = len(steps)
+        steps.extend(map(Step.of, reductions._schedule(P, *phases[phase % 2])))
+        stalled = 0 if len(steps) > taken else stalled + 1
         if stalled >= 2:
-            raise OutOfRange(
-                f"no square elimination applies to any of {remaining}"
-            )
-        downward = not downward
+            left = [(i, j) for (i, j) in order if P.faces_of(2, f"s({i},{j})")]
+            raise OutOfRange(f"no square elimination applies to any of {left}")
+        phase += 1
 
     for b in (0, 1):
-        P, trail = reductions.greedy_reduce(P, ((EDGE_COLLAPSE, None, b),))
-        steps.extend(Step(EDGE_COLLAPSE, cert.cell.id, b) for cert in trail)
+        steps.extend(map(Step.of, reductions._schedule(P, [((EDGE_COLLAPSE, None, b),)])))
     return steps
+
+
+_NUMBERS = {"0": 0, "1": 1, "2": 2}  # the parameter values a recipe line can hold
 
 
 def parse_recipe(text: str) -> list[Step]:
@@ -98,24 +80,16 @@ def parse_recipe(text: str) -> list[Step]:
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if len(tokens) == 3:
-            kind, cell, b = tokens
-            a = None
-        elif len(tokens) == 4:
-            kind, cell, a, b = tokens
-        else:
+        if len(tokens) not in (3, 4):
             raise DocumentSyntaxError(lineno, "expected 'kind cell [a] b'")
-        if kind not in (EDGE_COLLAPSE, SQUARE_ONE_FREE, SQUARE_TWO_FREE):
-            raise DocumentSyntaxError(lineno, f"unknown kind {kind!r}")
-        if (a is None) != (kind != SQUARE_TWO_FREE):
-            raise DocumentSyntaxError(
-                lineno, f"{kind} takes {'a and b' if a is None else 'only b'}"
-            )
-        if a not in (None, "1", "2"):
-            raise DocumentSyntaxError(lineno, f"a must be 1 or 2, not {a!r}")
-        if b not in ("0", "1"):
-            raise DocumentSyntaxError(lineno, f"b must be 0 or 1, not {b!r}")
-        steps.append(Step(kind, cell, int(b), None if a is None else int(a)))
+        kind, cell, *a, b = tokens
+        a = _NUMBERS.get(a[0], a[0]) if a else None
+        b = _NUMBERS.get(b, b)
+        try:
+            reductions._check_params(kind, a, b)
+        except OutOfRange as exc:
+            raise DocumentSyntaxError(lineno, str(exc)) from None
+        steps.append(Step(kind, cell, b, a))
     return steps
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import core
 from .core import CellRef, Complex
@@ -206,14 +206,9 @@ def run(
     dimension <= 2 and that its face entries resolve, then the conditions
     on the cell. In check mode return (None, certificate); in apply mode
     raise ConditionsFailed or GuaranteeLost (unless allow_empty_y) or
-    return the reduced complex with the certificate. `a` is read only for
-    square-two-free."""
-    if kind not in _MOVES:
-        raise OutOfRange(f"unknown reduction kind {kind!r}")
-    if b not in (0, 1):
-        raise OutOfRange(f"b must be 0 or 1, not {b!r}")
-    if kind == SQUARE_TWO_FREE and a not in (1, 2):
-        raise OutOfRange(f"a must be 1 or 2, not {a!r}")
+    return the reduced complex with the certificate. `a` is 1 or 2 for
+    square-two-free and None for the other moves."""
+    _check_params(kind, a, b)
     if mode not in ("apply", "check"):
         raise OutOfRange(f"mode must be 'apply' or 'check', not {mode!r}")
     dim = P.dimension
@@ -246,6 +241,18 @@ def run(
     return P.reduced(cert.removed, cert.redirected), cert
 
 
+def _check_params(kind, a, b):
+    """Raise OutOfRange unless (kind, a, b) names a reduction."""
+    if kind not in _MOVES:
+        raise OutOfRange(f"unknown reduction kind {kind!r}")
+    if b not in (0, 1):
+        raise OutOfRange(f"b must be 0 or 1, not {b!r}")
+    if kind == SQUARE_TWO_FREE and a not in (1, 2):
+        raise OutOfRange(f"a must be 1 or 2, not {a!r}")
+    if kind != SQUARE_TWO_FREE and a is not None:
+        raise OutOfRange(f"{kind} takes only b, not a={a!r}")
+
+
 def _require_applicable(cert: ReductionCertificate, allow_empty_y: bool = False):
     """Raise what apply mode raises on a certificate that may not be
     applied: ConditionsFailed, or GuaranteeLost unless allow_empty_y."""
@@ -263,6 +270,11 @@ class Step:
     cell: str
     b: int
     a: Optional[int] = None
+
+    @classmethod
+    def of(cls, cert: ReductionCertificate) -> Step:
+        """The recipe step that replays the reduction `cert` certifies."""
+        return cls(cert.kind, cert.cell.id, cert.params["b"], cert.params.get("a"))
 
     def __str__(self):
         if self.a is None:
@@ -290,59 +302,76 @@ def greedy_reduce(
 ) -> tuple[Complex, list[ReductionCertificate]]:
     """Apply guaranteed reductions until none applies. Each step takes the
     first entry of `attempts` that applies to some cell, on the smallest
-    such cell id, and the trail lists the applied certificates.
+    such cell id; the trail lists the applied certificates. The coface
+    tables are built on P before it is copied, so an invalid P raises
+    ValidationFailed even when it has no cell to check."""
+    P.coface_tables()
+    P = P._copy()
+    return P, list(_schedule(P, [(entry,) for entry in attempts]))
 
-    One heap holds the (entry index, cell id) pairs not yet known to fail,
-    so its least pair is the first entry that may apply, on its smallest
-    cell id. A pair leaves the heap when its check fails or its cell is
-    gone. It is exact because of the locality rule:
+
+def _schedule(P: Complex, rows, rank=None) -> Iterator[ReductionCertificate]:
+    """Reduce the working copy P in place, yielding each certificate as it
+    is applied: run it to the end. A caller that keeps only steps drops
+    each certificate at once, so a long trail of them never builds up.
+
+    A row is a tuple of attempt entries (kind, a, b) of one cell degree,
+    which a (row, cell) pair tries in turn. One heap holds the pairs not
+    yet known to fail, least by row and cell id, or by `rank[cell id]`
+    first if a rank is given. The least pair applies its first guaranteed
+    entry; a pair whose cell is gone is dropped, and one that fails waits
+    at its cell's vertices until a step wakes the pairs waiting at the
+    vertices D of the reduced cell. That is exact by locality:
 
     - Under every entry, whether a cell passes depends only on its own
       faces, on the edges at its vertices and on the squares on those
-      edges.
-    - A step changes those only for cells with a vertex in D, the set of
-      the vertices of the reduced cell. Every removed cell is the reduced
-      cell or one of its faces, and an edge collapse redirects edges from
-      one end of the removed edge to the other, so D holds every vertex of
-      a removed cell and every old endpoint and new target of a
-      redirected edge.
-    - So after a step, re-queueing every edge at a vertex of D and every
-      square on such an edge, under every entry, leaves out no cell whose
-      answer may have changed.
+      edges, and a step changes those only for cells with a vertex in D.
+    - Every removed cell is the reduced cell or one of its faces, and an
+      edge collapse redirects edges from one end of the removed edge to
+      the other, so D holds every vertex of a removed cell and both ends,
+      old and new, of a redirected edge.
+    - A cell's vertices change only by such a redirection, which wakes
+      it, so a failed pair always waits at its cell's vertices.
 
     Each step then costs what the step touches, not a scan of the complex.
     Checks go through the module's `check`, and a step applies the
-    certificate its check passed to a working copy of P, made once.
-    The coface tables are built on P itself first, so an invalid P raises
-    ValidationFailed even when it has no cell to check.
+    certificate its check passed. A bad entry raises OutOfRange first.
     """
-    P.coface_tables()
-    P = P._copy()
-    degrees = [_MOVES[kind][0] for kind, _, _ in attempts]
-    pending = {(index, cid) for index, d in enumerate(degrees) for cid in P.cell_ids(d)}
+    for entry in (entry for row in rows for entry in row):
+        try:
+            _check_params(*entry)
+        except (OutOfRange, TypeError) as exc:
+            raise OutOfRange(f"bad attempt entry {entry!r}: {exc}") from None
+    degrees = [_MOVES[row[0][0]][0] for row in rows]
+    pending = {(index if rank is None else rank[cid], index, cid)
+               for index, d in enumerate(degrees) for cid in P.cell_ids(d)}
     heap = sorted(pending)  # a sorted list is a heap
-    trail: list[ReductionCertificate] = []
+    waiting: dict[str, list] = {}  # vertex id -> the failed pairs waiting there
     while heap:
-        pair = heapq.heappop(heap)
-        pending.remove(pair)
-        index, cid = pair
-        kind, a, b = attempts[index]
-        if not P.has(CellRef(degrees[index], cid)):
+        item = heapq.heappop(heap)
+        pending.remove(item)
+        _, index, cid = item
+        faces = P.faces_of(degrees[index], cid)
+        if not faces:  # the cell is gone
             continue
-        cert = check(P, kind, cid, a, b)
-        if not (cert.all_conditions_hold and cert.fbg_guaranteed):
+        # an edge's ends, or a square's corners: the ends of its d_1 faces
+        vertices = tuple(faces.values()) if degrees[index] == 1 else (
+            *P.faces_of(1, faces[(1, 0)]).values(), *P.faces_of(1, faces[(1, 1)]).values())
+        for kind, a, b in rows[index]:
+            cert = check(P, kind, cid, a, b)
+            if cert.all_conditions_hold and cert.fbg_guaranteed:
+                break
+        else:
+            for v in vertices:
+                waiting.setdefault(v, []).append(item)
             continue
-        *_, touched = core._iterated_faces(P, degrees[index], cid)  # D
         P._patch(cert.removed, cert.redirected)
-        trail.append(cert)
-        cofaces = P.coface_tables()
-        edges = {e for v in touched for e in _edges_at(cofaces, v)}
-        star = {1: edges, 2: {s for e in edges for s in cofaces[2].get(e, ())}}
-        for pair in ((i, c) for i, d in enumerate(degrees) for c in star[d]):
-            if pair not in pending:
-                pending.add(pair)
-                heapq.heappush(heap, pair)
-    return P, trail
+        yield cert
+        for v in vertices:
+            for item in waiting.pop(v, ()):
+                if item not in pending:
+                    pending.add(item)
+                    heapq.heappush(heap, item)
 
 
 def auto_reduce(

@@ -76,10 +76,6 @@ def sha256_json(payload) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def step_str(cert) -> str:
-    return str(reductions.Step(cert.kind, cert.cell.id, cert.params["b"], cert.params.get("a")))
-
-
 def grid_holes(n: int):
     return {(1, 1), (n - 2, n - 2)}
 
@@ -157,7 +153,7 @@ def sweep_record(instances: int = SWEEP_INSTANCES) -> list[str]:
 def greedy_record(P: Complex) -> dict:
     Q, trail = reductions.auto_reduce(P)
     return {
-        "steps": [step_str(c) for c in trail],
+        "steps": [str(reductions.Step.of(c)) for c in trail],
         "certificates": sha256_json([_certificate_json(c) for c in trail]),
         "result": hashlib.sha256(modelio.serialize(Q).encode("utf-8")).hexdigest(),
     }

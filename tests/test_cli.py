@@ -143,6 +143,21 @@ def test_recipe_file(tmp_path, capsys):
     assert main(["iso", out, de]) == 0
 
 
+def test_auto_reduce_trail_lines_are_a_recipe(tmp_path, capsys):
+    flag = write_fixture(tmp_path, "swiss_flag")
+    greedy_out, replay_out = tmp_path / "greedy.pcs", tmp_path / "replay.pcs"
+    assert main(["auto-reduce", flag, "-o", str(greedy_out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    trail = lines[:lines.index("34 reductions applied")]
+    steps = recipes.parse_recipe("\n".join(trail))
+    assert len(steps) == 34 and any(step.a is not None for step in steps)
+    recipe_path = tmp_path / "steps.txt"
+    recipe_path.write_text(recipes.format_recipe(steps))
+    assert main(["auto-reduce", flag, "--recipe", str(recipe_path), "-o", str(replay_out)]) == 0
+    assert capsys.readouterr().out.splitlines()[:34] == trail
+    assert replay_out.read_bytes() == greedy_out.read_bytes()
+
+
 def test_recipe_step_failure(tmp_path, capsys):
     de = write_fixture(tmp_path, "double_edge")
     recipe_path = tmp_path / "steps.txt"
@@ -168,6 +183,7 @@ def test_usage_error_exit_code():
         (["gen", "--grid", "2", "2", "--holes", "bad"], None),
         (["auto-reduce", "{input}", "--recipe", "{recipe}"], "edge-collapse e x\n"),
         (["reduce", "{input}", "--op", "square-two-free", "--cell", "s", "--b", "0"], None),
+        (["reduce", "{input}", "--op", "edge-collapse", "--cell", "e", "--a", "2", "--b", "0"], None),
         (["gen", "--grid", "0", "3"], None),
         (["gen", "--grid", "2", "2", "--holes", "5,5"], None),
         (["fbg", "{input}", "--max-paths", "0"], None),
@@ -176,8 +192,8 @@ def test_usage_error_exit_code():
         (["validate", "{recipe}"], b"pcsv1\n0 a\xff\n"),
         (["auto-reduce", "{input}", "--recipe", "{recipe}"], b"square-one-free s\xff 1\n"),
     ],
-    ids=["gen-bad-holes", "recipe-bad-line", "two-free-without-a", "gen-empty-grid",
-         "gen-hole-outside", "fbg-max-paths-0", "compare-fbg-max-paths-negative",
+    ids=["gen-bad-holes", "recipe-bad-line", "two-free-without-a", "collapse-with-a",
+         "gen-empty-grid", "gen-hole-outside", "fbg-max-paths-0", "compare-fbg-max-paths-negative",
          "info-not-utf8", "validate-not-utf8", "recipe-not-utf8"],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, recipe):

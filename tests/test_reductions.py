@@ -8,6 +8,7 @@ from precubical.core import CellRef, Complex
 from precubical.errors import (
     ConditionsFailed,
     DimensionUnsupported,
+    DocumentSyntaxError,
     GuaranteeLost,
     OutOfRange,
     RecipeStepFailed,
@@ -121,6 +122,8 @@ class TestEdgeCollapse:
         ("square-zero-free", None, 0, "check"),
         (EDGE_COLLAPSE, None, 0, "chek"),
         (SQUARE_ONE_FREE, None, 1, "Apply"),
+        (EDGE_COLLAPSE, 2, 0, "apply"),
+        (SQUARE_ONE_FREE, 1, 1, "check"),
     ],
 )
 def test_bad_parameters_raise_out_of_range(kind, a, b, mode):
@@ -439,6 +442,18 @@ class TestAutoReduce:
         with pytest.raises(RecipeStepFailed) as excinfo:
             auto_reduce(P, policy="recipe", recipe=steps)
         assert excinfo.value.step_index == 1
+        assert excinfo.value.certificate is None
+
+    def test_recipe_step_with_an_a_its_move_does_not_take(self):
+        """Such a step has no recipe line: format_recipe would write one
+        that parse_recipe refuses."""
+        P = modelio.named_fixture("square")
+        bad = Step(EDGE_COLLAPSE, "eB", 0, 2)
+        with pytest.raises(DocumentSyntaxError, match="takes only b"):
+            recipes.parse_recipe(recipes.format_recipe([bad]))
+        with pytest.raises(RecipeStepFailed) as excinfo:
+            auto_reduce(P, policy="recipe", recipe=[Step(SQUARE_ONE_FREE, "s", 1), bad])
+        assert (excinfo.value.step_index, excinfo.value.step) == (1, bad)
         assert excinfo.value.certificate is None
 
     @pytest.mark.parametrize("policy", ["grdy", "recipe"])

@@ -1,6 +1,7 @@
 """The worklist scheduler against the full rescan it replaces, on
-complexes that are not grids, and the patched coface tables against
-tables built from scratch."""
+complexes that are not grids, the grid recipe against the sweep loop it
+replaces, and the patched coface tables against tables built from
+scratch."""
 
 import random
 
@@ -9,9 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from precubical import core, modelio, recipes, reductions
 from precubical.core import Complex
+from precubical.errors import OutOfRange
 from precubical.reductions import (
     EDGE_COLLAPSE,
     GREEDY_ATTEMPTS,
+    SQUARE_TWO_FREE,
+    Step,
     check,
     greedy_reduce,
     run,
@@ -38,6 +42,45 @@ def rescan_reduce(P, attempts=GREEDY_ATTEMPTS):
                 break
         else:
             return P, trail
+
+
+def sweep_recipe(m, n, holes=()):
+    """The reference for the grid recipe: sweep the squares left in turn,
+    top-down then bottom-up, until two sweeps in a row take no step."""
+    P = modelio.grid_with_holes(m, n, holes)._copy()
+    holes = set(holes)
+    steps = []
+    remaining = [(i, j) for j in range(n - 1, -1, -1) for i in range(m) if (i, j) not in holes]
+
+    def sweep(order, attempts):
+        done = set()
+        for (i, j) in order:
+            sid = f"s({i},{j})"
+            for kind, a, b in attempts:
+                cert = check(P, kind, sid, a, b)
+                if cert.all_conditions_hold and cert.fbg_guaranteed:
+                    P._patch(cert.removed, cert.redirected)
+                    steps.append(Step(kind, sid, b, a))
+                    done.add((i, j))
+                    break
+        return done
+
+    downward = True
+    stalled = 0
+    while remaining:
+        order = remaining if downward else remaining[::-1]
+        attempts = recipes._DOWNWARD_ATTEMPTS if downward else recipes._UPWARD_ATTEMPTS
+        done = sweep(order, attempts)
+        remaining = [sq for sq in remaining if sq not in done]
+        stalled = 0 if done else stalled + 1
+        if stalled >= 2:
+            raise OutOfRange(f"no square elimination applies to any of {remaining}")
+        downward = not downward
+
+    for b in (0, 1):
+        P, trail = greedy_reduce(P, ((EDGE_COLLAPSE, None, b),))
+        steps.extend(Step(EDGE_COLLAPSE, cert.cell.id, b) for cert in trail)
+    return steps
 
 
 def fresh_tables(P):
@@ -72,6 +115,41 @@ def test_worklist_matches_rescan(P, attempts):
 def test_worklist_matches_rescan_on_grids(seed):
     P = random_grid_complex(random.Random(seed), max_side=4)
     assert greedy_reduce(P) == rescan_reduce(P)
+
+
+@st.composite
+def holed_grids(draw):
+    """(m, n, holes) with sides 1 to 12, each square a hole with one
+    probability of at most 0.5."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    p = draw(st.floats(0, 0.5))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return m, n, {(i, j) for i in range(m) for j in range(n) if rng.random() < p}
+
+
+def recipe_or_refusal(make, *args):
+    try:
+        return make(*args)
+    except OutOfRange as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(holed_grids())
+def test_recipe_matches_sweep(grid):
+    expected = recipe_or_refusal(sweep_recipe, *grid)
+    assert recipe_or_refusal(recipes.grid_reduction_recipe, *grid) == expected
+
+
+@pytest.mark.parametrize("P", [Complex({}), modelio.named_fixture("square")], ids=["empty", "square"])
+@pytest.mark.parametrize(
+    "entry",
+    [("bogus", None, 0), (EDGE_COLLAPSE, None, 2), (EDGE_COLLAPSE, 1, 0),
+     (SQUARE_TWO_FREE, None, 0), (SQUARE_TWO_FREE, 3, 1), (EDGE_COLLAPSE, 0)],
+)
+def test_bad_attempt_entries_raise_out_of_range(P, entry):
+    with pytest.raises(OutOfRange, match="bad attempt entry"):
+        greedy_reduce(P, (GREEDY_ATTEMPTS[0], entry))
 
 
 @settings(max_examples=100, deadline=None)

@@ -60,7 +60,7 @@ def chains(P):
     """Run greedy, greedy `auto_reduce` and the replay of the greedy trail on P."""
     Q, trail = greedy_reduce(P)
     auto_reduce(P)
-    steps = [Step(c.kind, c.cell.id, c.params["b"], c.params.get("a")) for c in trail]
+    steps = [Step.of(c) for c in trail]
     auto_reduce(P, "recipe", steps)
     return Q, trail
 
@@ -123,7 +123,7 @@ def test_greedy_copies_once(copies, make):
 
 def test_recipe_generation_and_replay_copy_once_per_chain(copies):
     steps = recipes.grid_reduction_recipe(12, 12, two_holes(12))
-    assert 1 <= len(copies) <= 3  # the sweeps, then each of the two edge phases
+    assert len(copies) == 1  # every phase runs on one working copy
     copies.clear()
     _, trail = auto_reduce(two_hole_grid(12), "recipe", steps)
     assert len(trail) == len(steps) > 100 and len(copies) == 1
