@@ -8,6 +8,7 @@ usage or parse error or an argument out of range.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -312,9 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads its arguments with, built on its first call
+    and kept for the process; not at import, so importing stays cheap."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (DocumentSyntaxError, OutOfRange, UsageError) as exc:

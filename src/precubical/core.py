@@ -54,6 +54,8 @@ class Complex:
     private working copies, made by :meth:`_copy`, are changed, by
     :meth:`_patch`; face-table dicts and coface lists may be shared
     between complexes, so a patch replaces them and never mutates one.
+    A patch only removes cells, never adds one, and logs each cell it
+    removes; a copy starts with an empty log.
     """
 
     def __init__(
@@ -72,7 +74,7 @@ class Complex:
         self._coords: dict[tuple[int, str], tuple[int, ...]] = {
             key: tuple(pos) for key, pos in dict(coords).items()
         }
-        self._all: Optional[set[CellRef]] = None
+        self._log: list[CellRef] = []  # the cells _patch removed, in order
         # (edges by d_1^0, edges by d_1^1, squares by face): id -> sorted ids
         self._cofaces: Optional[tuple[dict, dict, dict]] = None
 
@@ -99,10 +101,14 @@ class Complex:
         return [cell for n in self.degrees() for cell in self.cells(n)]
 
     def cell_set(self) -> frozenset[CellRef]:
-        """Every cell, copied from a set built once per complex."""
-        if self._all is None:
-            self._all = set(self.all_cells())
-        return frozenset(self._all)
+        """Every cell, in a new set: O(cells)."""
+        return frozenset(CellRef(n, cid) for n, ids in self._cell_sets.items() for cid in ids)
+
+    def _cells_when(self, logged: int) -> frozenset[CellRef]:
+        """The cells this complex had when its log held `logged` entries: a
+        patch only removes cells, so these are the cells now plus those
+        logged since. O(cells)."""
+        return self.cell_set().union(self._log[logged:])
 
     def has(self, cell: CellRef) -> bool:
         return cell.id in self._cell_sets.get(cell.degree, ())
@@ -188,7 +194,7 @@ class Complex:
         Q._cell_sets = {n: set(ids) for n, ids in self._cell_sets.items()}
         Q._faces = dict(self._faces)
         Q._coords = dict(self._coords)
-        Q._all = None if self._all is None else set(self._all)
+        Q._log = []
         Q._cofaces = None if self._cofaces is None else tuple(map(dict, self._cofaces))
         return Q
 
@@ -196,7 +202,9 @@ class Complex:
         """Remove the cells `removed` and redirect the face entries
         `redirected`, as :meth:`reduced` says, in place: only for a working
         copy no caller holds. Both arguments are only read. The cost is
-        what the change touches."""
+        what the change touches. Each cell removed is appended to the log,
+        so a view of the cells before a patch is the cells after it plus
+        the log's new entries."""
         if redirected:
             redirected = {key: t for key, t in redirected.items() if key[0] not in removed}
             if any(c.degree != 1 for c, _, _ in redirected):
@@ -217,8 +225,9 @@ class Complex:
                     for e in set(faces[(n, cid)].values()):
                         _move(tables[2], e, cid)
             ids = self._cell_sets.get(n)
-            if ids is not None:
-                ids.discard(cid)
+            if ids is not None and cid in ids:
+                ids.remove(cid)
+                self._log.append(cell)
                 if not ids:
                     del self._cell_sets[n]
             faces.pop((n, cid), None)
@@ -229,8 +238,6 @@ class Complex:
                 _move(tables[k], faces[key][(1, k)], cell.id)
                 _move(tables[k], target.id, cell.id, add=True)
             faces[key] = {**faces.get(key, {}), (i, k): target.id}
-        if self._all is not None:
-            self._all -= removed
         self._cells = None
 
     # -- equality is cell-for-cell on cells and faces, ignoring metadata ---
@@ -463,15 +470,6 @@ def is_regular(P: Complex, x: CellRef) -> bool:
         if len(level) < comb(n, r - 1) << (n - r + 1):
             return False
     return True
-
-
-def _iterated_faces(P: Complex, n: int, cid: str):
-    """Yield the ids of the iterated faces of a cell, one set per degree."""
-    level = {cid}
-    yield level
-    for r in range(n, 0, -1):
-        level = {fid for c in level for fid in P._faces[(r, c)].values()}
-        yield level
 
 
 # -- duality functors ------------------------------------------------------

@@ -19,7 +19,9 @@ deterministic greedy scan.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
+from itertools import starmap
 from typing import Iterator, Optional
 
 from . import core
@@ -46,21 +48,91 @@ class Condition:
     witnesses: tuple[CellRef, ...] = ()
 
 
-@dataclass(frozen=True)
+_FIELDS = ("kind", "cell", "params", "conditions", "removed", "redirected", "y", "r_cells",
+           "fbg_guaranteed")
+
+
 class ReductionCertificate:
+    """What one check of a move found: the move (`kind`, `cell`,
+    `params`), each condition with its witnesses, the cells the step
+    removes, the face entries it redirects, Y, R and `fbg_guaranteed`.
+
+    Certificates come from :func:`run`; the constructor is internal. A
+    certificate is immutable and compares field by field. It keeps what
+    the check found as ids and builds `conditions`, `removed`,
+    `redirected`, `y` and `r_cells` on first read, so a check whose
+    certificate is dropped builds none of them. R is a view: the checked
+    complex, the length of its log of removed cells at check time, and
+    the cells R leaves out. Reading it gives the cells of the complex at
+    check time, less those, at a cost of O(cells). Only a square-two-free
+    certificate, which has an R, holds on to its complex.
+    """
+
     kind: str
     cell: CellRef
     params: dict
-    conditions: tuple[Condition, ...]
-    removed: frozenset[CellRef]
-    redirected: dict  # (CellRef, i, k) -> CellRef, nonempty only for edge-collapse
-    y: Optional[frozenset[CellRef]]  # absent for square-one-free
-    r_cells: Optional[frozenset[CellRef]]  # the subset R, only for square-two-free
     fbg_guaranteed: bool
+    all_conditions_hold: bool
 
-    @property
-    def all_conditions_hold(self) -> bool:
-        return all(c.holds for c in self.conditions)
+    def __init__(self, P, kind, cell, params, reg, found, removed, redirected, y, kept_out):
+        self.__dict__.update(
+            kind=kind,
+            cell=cell,
+            params=params,
+            fbg_guaranteed=kind == SQUARE_ONE_FREE or bool(y),
+            all_conditions_hold=reg and not any(w for _, _, w in found),
+            _reg=reg,
+            _found=found,
+            _removed=removed,
+            _redirected=redirected,
+            _y=y,
+            _r=None if kept_out is None else (P, len(P._log), kept_out),
+        )
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def conditions(self) -> tuple[Condition, ...]:
+        return (_HOLDS["reg"] if self._reg else Condition("reg", False), *(
+            Condition(label, False, _cells(d, sorted(w))) if w else _HOLDS[label]
+            for label, d, w in self._found
+        ))
+
+    @cached_property
+    def removed(self) -> frozenset[CellRef]:
+        return frozenset(starmap(CellRef, self._removed))
+
+    @cached_property
+    def redirected(self) -> dict:
+        """(CellRef, i, k) -> CellRef, nonempty only for edge-collapse."""
+        return {(CellRef(1, e), i, k): CellRef(0, v) for e, i, k, v in self._redirected}
+
+    @cached_property
+    def y(self) -> Optional[frozenset[CellRef]]:
+        """None for square-one-free."""
+        return None if self._y is None else frozenset(_cells(1, self._y))
+
+    @cached_property
+    def r_cells(self) -> Optional[frozenset[CellRef]]:
+        """The subset R, only for square-two-free."""
+        if self._r is None:
+            return None
+        P, logged, kept_out = self._r
+        return P._cells_when(logged) - self.removed.union(starmap(CellRef, kept_out))
+
+    def __eq__(self, other):
+        if not isinstance(other, ReductionCertificate):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in _FIELDS)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"ReductionCertificate({', '.join(f'{f}={getattr(self, f)!r}' for f in _FIELDS)})"
 
     def condition(self, label: str) -> Condition:
         for c in self.conditions:
@@ -98,45 +170,48 @@ def _other_squares(on_edge: dict, x: str, edges) -> set[str]:
     return {s for e in edges for s in on_edge.get(e, ()) if s != x}
 
 
-# Each move's own conditions. Given P, its coface tables, the cell x and
-# the parameters a, b, a move returns its conditions after "reg" as
-# (label, witness degree, witness ids) triples, each holding when it has
-# no witness, then the removed cells, the redirected face entries, Y and R.
+# Each move's own conditions, read on ids. Given P, its coface tables,
+# the id x of the cell and the parameters a, b, a move returns its
+# conditions after "reg" as (label, witness degree, witness ids) triples,
+# each holding when it has no witness, then the removed cells as
+# (degree, id) pairs, the redirected face entries as (edge, i, k, vertex)
+# id quadruples, the edge ids of Y, and the (degree, id) pairs that R
+# leaves out besides the removed cells (None where the move has no Y or R).
 
 
 def _edge_collapse_conditions(P, cofaces, x, a, b):
-    faces = P.faces_of(1, x.id)
+    faces = P.faces_of(1, x)
     v = faces[(1, 1 - b)]  # the vertex that disappears
-    w = CellRef(0, faces[(1, b)])  # the vertex x collapses onto
-    same_endpoint = [yy for yy in cofaces[1 - b].get(v, ()) if yy != x.id]
+    w = faces[(1, b)]  # the vertex x collapses onto
+    same_endpoint = [yy for yy in cofaces[1 - b].get(v, ()) if yy != x]
     blocked = [e for e in _edges_at(cofaces, v) if e in cofaces[2]]
-    y = _cells(1, cofaces[b].get(v, ()))
-    redirected = {(yy, 1, b): w for yy in y}
-    return (("i", 1, same_endpoint), ("ii", 1, blocked)), {x, CellRef(0, v)}, redirected, y, None
+    y = cofaces[b].get(v, ())
+    redirected = [(yy, 1, b, w) for yy in y]
+    return (("i", 1, same_endpoint), ("ii", 1, blocked)), ((1, x), (0, v)), redirected, y, None
 
 
 def _square_one_free_conditions(P, cofaces, x, a, b):
-    faces = P.faces_of(2, x.id)
+    faces = P.faces_of(2, x)
     e1, e2 = faces[(1, 1 - b)], faces[(2, b)]
     corner = P.faces_of(1, e1)[(1, b)]  # equals d_1^{1-b} d_2^b x
-    other = _other_squares(cofaces[2], x.id, (e1, e2))
+    other = _other_squares(cofaces[2], x, (e1, e2))
     extra = _edges_at(cofaces, corner) - {e1, e2}
-    removed = {x, CellRef(1, e1), CellRef(1, e2), CellRef(0, corner)}
-    return (("i", 2, other), ("ii", 1, extra)), removed, {}, None, None
+    removed = ((2, x), (1, e1), (1, e2), (0, corner))
+    return (("i", 2, other), ("ii", 1, extra)), removed, (), None, None
 
 
 def _square_two_free_conditions(P, cofaces, x, a, b):
-    faces = P.faces_of(2, x.id)
+    faces = P.faces_of(2, x)
     e_keep, e_drop = faces[(a, 1 - b)], faces[(3 - a, b)]
-    other = _other_squares(cofaces[2], x.id, (e_keep, e_drop))
+    other = _other_squares(cofaces[2], x, (e_keep, e_drop))
     v_keep = P.faces_of(1, e_keep)[(1, b)]
     parallel = [yy for yy in cofaces[b].get(v_keep, ()) if yy != e_keep]
     v_drop = P.faces_of(1, e_drop)[(1, 1 - b)]
-    y = _cells(1, [yy for yy in cofaces[1 - b].get(v_drop, ()) if yy != e_drop])
-    bad_y = [yy.id for yy in y if yy.id in cofaces[2]]
-    removed = {x, CellRef(1, e_drop)}
-    r_cells = P.cell_set() - {*removed, CellRef(0, v_drop), CellRef(1, e_keep), *y}
-    return (("i", 2, other), ("ii", 1, parallel), ("iii", 1, bad_y)), removed, {}, y, r_cells
+    y = [yy for yy in cofaces[1 - b].get(v_drop, ()) if yy != e_drop]
+    bad_y = [yy for yy in y if yy in cofaces[2]]
+    kept_out = ((0, v_drop), (1, e_keep), *((1, yy) for yy in y))
+    conditions = (("i", 2, other), ("ii", 1, parallel), ("iii", 1, bad_y))
+    return conditions, ((2, x), (1, e_drop)), (), y, kept_out
 
 
 # kind -> (degree of the reduced cell, the move's conditions)
@@ -188,7 +263,10 @@ def square_two_free(
 
 
 def check(P: Complex, kind: str, cell_id: str, a: Optional[int], b: int) -> ReductionCertificate:
-    """Run one reduction in check mode and return its certificate."""
+    """Run one reduction in check mode and return its certificate. The
+    check costs the star of the cell: the certificate's fields are built
+    on first read, and its R is a view of P's cells at the check, whose
+    read costs O(cells)."""
     _, cert = run(P, kind, cell_id, a, b, mode="check")
     return cert
 
@@ -207,7 +285,14 @@ def run(
     on the cell. In check mode return (None, certificate); in apply mode
     raise ConditionsFailed or GuaranteeLost (unless allow_empty_y) or
     return the reduced complex with the certificate. `a` is 1 or 2 for
-    square-two-free and None for the other moves."""
+    square-two-free and None for the other moves.
+
+    The certificate keeps the facts the check found as ids and builds its
+    `CellRef` fields (the condition witnesses, `removed`, `redirected`,
+    `y` and `r_cells`) on first read. R is a view of the cells P has at
+    check time: it stays exact while a working copy is patched after the
+    check, and reading it costs O(cells). The `ReductionCertificate`
+    constructor is internal: certificates come from here."""
     _check_params(kind, a, b)
     if mode not in ("apply", "check"):
         raise OutOfRange(f"mode must be 'apply' or 'check', not {mode!r}")
@@ -220,21 +305,8 @@ def run(
     degree, conditions_of = _MOVES[kind]
     x = _require(P, cell_id, degree)
     reg = core.is_regular(P, x)
-    found, removed, redirected, y, r_cells = conditions_of(P, cofaces, x, a, b)
-    cert = ReductionCertificate(
-        kind=kind,
-        cell=x,
-        params={"a": a, "b": b} if kind == SQUARE_TWO_FREE else {"b": b},
-        conditions=(_HOLDS["reg"] if reg else Condition("reg", False), *(
-            Condition(label, False, _cells(d, sorted(w))) if w else _HOLDS[label]
-            for label, d, w in found
-        )),
-        removed=frozenset(removed),
-        redirected=redirected,
-        y=None if y is None else frozenset(y),
-        r_cells=r_cells,
-        fbg_guaranteed=kind == SQUARE_ONE_FREE or bool(y),
-    )
+    params = {"a": a, "b": b} if kind == SQUARE_TWO_FREE else {"b": b}
+    cert = ReductionCertificate(P, kind, x, params, reg, *conditions_of(P, cofaces, x.id, a, b))
     if mode == "check":
         return None, cert
     _require_applicable(cert, allow_empty_y)

@@ -65,6 +65,13 @@ def random_grid_complex(rng: random.Random, max_side: int = 4) -> Complex:
     return P
 
 
+def many_holes(n: int, seed: int = 3, p: float = 0.15) -> set[tuple[int, int]]:
+    """The holes of an n x n grid, each square one with probability p,
+    drawn by a fresh `random.Random(seed)`."""
+    rng = random.Random(seed)
+    return {(i, j) for i in range(n) for j in range(n) if rng.random() < p}
+
+
 PERTURBATIONS = ("rewire", "unknown", "delete", "repeat")
 
 

@@ -1,9 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from precubical import modelio, recipes
+from precubical import cli, modelio, recipes
 from precubical.cli import main
 
 from conftest import relabelled
@@ -244,3 +247,33 @@ def test_fbg_json(tmp_path, capsys):
     [pair] = payload["classes"]
     assert (pair["from"], pair["to"], pair["count"]) == ("(0,0)", "(3,3)", 2)
     assert len(pair["representatives"]) == 2
+
+
+def test_main_builds_its_parser_once(monkeypatch, tmp_path, capsys):
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+    cli._parser.cache_clear()
+    try:
+        sq = write_fixture(tmp_path, "square")
+        assert main(["info", sq]) == 0
+        assert main(["validate", sq]) == 0
+        capsys.readouterr()
+        helps = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["reduce", "--help"])
+            assert excinfo.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+        assert helps[0].startswith("usage: precubical reduce")
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_import_builds_no_parser():
+    code = "import precubical.cli as cli; print(cli._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout == "0\n", out.stderr

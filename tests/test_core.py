@@ -132,6 +132,15 @@ class TestCubeMorphism:
             core.cube_morphism(interval, CellRef(1, "nope"))
 
 
+def iterated_faces(P: Complex, n: int, cid: str):
+    """Yield the ids of the iterated faces of a cell, one set per degree."""
+    level = {cid}
+    yield level
+    for r in range(n, 0, -1):
+        level = {fid for c in level for fid in P.faces_of(r, c).values()}
+        yield level
+
+
 class TestRegularity:
     def test_circle_edge_not_regular(self, circle):
         assert not core.is_regular(circle, CellRef(1, "e"))
@@ -169,7 +178,7 @@ class TestRegularity:
         P = Complex(cells, faces)
         assert core.validate(P) == []
         x = P.cells(P.dimension)[0]
-        assert [len(level) for level in core._iterated_faces(P, x.degree, x.id)] == levels
+        assert [len(level) for level in iterated_faces(P, x.degree, x.id)] == levels
         assignment = core.cube_morphism(P, x).assignment
         assert len(set(assignment.values())) < len(assignment)
         assert not core.is_regular(P, x)

@@ -21,7 +21,7 @@ from precubical.reductions import (
     run,
 )
 
-from conftest import glued_complexes, random_grid_complex
+from conftest import glued_complexes, many_holes, random_grid_complex
 
 
 def rescan_reduce(P, attempts=GREEDY_ATTEMPTS):
@@ -217,3 +217,25 @@ def test_checks_per_step_stay_bounded(monkeypatch, n):
     calls[0] = 0
     _, trail = greedy_reduce(modelio.grid_with_holes(n, n, holes))
     assert 0 < calls[0] <= 5 * len(trail)
+
+
+# Checks of greedy on n x n grids with many holes (each square one with
+# probability 0.15, random.Random(3)): 2862, 11569 and 25073 checks on
+# 1055, 4073 and 9077 cells for n = 16, 32, 48, about 2.8 per cell. With
+# checks that touch only the star of their cell and a cell set built for
+# none of them, this keeps greedy linear on the one input family that was
+# quadratic.
+@pytest.mark.parametrize("n", [16, 32])
+def test_greedy_checks_grow_linearly_on_many_hole_grids(monkeypatch, n):
+    calls = [0]
+    original = reductions.check
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reductions, "check", counted)
+    P = modelio.grid_with_holes(n, n, many_holes(n))
+    cells = sum(P.size(d) for d in P.degrees())
+    _, trail = greedy_reduce(P)
+    assert trail and 0 < calls[0] <= 3 * cells

@@ -32,10 +32,9 @@ def path_complex(length):
 
 
 def built(P):
-    """P with its coface tables and cell set built, so that a reduction
-    chain starting from it shares its face tables and coface lists."""
+    """P with its coface tables built, so that a reduction chain starting
+    from it shares its face tables and coface lists."""
     P.build_cofaces()
-    P.cell_set()
     return P
 
 
