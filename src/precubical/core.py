@@ -8,10 +8,11 @@ d_i^k d_j^l = d_{j-1}^l d_i^k for i < j.
 Complexes are immutable after construction, as any caller sees them, and
 all public operations here are pure. The library's reduction chains
 (greedy, recipe generation and replay) copy their input once and then
-patch that private working copy in place, step by step; no caller ever
-holds a complex that is patched. Cell identity is the pair (degree, id
-string); coordinates attached by generators are layout metadata only and
-are never consulted by any algorithm.
+patch that private working copy in place, step by step, from the ids
+their certificates keep; no caller ever holds a complex that is patched,
+and the copy owns the coface lists it edits. Cell identity is the pair
+(degree, id string); coordinates attached by generators are layout
+metadata only and are never consulted by any algorithm.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import AbstractSet, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
-from .errors import OutOfRange, UnknownCell, ValidationFailed
+from .errors import DimensionUnsupported, OutOfRange, UnknownCell, ValidationFailed
 
 
 @dataclass(frozen=True, order=True)
@@ -52,9 +53,10 @@ class Complex:
 
     A complex never changes once a caller holds it. Only the library's
     private working copies, made by :meth:`_copy`, are changed, by
-    :meth:`_patch`; face-table dicts and coface lists may be shared
-    between complexes, so a patch replaces them and never mutates one.
-    A patch only removes cells, never adds one, and logs each cell it
+    :meth:`_patch`. A copy owns its cell sets and coface lists, and a
+    patch edits them in place; it shares its face-table dicts with its
+    source, so a patch replaces one to redirect it. A patch only removes
+    cells, never adds one, and logs the (degree, id) of each cell it
     removes; a copy starts with an empty log.
     """
 
@@ -74,7 +76,7 @@ class Complex:
         self._coords: dict[tuple[int, str], tuple[int, ...]] = {
             key: tuple(pos) for key, pos in dict(coords).items()
         }
-        self._log: list[CellRef] = []  # the cells _patch removed, in order
+        self._log: list[tuple[int, str]] = []  # the (degree, id) of each cell _patch removed
         # (edges by d_1^0, edges by d_1^1, squares by face): id -> sorted ids
         self._cofaces: Optional[tuple[dict, dict, dict]] = None
 
@@ -108,7 +110,7 @@ class Complex:
         """The cells this complex had when its log held `logged` entries: a
         patch only removes cells, so these are the cells now plus those
         logged since. O(cells)."""
-        return self.cell_set().union(self._log[logged:])
+        return self.cell_set().union(itertools.starmap(CellRef, self._log[logged:]))
 
     def has(self, cell: CellRef) -> bool:
         return cell.id in self._cell_sets.get(cell.degree, ())
@@ -152,10 +154,6 @@ class Complex:
                 raise ValidationFailed(report)
         return self._cofaces
 
-    def build_cofaces(self):
-        """Build the coface tables unless they exist (see :meth:`coface_tables`)."""
-        self.coface_tables()
-
     def edges_at(self, v: CellRef, k: Optional[int] = None) -> list[CellRef]:
         """The edges e with d_1^k e = v, or with v at either end if k is
         None, sorted by id."""
@@ -176,68 +174,83 @@ class Complex:
         redirected: Mapping[tuple[CellRef, int, int], CellRef] = (),
     ) -> Complex:
         """This complex without the cells `removed`, with each face entry
-        (cell, i, k) of `redirected` pointing at its target instead.
-
-        This complex is left as it is: the successor is a copy of its
-        outer tables, patched where the step changes them (coface tables
-        included, unless they were not built yet).
+        (edge, 1, k) of `redirected` pointing at its target vertex instead.
+        This complex is left as it is; the successor is a patched working
+        copy. Checking that the step keeps the complex valid costs its star:
+        UnknownCell for a removed cell, redirected edge or target this
+        complex lacks; OutOfRange for a redirect that is not of an edge end
+        to a vertex, or a step leaving a surviving cell a removed face or
+        moving an edge of a surviving square; DimensionUnsupported above
+        dimension 2; and ValidationFailed if this complex is invalid.
         """
+        removed, redirected = frozenset(removed), dict(redirected)
+        if (self.dimension or 0) > 2:
+            raise DimensionUnsupported(f"reduced works in dimension <= 2, not {self.dimension}")
+        starts, ends, on_edge = self.coface_tables()
+        for cell in (*removed, *(e for e, _, _ in redirected), *redirected.values()):
+            if not self.has(cell):
+                raise UnknownCell(f"no cell {cell.id!r} of degree {cell.degree}")
+        for (e, i, k), v in redirected.items():
+            if (e.degree, i, v.degree) != (1, 1, 0) or k not in (0, 1):
+                raise OutOfRange(f"{(e, i, k)!r} -> {v!r} does not move an edge end to a vertex")
+        gone = {(c.degree, c.id) for c in removed}
+        moves = [(e.id, 1, k, v.id) for (e, _, k), v in redirected.items() if (1, e.id) not in gone]
+        moved = {(1, e, k) for e, _, k, _ in moves}
+        for n, cid in gone | {(1, e) for e, *_ in moves}:  # every coface goes, or moves off
+            for k, table in enumerate(((starts, ends), (on_edge,), ())[n]):
+                for up in table.get(cid, ()):
+                    if (n + 1, up) not in gone and (n + 1, up, k) not in moved:
+                        raise OutOfRange(f"{CellRef(n + 1, up)!r} would lose its face {cid!r}")
+        if any((0, v) in gone for *_, v in moves):
+            raise OutOfRange("an edge end moves to a removed vertex")
         Q = self._copy()
-        Q._patch(frozenset(removed), dict(redirected))
+        Q._patch(gone, moves)
         return Q
 
     def _copy(self) -> Complex:
-        """A working copy: the outer tables are copied, the face-table
-        dicts and coface lists inside them are shared."""
+        """A working copy. The coface tables are built on this complex
+        first, so an invalid one raises ValidationFailed. The copy owns its
+        cell sets and coface lists, which :meth:`_patch` edits; the
+        face-table dicts inside its outer tables are shared."""
+        tables = self.coface_tables()
         Q = Complex.__new__(Complex)
         Q._cells = self._cells
         Q._cell_sets = {n: set(ids) for n, ids in self._cell_sets.items()}
         Q._faces = dict(self._faces)
         Q._coords = dict(self._coords)
         Q._log = []
-        Q._cofaces = None if self._cofaces is None else tuple(map(dict, self._cofaces))
+        Q._cofaces = tuple({key: ids.copy() for key, ids in table.items()} for table in tables)
         return Q
 
-    def _patch(self, removed: AbstractSet[CellRef], redirected: Mapping):
-        """Remove the cells `removed` and redirect the face entries
-        `redirected`, as :meth:`reduced` says, in place: only for a working
-        copy no caller holds. Both arguments are only read. The cost is
-        what the change touches. Each cell removed is appended to the log,
-        so a view of the cells before a patch is the cells after it plus
-        the log's new entries."""
-        if redirected:
-            redirected = {key: t for key, t in redirected.items() if key[0] not in removed}
-            if any(c.degree != 1 for c, _, _ in redirected):
-                self._cofaces = None
+    def _patch(self, removed, redirected):
+        """Remove the cells `removed`, (degree, id) pairs, and move the edge
+        ends `redirected`, (edge, 1, k, vertex) ids, in place, by a step that
+        keeps this working copy valid: a holding certificate's, or one that
+        :meth:`reduced` checked. The cost is what the step touches; the
+        coface lists of a removed cell empty as its cofaces go or move. A
+        redirect replaces the face-table dict, which may be shared. Each cell
+        removed is logged: the cells before are those after plus the new log."""
         faces, tables = self._faces, self._cofaces
-        for cell in removed:
-            n, cid = cell.degree, cell.id
-            if tables is not None:  # patched before the face tables they read
-                if n == 0:
-                    tables[0].pop(cid, None)
-                    tables[1].pop(cid, None)
-                elif n == 1:
-                    tables[2].pop(cid, None)
-                    table = faces[(1, cid)]
-                    _move(tables[0], table[(1, 0)], cid)
-                    _move(tables[1], table[(1, 1)], cid)
-                else:
-                    for e in set(faces[(n, cid)].values()):
-                        _move(tables[2], e, cid)
-            ids = self._cell_sets.get(n)
-            if ids is not None and cid in ids:
-                ids.remove(cid)
-                self._log.append(cell)
-                if not ids:
-                    del self._cell_sets[n]
-            faces.pop((n, cid), None)
+        unlinked = []  # (table index, face id, cell id): coface entries to take out
+        for n, cid in removed:
+            ids = self._cell_sets[n]
+            ids.remove(cid)
+            if not ids:
+                del self._cell_sets[n]
+            self._log.append((n, cid))
             self._coords.pop((n, cid), None)
-        for (cell, i, k), target in redirected.items():
-            key = (cell.degree, cell.id)
-            if tables is not None:
-                _move(tables[k], faces[key][(1, k)], cell.id)
-                _move(tables[k], target.id, cell.id, add=True)
-            faces[key] = {**faces.get(key, {}), (i, k): target.id}
+            table = faces.pop((n, cid), {})
+            unlinked += {(k if n == 1 else 2, f, cid) for (_, k), f in table.items()}
+        for e, _, k, v in redirected:
+            table = faces[(1, e)]
+            unlinked.append((k, table[(1, k)], e))
+            bisect.insort(tables[k].setdefault(v, []), e)
+            faces[(1, e)] = {**table, (1, k): v}
+        for t, f, cid in unlinked:
+            ids = tables[t][f]
+            ids.remove(cid)
+            if not ids:
+                del tables[t][f]
         self._cells = None
 
     # -- equality is cell-for-cell on cells and faces, ignoring metadata ---
@@ -255,20 +268,6 @@ class Complex:
     def __repr__(self):
         counts = ", ".join(f"{n}: {len(self.cell_ids(n))}" for n in self.degrees())
         return f"Complex({{{counts}}})"
-
-
-def _move(table: dict, key: str, cid: str, add: bool = False):
-    """Take cid out of the coface list table[key], or put it in if `add`,
-    in a new list: the old one may be shared with another complex."""
-    ids = [*table.get(key, ())]
-    if add:
-        bisect.insort(ids, cid)
-    elif cid in ids:
-        ids.remove(cid)
-    if ids:
-        table[key] = ids
-    else:
-        table.pop(key, None)
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,8 @@ def _other_squares(on_edge: dict, x: str, edges) -> set[str]:
 # (degree, id) pairs, the redirected face entries as (edge, i, k, vertex)
 # id quadruples, the edge ids of Y, and the (degree, id) pairs that R
 # leaves out besides the removed cells (None where the move has no Y or R).
+# A move returns only values it owns, never a coface list: the chain's
+# working copy edits those lists in place after the check.
 
 
 def _edge_collapse_conditions(P, cofaces, x, a, b):
@@ -185,7 +187,7 @@ def _edge_collapse_conditions(P, cofaces, x, a, b):
     w = faces[(1, b)]  # the vertex x collapses onto
     same_endpoint = [yy for yy in cofaces[1 - b].get(v, ()) if yy != x]
     blocked = [e for e in _edges_at(cofaces, v) if e in cofaces[2]]
-    y = cofaces[b].get(v, ())
+    y = tuple(cofaces[b].get(v, ()))
     redirected = [(yy, 1, b, w) for yy in y]
     return (("i", 1, same_endpoint), ("ii", 1, blocked)), ((1, x), (0, v)), redirected, y, None
 
@@ -377,7 +379,6 @@ def greedy_reduce(
     such cell id; the trail lists the applied certificates. The coface
     tables are built on P before it is copied, so an invalid P raises
     ValidationFailed even when it has no cell to check."""
-    P.coface_tables()
     P = P._copy()
     return P, list(_schedule(P, [(entry,) for entry in attempts]))
 
@@ -437,7 +438,7 @@ def _schedule(P: Complex, rows, rank=None) -> Iterator[ReductionCertificate]:
             for v in vertices:
                 waiting.setdefault(v, []).append(item)
             continue
-        P._patch(cert.removed, cert.redirected)
+        P._patch(cert._removed, cert._redirected)
         yield cert
         for v in vertices:
             for item in waiting.pop(v, ()):
@@ -463,7 +464,6 @@ def auto_reduce(
     if policy == "recipe":
         if recipe is None:
             raise OutOfRange("recipe policy needs a step list")
-        P.coface_tables()
         P = P._copy()
         for index, step in enumerate(recipe):
             try:
@@ -473,7 +473,7 @@ def auto_reduce(
                 raise RecipeStepFailed(index, step, exc.certificate) from exc
             except (UnknownCell, WrongDegree, OutOfRange) as exc:
                 raise RecipeStepFailed(index, step, None) from exc
-            P._patch(cert.removed, cert.redirected)
+            P._patch(cert._removed, cert._redirected)
             trail.append(cert)
         return P, trail
     if policy != "greedy":

@@ -38,8 +38,9 @@ def expected_r(Q: Complex, cert):
 def assert_r_is_a_snapshot(P: Complex):
     """Run greedy on P, keeping every certificate its checks return,
     refused or applied. Once the chain has ended, replay the trail with
-    `Complex.reduced` and compare the R of each square-two-free
-    certificate with R computed on the complex its check read."""
+    `Complex.reduced`, compare each certificate field by field with a
+    check run again on the complex its check read, and compare the R of
+    each square-two-free certificate with R computed on that complex."""
     seen = []
     original = reductions.check
 
@@ -52,6 +53,9 @@ def assert_r_is_a_snapshot(P: Complex):
         result, trail = greedy_reduce(P)
     Q, step, compared = P, 0, 0
     for cert in seen:
+        again = check(Q, cert.kind, cert.cell.id, cert.params.get("a"), cert.params["b"])
+        for field in FIELDS:
+            assert getattr(cert, field) == getattr(again, field), field
         if cert.kind == SQUARE_TWO_FREE:
             assert cert.r_cells == expected_r(Q, cert)
             compared += 1

@@ -1,4 +1,5 @@
-"""The attributes perfbench's tracer swaps for timing wrappers still exist.
+"""The attributes perfbench's tracer swaps for timing wrappers, and the
+entry points its workloads call, still exist.
 
 The tracer is read as text and executed into a namespace, so this test
 imports nothing from the benchmark package and writes nothing there.
@@ -8,7 +9,7 @@ import importlib
 import inspect
 from pathlib import Path
 
-from precubical import reductions
+from precubical import cli, core, recipes, reductions
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -30,3 +31,16 @@ def test_run_span_reads_mode_as_the_sixth_parameter():
     run_span = _tracing_namespace()["_run_span"]
     assert run_span((None,) * 5 + ("check",), {}) == "reductions.check"
     assert run_span((None,) * 5, {}) == "reductions.apply"
+
+
+def test_workload_entry_points_keep_their_names():
+    """perfbench's workloads call these by name and these parameters."""
+
+    def parameters(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert {"policy", "recipe"} <= set(parameters(reductions.auto_reduce))
+    assert parameters(recipes.grid_reduction_recipe) == ["m", "n", "holes"]
+    assert parameters(core.Complex)[:2] == ["cells", "faces"]
+    assert len(parameters(recipes.parse_recipe)) == len(parameters(recipes.format_recipe)) == 1
+    assert parameters(cli.main) == ["argv"]

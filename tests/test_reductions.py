@@ -216,10 +216,10 @@ class TestBrokenFaceTables:
         expected = [v for v in core.validate(Q) if v.kind != "duplicate-id"]
         if expected:
             with pytest.raises(ValidationFailed) as excinfo:
-                Q.build_cofaces()
+                Q.coface_tables()
             assert excinfo.value.report == expected
         else:
-            Q.build_cofaces()
+            Q.coface_tables()
 
 
 class TestBrokenFaceTablesInFbg:

@@ -59,7 +59,7 @@ def sweep_recipe(m, n, holes=()):
             for kind, a, b in attempts:
                 cert = check(P, kind, sid, a, b)
                 if cert.all_conditions_hold and cert.fbg_guaranteed:
-                    P._patch(cert.removed, cert.redirected)
+                    P._patch(cert._removed, cert._redirected)
                     steps.append(Step(kind, sid, b, a))
                     done.add((i, j))
                     break
@@ -89,7 +89,7 @@ def fresh_tables(P):
         {n: P.cell_ids(n) for n in P.degrees()},
         {(n, c.id): P.face_table(c) for n in P.degrees() if n > 0 for c in P.cells(n)},
     )
-    copy.build_cofaces()
+    copy.coface_tables()
     return copy._cofaces
 
 
@@ -157,7 +157,7 @@ def test_bad_attempt_entries_raise_out_of_range(P, entry):
 def test_patched_tables_equal_fresh_build(P):
     _, trail = greedy_reduce(P)
     for cert in trail:
-        P.build_cofaces()
+        P.coface_tables()
         before = fresh_tables(P)
         Q, _ = run(P, cert.kind, cert.cell.id, cert.params.get("a"), cert.params["b"])
         assert Q._cofaces is not None  # patched from P, not left to rebuild

@@ -5,8 +5,9 @@ once per step."""
 import pytest
 from hypothesis import given, settings
 
-from precubical import modelio, recipes
-from precubical.core import Complex
+from precubical import core, modelio, recipes
+from precubical.core import CellRef, Complex, standard_cube
+from precubical.errors import DimensionUnsupported, OutOfRange, UnknownCell
 from precubical.reductions import Step, auto_reduce, greedy_reduce
 
 from conftest import glued_complexes
@@ -33,8 +34,9 @@ def path_complex(length):
 
 def built(P):
     """P with its coface tables built, so that a reduction chain starting
-    from it shares its face tables and coface lists."""
-    P.build_cofaces()
+    from it shares its face-table dicts; the chain's working copy gets its
+    own coface lists."""
+    P.coface_tables()
     return P
 
 
@@ -97,6 +99,45 @@ def test_public_reduced_chain_leaves_every_complex_unchanged(P):
         greedy_reduce(Q)
     for Q, before in zip(chain, befores):
         assert_unchanged(Q, before)
+
+
+# Steps no reduction makes, on square_plus_tail: a square s on edges eB,
+# eL, eR, eT and a tail edge g from t to w10.
+REFUSED_STEPS = {
+    "vertex-of-a-kept-edge": ({CellRef(0, "t")}, {}, OutOfRange),
+    "edge-of-a-kept-square": ({CellRef(1, "eB")}, {}, OutOfRange),
+    "move-to-a-ghost": ((), {(CellRef(1, "g"), 1, 0): CellRef(0, "ghost")}, UnknownCell),
+    "unknown-edge": ({CellRef(1, "nope")}, {}, UnknownCell),
+    "not-an-edge-end": ((), {(CellRef(1, "g"), 2, 0): CellRef(0, "w00")}, OutOfRange),
+    "move-a-square-edge": ((), {(CellRef(1, "eB"), 1, 0): CellRef(0, "t")}, OutOfRange),
+    "move-to-a-removed-vertex": (
+        {CellRef(0, "t")}, {(CellRef(1, "g"), 1, 0): CellRef(0, "t")}, OutOfRange),
+}
+
+
+@pytest.mark.parametrize("tables", [True, False], ids=["built", "unbuilt"])
+@pytest.mark.parametrize("name", REFUSED_STEPS)
+def test_reduced_refuses_a_step_no_reduction_makes(name, tables):
+    P = modelio.named_fixture("square_plus_tail")
+    if tables:
+        built(P)
+    before = twin(P)
+    removed, redirected, error = REFUSED_STEPS[name]
+    with pytest.raises(error):
+        P.reduced(removed, redirected)
+    assert_unchanged(P, before)
+
+
+def test_reduced_refuses_dimension_three():
+    with pytest.raises(DimensionUnsupported):
+        standard_cube(3).reduced({CellRef(3, "***")})
+
+
+def test_reduced_takes_a_step_that_keeps_the_complex_valid():
+    P = modelio.named_fixture("square_plus_tail")
+    Q = P.reduced({CellRef(0, "t")}, {(CellRef(1, "g"), 1, 0): CellRef(0, "w00")})
+    assert Q.face(CellRef(1, "g"), 1, 0) == CellRef(0, "w00") and not core.validate(Q)
+    assert Q._cofaces == fresh_tables(Q)
 
 
 @pytest.fixture
