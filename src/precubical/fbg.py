@@ -192,9 +192,9 @@ def fundamental_bipartite_graph(
     minimal and one maximal vertex, with the lexicographically least
     path of each class as representative. Raises PathExplosion when more
     than max_paths classes of paths from one minimal vertex reach one
-    vertex, and OutOfRange when max_paths < 1."""
-    if max_paths < 1:
-        raise OutOfRange(f"max_paths must be at least 1, not {max_paths!r}")
+    vertex, and OutOfRange when max_paths is not an int of at least 1."""
+    if not isinstance(max_paths, int) or max_paths < 1:
+        raise OutOfRange(f"max_paths must be an int of at least 1, not {max_paths!r}")
     order = _topological_order(P)
     _, ends, on_edge = P.coface_tables()
     # Per vertex id: its in-edges as (edge id, source id), and as

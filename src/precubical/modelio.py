@@ -162,12 +162,16 @@ def grid_with_holes(m: int, n: int, holes=()) -> Complex:
     the squares at the given (i, j) positions removed. Holes remove only
     squares: both interleavings around a hole stay executable, only their
     independence square is absent."""
-    if m < 1 or n < 1:
-        raise OutOfRange("grid needs m >= 1 and n >= 1")
-    holes = set(holes)
-    for (i, j) in holes:
-        if not (0 <= i < m and 0 <= j < n):
-            raise OutOfRange(f"hole ({i},{j}) outside the {m}x{n} grid")
+    if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
+        raise OutOfRange(f"grid needs ints m >= 1 and n >= 1, not {m!r} and {n!r}")
+    try:
+        holes = set(holes)
+    except TypeError:
+        raise OutOfRange(f"holes must be a collection of (i, j) pairs, not {holes!r}") from None
+    for hole in holes:
+        if not (isinstance(hole, tuple) and len(hole) == 2
+                and all(isinstance(c, int) for c in hole) and 0 <= hole[0] < m and 0 <= hole[1] < n):
+            raise OutOfRange(f"hole {hole!r} is not a square (i, j) of the {m}x{n} grid")
     cells: dict[int, list[str]] = {0: [], 1: [], 2: []}
     faces = {}
     coords = {}
@@ -220,20 +224,6 @@ GRID_FIXTURES = {
     "swiss_flag": SWISS_FLAG_GRID,
 }
 
-FIXTURE_NAMES = (
-    "interval",
-    "circle",
-    "double_edge",
-    "path2",
-    "square",
-    "square_plus_tail",
-    "shared_memory",
-    "holes_example",
-    "ordered_holes_example",
-    "swiss_flag",
-)
-
-
 def _square_complex(extra_cells=None, extra_faces=None) -> Complex:
     cells = {
         0: ["w00", "w01", "w10", "w11"],
@@ -255,84 +245,89 @@ def _square_complex(extra_cells=None, extra_faces=None) -> Complex:
     return Complex(cells, faces)
 
 
+_FIXTURES = {  # name -> builder; FIXTURE_NAMES keeps this order
+    "interval": lambda: Complex(
+        {0: ["a0", "a1"], 1: ["e"]},
+        {(1, "e"): {(1, 0): "a0", (1, 1): "a1"}},
+    ),
+    "circle": lambda: Complex(
+        {0: ["v"], 1: ["e"]},
+        {(1, "e"): {(1, 0): "v", (1, 1): "v"}},
+    ),
+    "double_edge": lambda: Complex(
+        {0: ["u", "w"], 1: ["p", "q"]},
+        {
+            (1, "p"): {(1, 0): "u", (1, 1): "w"},
+            (1, "q"): {(1, 0): "u", (1, 1): "w"},
+        },
+    ),
+    "path2": lambda: Complex(
+        {0: ["v0", "v1", "v2"], 1: ["e1", "e2"]},
+        {
+            (1, "e1"): {(1, 0): "v0", (1, 1): "v1"},
+            (1, "e2"): {(1, 0): "v1", (1, 1): "v2"},
+        },
+    ),
+    "square": _square_complex,
+    "square_plus_tail": lambda: _square_complex(
+        extra_cells={0: ["t"], 1: ["g"]},
+        extra_faces={(1, "g"): {(1, 0): "t", (1, 1): "w10"}},
+    ),
+    **{name: (lambda grid=grid: grid_with_holes(*grid)) for name, grid in GRID_FIXTURES.items()},
+}
+
+FIXTURE_NAMES = tuple(_FIXTURES)
+
+
 def named_fixture(name: str) -> Complex:
-    if name == "interval":
-        return Complex(
-            {0: ["a0", "a1"], 1: ["e"]},
-            {(1, "e"): {(1, 0): "a0", (1, 1): "a1"}},
-        )
-    if name == "circle":
-        return Complex(
-            {0: ["v"], 1: ["e"]},
-            {(1, "e"): {(1, 0): "v", (1, 1): "v"}},
-        )
-    if name == "double_edge":
-        return Complex(
-            {0: ["u", "w"], 1: ["p", "q"]},
-            {
-                (1, "p"): {(1, 0): "u", (1, 1): "w"},
-                (1, "q"): {(1, 0): "u", (1, 1): "w"},
-            },
-        )
-    if name == "path2":
-        return Complex(
-            {0: ["v0", "v1", "v2"], 1: ["e1", "e2"]},
-            {
-                (1, "e1"): {(1, 0): "v0", (1, 1): "v1"},
-                (1, "e2"): {(1, 0): "v1", (1, 1): "v2"},
-            },
-        )
-    if name == "square":
-        return _square_complex()
-    if name == "square_plus_tail":
-        return _square_complex(
-            extra_cells={0: ["t"], 1: ["g"]},
-            extra_faces={(1, "g"): {(1, 0): "t", (1, 1): "w10"}},
-        )
-    if name in GRID_FIXTURES:
-        m, n, holes = GRID_FIXTURES[name]
-        return grid_with_holes(m, n, holes)
-    raise UnknownFixture(f"unknown fixture {name!r}")
+    if name not in _FIXTURES:
+        raise UnknownFixture(f"unknown fixture {name!r}")
+    return _FIXTURES[name]()
 
 
 # -- DOT export ------------------------------------------------------------
+
+
+def _quoted(text: str) -> str:
+    """A DOT quoted string of text, with its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def export_dot(P: Complex, name: str = "complex") -> str:
     """Directed-graph text for graphviz. Vertices become nodes, edges
     become labeled arcs, and each square is emitted as a comment plus a
     plaintext node dashed-linked to the label nodes of its four boundary
-    edges."""
+    edges. Every id and the graph name are written as quoted strings."""
     dim = P.dimension
     if dim is not None and dim > 2:
         raise DimensionUnsupported(f"cannot draw dimension {dim}")
     on_edge = P.coface_tables()[2]
     coords = P.coords_table()
-    out = [f'digraph "{name}" {{']
+    out = [f"digraph {_quoted(name)} {{"]
     for v in sorted(set(P.cell_ids(0))):
-        attrs = [f'label="{v}"']
+        attrs = [f"label={_quoted(v)}"]
         pos = coords.get((0, v))
         if pos is not None and len(pos) >= 2:
             attrs.append(f'pos="{pos[0]},{pos[1]}!"')
-        out.append(f'  "{v}" [{" ".join(attrs)}];')
+        out.append(f'  {_quoted(v)} [{" ".join(attrs)}];')
     for e in sorted(set(P.cell_ids(1))):
         faces = P.faces_of(1, e)
-        src, tgt = faces[(1, 0)], faces[(1, 1)]
+        src, tgt = _quoted(faces[(1, 0)]), _quoted(faces[(1, 1)])
         if e in on_edge:
             # route through a label node so squares have an anchor
-            mid = f"mid:{e}"
-            out.append(f'  "{mid}" [shape=plaintext label="{e}"];')
-            out.append(f'  "{src}" -> "{mid}" [arrowhead=none];')
-            out.append(f'  "{mid}" -> "{tgt}";')
+            mid = _quoted(f"mid:{e}")
+            out.append(f"  {mid} [shape=plaintext label={_quoted(e)}];")
+            out.append(f"  {src} -> {mid} [arrowhead=none];")
+            out.append(f"  {mid} -> {tgt};")
         else:
-            out.append(f'  "{src}" -> "{tgt}" [label="{e}"];')
+            out.append(f"  {src} -> {tgt} [label={_quoted(e)}];")
     for s in sorted(set(P.cell_ids(2))):
         faces = P.faces_of(2, s)
         boundary = [faces[(1, 0)], faces[(1, 1)], faces[(2, 0)], faces[(2, 1)]]
         out.append(f"  // square {s}: [{' '.join(boundary)}]")
-        sq = f"sq:{s}"
-        out.append(f'  "{sq}" [shape=plaintext label="{s}"];')
+        sq = _quoted(f"sq:{s}")
+        out.append(f"  {sq} [shape=plaintext label={_quoted(s)}];")
         for e in boundary:
-            out.append(f'  "{sq}" -> "mid:{e}" [style=dashed dir=none];')
+            out.append(f"  {sq} -> {_quoted(f'mid:{e}')} [style=dashed dir=none];")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -370,19 +370,6 @@ GREEDY_ATTEMPTS: tuple[tuple[str, Optional[int], int], ...] = (
 )
 
 
-def greedy_reduce(
-    P: Complex,
-    attempts: tuple[tuple[str, Optional[int], int], ...] = GREEDY_ATTEMPTS,
-) -> tuple[Complex, list[ReductionCertificate]]:
-    """Apply guaranteed reductions until none applies. Each step takes the
-    first entry of `attempts` that applies to some cell, on the smallest
-    such cell id; the trail lists the applied certificates. The coface
-    tables are built on P before it is copied, so an invalid P raises
-    ValidationFailed even when it has no cell to check."""
-    P = P._copy()
-    return P, list(_schedule(P, [(entry,) for entry in attempts]))
-
-
 def _schedule(P: Complex, rows, rank=None) -> Iterator[ReductionCertificate]:
     """Reduce the working copy P in place, yielding each certificate as it
     is applied: run it to the end. A caller that keeps only steps drops
@@ -452,30 +439,37 @@ def auto_reduce(
     policy: str = "greedy",
     recipe: Optional[list[Step]] = None,
 ) -> tuple[Complex, list[ReductionCertificate]]:
-    """Chain reductions: either replay an explicit recipe (failing on the
-    first inapplicable step) or greedily apply guaranteed reductions in a
-    fixed deterministic order until no further one applies.
+    """Chain reductions on a working copy of P, made once: either replay
+    an explicit recipe (failing on the first inapplicable step) or
+    greedily apply guaranteed reductions until none applies. Each greedy
+    step takes the first entry of `GREEDY_ATTEMPTS` that applies to some
+    cell, on the smallest such cell id. Replay checks each step as apply
+    mode would and applies its certificate.
 
-    Replay checks each step as apply mode would and applies its
-    certificate to a working copy of P, made once. Either policy builds
-    the coface tables on P itself first, so an invalid P raises
-    ValidationFailed."""
-    trail: list[ReductionCertificate] = []
-    if policy == "recipe":
-        if recipe is None:
-            raise OutOfRange("recipe policy needs a step list")
-        P = P._copy()
-        for index, step in enumerate(recipe):
-            try:
-                cert = check(P, step.kind, step.cell, step.a, step.b)
-                _require_applicable(cert)
-            except (ConditionsFailed, GuaranteeLost) as exc:
-                raise RecipeStepFailed(index, step, exc.certificate) from exc
-            except (UnknownCell, WrongDegree, OutOfRange) as exc:
-                raise RecipeStepFailed(index, step, None) from exc
-            P._patch(cert._removed, cert._redirected)
-            trail.append(cert)
-        return P, trail
-    if policy != "greedy":
+    An unknown policy, or a recipe that is not a list of `Step`s, raises
+    OutOfRange before P is read. Either policy then builds the coface
+    tables on P itself, so an invalid P raises ValidationFailed even when
+    it has no cell to check."""
+    if policy not in ("greedy", "recipe"):
         raise OutOfRange(f"unknown policy {policy!r}")
-    return greedy_reduce(P)
+    if policy == "recipe":
+        if not isinstance(recipe, (list, tuple)):
+            raise OutOfRange(f"recipe policy needs a list of steps, not {recipe!r}")
+        for index, step in enumerate(recipe):
+            if not isinstance(step, Step):
+                raise OutOfRange(f"recipe entry {index} is {step!r}, not a Step")
+    P = P._copy()
+    if policy == "greedy":
+        return P, list(_schedule(P, [(entry,) for entry in GREEDY_ATTEMPTS]))
+    trail: list[ReductionCertificate] = []
+    for index, step in enumerate(recipe):
+        try:
+            cert = check(P, step.kind, step.cell, step.a, step.b)
+            _require_applicable(cert)
+        except (ConditionsFailed, GuaranteeLost) as exc:
+            raise RecipeStepFailed(index, step, exc.certificate) from exc
+        except (UnknownCell, WrongDegree, OutOfRange) as exc:
+            raise RecipeStepFailed(index, step, None) from exc
+        P._patch(cert._removed, cert._redirected)
+        trail.append(cert)
+    return P, trail

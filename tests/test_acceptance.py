@@ -12,6 +12,7 @@ from precubical.core import CellRef
 from precubical.reductions import EDGE_COLLAPSE, SQUARE_ONE_FREE, SQUARE_TWO_FREE
 
 from conftest import random_grid_complex
+from reference import all_cells, is_subcomplex, restrict
 
 
 def report(number, text):
@@ -107,16 +108,16 @@ def test_criterion_4_structural_conservation(reduction_sweep):
                 x = CellRef(1, cell)
                 v = P.face(x, 1, 1 - b)
                 outside = set(cert.y) | {x, v}
-                common = core.restrict(
-                    P, [c for c in P.all_cells() if c not in outside]
+                common = restrict(
+                    P, [c for c in all_cells(P) if c not in outside]
                 )
-                assert core.is_subcomplex(P, common)
-                assert core.is_subcomplex(Q, common)
+                assert is_subcomplex(P, common)
+                assert is_subcomplex(Q, common)
             else:
-                assert core.is_subcomplex(P, Q)
+                assert is_subcomplex(P, Q)
             if kind == SQUARE_TWO_FREE:
-                R = core.restrict(Q, cert.r_cells)
-                assert core.is_subcomplex(Q, R)
+                R = restrict(Q, cert.r_cells)
+                assert is_subcomplex(Q, R)
                 assert core.extremal(P) <= set(cert.r_cells)
     report(4, f"{total} reductions conserve structure")
 

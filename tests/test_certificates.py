@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from precubical import modelio, recipes, reductions
 from precubical.core import Complex
 from precubical.errors import OutOfRange
-from precubical.reductions import SQUARE_TWO_FREE, check, greedy_reduce
+from precubical.reductions import SQUARE_TWO_FREE, auto_reduce, check
 
 from conftest import glued_complexes, many_holes
 
@@ -50,7 +50,7 @@ def assert_r_is_a_snapshot(P: Complex):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reductions, "check", kept)
-        result, trail = greedy_reduce(P)
+        result, trail = auto_reduce(P)
     Q, step, compared = P, 0, 0
     for cert in seen:
         again = check(Q, cert.kind, cert.cell.id, cert.params.get("a"), cert.params["b"])
@@ -82,7 +82,7 @@ def test_r_of_a_check_on_a_public_complex(n):
     P = many_hole_grid(n)
     certs = [check(P, SQUARE_TWO_FREE, s, a, b)
              for s in P.cell_ids(2) for a in (1, 2) for b in (0, 1)]
-    Q, trail = greedy_reduce(P)  # reduces a copy; P is never patched
+    Q, trail = auto_reduce(P)  # reduces a copy; P is never patched
     assert trail and Q != P
     for cert in certs:
         assert cert.r_cells == expected_r(P, cert)
@@ -104,7 +104,7 @@ def cell_sets(monkeypatch):
 
 def test_chains_never_build_a_cell_set(cell_sets):
     n = 32
-    _, trail = greedy_reduce(many_hole_grid(n))
+    _, trail = auto_reduce(many_hole_grid(n))
     assert trail
     with pytest.raises(OutOfRange, match="no square elimination"):  # after phases of checks
         recipes.grid_reduction_recipe(n, n, many_holes(n))

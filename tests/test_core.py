@@ -9,6 +9,7 @@ from precubical.core import CellRef, Complex
 from precubical.errors import OutOfRange, PrecubicalError, UnknownCell, ValidationFailed
 
 from conftest import glued_complexes, random_grid_complex, relabelled
+from reference import all_cells, cube_morphism, is_subcomplex, restrict, squares_on
 
 
 S = CellRef(2, "s")
@@ -110,7 +111,7 @@ class TestStandardCube:
 
 class TestCubeMorphism:
     def test_square_image(self, square):
-        image = core.cube_morphism(square, S).assignment
+        image = cube_morphism(square, S).assignment
         assert len(image) == 9
         assert image[CellRef(2, "**")] == S
         assert image[CellRef(1, "0*")] == CellRef(1, "eL")
@@ -119,17 +120,17 @@ class TestCubeMorphism:
         assert image[CellRef(0, "11")] == CellRef(0, "w11")
 
     def test_circle_edge(self, circle):
-        image = core.cube_morphism(circle, CellRef(1, "e")).assignment
+        image = cube_morphism(circle, CellRef(1, "e")).assignment
         assert image[CellRef(0, "0")] == CellRef(0, "v")
         assert image[CellRef(0, "1")] == CellRef(0, "v")
 
     def test_vertex(self, interval):
-        image = core.cube_morphism(interval, CellRef(0, "a0")).assignment
+        image = cube_morphism(interval, CellRef(0, "a0")).assignment
         assert image == {CellRef(0, ""): CellRef(0, "a0")}
 
     def test_unknown_cell(self, interval):
         with pytest.raises(UnknownCell):
-            core.cube_morphism(interval, CellRef(1, "nope"))
+            cube_morphism(interval, CellRef(1, "nope"))
 
 
 def iterated_faces(P: Complex, n: int, cid: str):
@@ -179,7 +180,7 @@ class TestRegularity:
         assert core.validate(P) == []
         x = P.cells(P.dimension)[0]
         assert [len(level) for level in iterated_faces(P, x.degree, x.id)] == levels
-        assignment = core.cube_morphism(P, x).assignment
+        assignment = cube_morphism(P, x).assignment
         assert len(set(assignment.values())) < len(assignment)
         assert not core.is_regular(P, x)
 
@@ -199,8 +200,8 @@ class TestRegularity:
     @settings(max_examples=60, deadline=None)
     @given(glued_complexes())
     def test_regular_iff_cube_morphism_injective(self, P):
-        for x in P.all_cells():
-            assignment = core.cube_morphism(P, x).assignment
+        for x in all_cells(P):
+            assignment = cube_morphism(P, x).assignment
             injective = len(set(assignment.values())) == len(assignment)
             assert core.is_regular(P, x) == injective, x
 
@@ -260,22 +261,22 @@ class TestExtremal:
 
 class TestSubcomplex:
     def test_vertex_restriction(self, interval):
-        Q = core.restrict(interval, [CellRef(0, "a0")])
-        assert core.is_subcomplex(interval, Q)
+        Q = restrict(interval, [CellRef(0, "a0")])
+        assert is_subcomplex(interval, Q)
 
     def test_dangling_not_subcomplex(self, square):
-        kept = [c for c in square.all_cells() if c != CellRef(0, "w00")]
-        Q = core.restrict(square, kept)
-        assert not core.is_subcomplex(square, Q)
+        kept = [c for c in all_cells(square) if c != CellRef(0, "w00")]
+        Q = restrict(square, kept)
+        assert not is_subcomplex(square, Q)
 
     def test_boundary_of_square(self, square):
-        kept = [c for c in square.all_cells() if c != S]
-        Q = core.restrict(square, kept)
+        kept = [c for c in all_cells(square) if c != S]
+        Q = restrict(square, kept)
         assert core.validate(Q) == []
-        assert core.is_subcomplex(square, Q)
+        assert is_subcomplex(square, Q)
 
     def test_reflexive(self, shared_memory):
-        assert core.is_subcomplex(shared_memory, shared_memory)
+        assert is_subcomplex(shared_memory, shared_memory)
 
 
 class TestIsomorphism:
@@ -328,7 +329,7 @@ class TestCofaceTables:
             for k in (0, 1):
                 assert P.edges_at(v, k) == sorted({e for e in P.cells(1) if P.face(e, 1, k) == v})
         for e in P.cells(1):
-            assert P.squares_on(e) == sorted(
+            assert squares_on(P, e) == sorted(
                 {s for s in P.cells(2) for i in (1, 2) for k in (0, 1) if P.face(s, i, k) == e}
             )
 
@@ -337,7 +338,7 @@ class TestCofaceTables:
             {0: ["v"], 1: ["e"], 2: ["s"]},
             {(1, "e"): {(1, 0): "v", (1, 1): "v"}, (2, "s"): {(i, k): "e" for i in (1, 2) for k in (0, 1)}},
         )
-        assert P.squares_on(CellRef(1, "e")) == [CellRef(2, "s")]
+        assert squares_on(P, CellRef(1, "e")) == [CellRef(2, "s")]
         assert P.edges_at(CellRef(0, "v")) == [CellRef(1, "e")]
 
 
@@ -349,7 +350,7 @@ def backtracking_isomorphism(P: Complex, Q: Complex) -> Optional[dict[CellRef, C
         if P.size(n) != Q.size(n):
             return None
 
-    order = sorted(P.all_cells(), key=lambda c: (-c.degree, c.id))
+    order = sorted(all_cells(P), key=lambda c: (-c.degree, c.id))
     mapping: dict[CellRef, CellRef] = {}
     used: set[CellRef] = set()
 
@@ -391,7 +392,7 @@ def backtracking_isomorphism(P: Complex, Q: Complex) -> Optional[dict[CellRef, C
 def commutes(mapping: dict[CellRef, CellRef], P: Complex, Q: Complex) -> bool:
     """mapping is a degree-preserving bijection from the cells of P onto
     those of Q that commutes with every face map."""
-    if sorted(mapping) != P.all_cells() or sorted(mapping.values()) != Q.all_cells():
+    if sorted(mapping) != all_cells(P) or sorted(mapping.values()) != all_cells(Q):
         return False
     return all(
         p.degree == q.degree
@@ -410,7 +411,7 @@ def rewired(P: Complex, rng: random.Random) -> Optional[Complex]:
     square moved to a parallel edge. None if P has no such entry."""
     moves = []
     for e in P.cells(1):
-        if not P.squares_on(e):
+        if not squares_on(P, e):
             moves += [(e, (1, k), v.id) for k in (0, 1) for v in P.cells(0) if v != P.face(e, 1, k)]
     ends = {e: (P.face(e, 1, 0), P.face(e, 1, 1)) for e in P.cells(1)}
     for s in P.cells(2):

@@ -10,6 +10,7 @@ from precubical.core import CellRef, Complex
 from precubical.errors import NotAcyclic, PathExplosion, UnknownCell
 
 from conftest import glued_complexes, random_grid_complex
+from reference import all_cells, restrict
 
 
 def v(i, j):
@@ -89,8 +90,8 @@ class TestDihomotopyClasses:
         assert [len(c) for c in classes] == [10, 10]
 
     def test_hollow_square_has_two(self, square):
-        hollow = core.restrict(
-            square, [c for c in square.all_cells() if c.degree < 2]
+        hollow = restrict(
+            square, [c for c in all_cells(square) if c.degree < 2]
         )
         classes = fbg.dihomotopy_classes(
             hollow, CellRef(0, "w00"), CellRef(0, "w11")

@@ -239,6 +239,23 @@ class TestDot:
         with pytest.raises(Exception):
             modelio.export_dot(core.standard_cube(3))
 
+    def test_quotes_and_backslashes_are_escaped(self):
+        P = Complex({0: ['a"b', "c\\"], 1: ["e"]}, {(1, "e"): {(1, 0): 'a"b', (1, 1): "c\\"}})
+        assert modelio.export_dot(P, 'g"1').splitlines() == [
+            'digraph "g\\"1" {',
+            '  "a\\"b" [label="a\\"b"];',
+            '  "c\\\\" [label="c\\\\"];',
+            '  "a\\"b" -> "c\\\\" [label="e"];',
+            "}",
+        ]
+
+    def test_every_quoted_string_closes(self, square):
+        text = modelio.serialize(square).replace("eL", 'e"L').replace("w00", "w\\00")
+        for line in modelio.export_dot(modelio.parse(text)).splitlines():
+            if line.startswith("  //"):  # a comment runs to the end of its line
+                continue
+            assert '"' not in re.sub(r'"(?:[^"\\]|\\.)*"', "", line), line
+
 
 # Text that reaches past the header and tokenizer: digits, face keys,
 # separators and the odd unicode digit or space.

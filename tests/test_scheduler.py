@@ -16,8 +16,8 @@ from precubical.reductions import (
     GREEDY_ATTEMPTS,
     SQUARE_TWO_FREE,
     Step,
+    auto_reduce,
     check,
-    greedy_reduce,
     run,
 )
 
@@ -78,7 +78,7 @@ def sweep_recipe(m, n, holes=()):
         downward = not downward
 
     for b in (0, 1):
-        P, trail = greedy_reduce(P, ((EDGE_COLLAPSE, None, b),))
+        trail = list(reductions._schedule(P, [((EDGE_COLLAPSE, None, b),)]))
         steps.extend(Step(EDGE_COLLAPSE, cert.cell.id, b) for cert in trail)
     return steps
 
@@ -104,7 +104,8 @@ attempt_tables = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(glued_complexes(), attempt_tables)
 def test_worklist_matches_rescan(P, attempts):
-    Q, trail = greedy_reduce(P, attempts)
+    Q = P._copy()
+    trail = list(reductions._schedule(Q, [(entry,) for entry in attempts]))
     Q_ref, trail_ref = rescan_reduce(P, attempts)
     assert trail == trail_ref
     assert Q == Q_ref
@@ -114,7 +115,7 @@ def test_worklist_matches_rescan(P, attempts):
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_worklist_matches_rescan_on_grids(seed):
     P = random_grid_complex(random.Random(seed), max_side=4)
-    assert greedy_reduce(P) == rescan_reduce(P)
+    assert auto_reduce(P) == rescan_reduce(P)
 
 
 @st.composite
@@ -149,13 +150,13 @@ def test_recipe_matches_sweep(grid):
 )
 def test_bad_attempt_entries_raise_out_of_range(P, entry):
     with pytest.raises(OutOfRange, match="bad attempt entry"):
-        greedy_reduce(P, (GREEDY_ATTEMPTS[0], entry))
+        list(reductions._schedule(P._copy(), [(GREEDY_ATTEMPTS[0],), (entry,)]))
 
 
 @settings(max_examples=100, deadline=None)
 @given(glued_complexes(max_side=5, max_squares=16))
 def test_patched_tables_equal_fresh_build(P):
-    _, trail = greedy_reduce(P)
+    _, trail = auto_reduce(P)
     for cert in trail:
         P.coface_tables()
         before = fresh_tables(P)
@@ -168,7 +169,7 @@ def test_patched_tables_equal_fresh_build(P):
 
 def test_patched_tables_on_a_fixture_reduction():
     P = modelio.named_fixture("swiss_flag")
-    _, trail = greedy_reduce(P)
+    _, trail = auto_reduce(P)
     assert len(trail) == 34
     for cert in trail:
         Q, _ = run(P, cert.kind, cert.cell.id, cert.params.get("a"), cert.params["b"])
@@ -192,7 +193,7 @@ def test_each_step_is_certified_once(monkeypatch):
 
     counted(core, "is_regular")
     counted(reductions, "check")
-    _, trail = greedy_reduce(modelio.named_fixture("swiss_flag"))
+    _, trail = auto_reduce(modelio.named_fixture("swiss_flag"))
     steps = recipes.grid_reduction_recipe(8, 8, {(1, 1), (6, 6)})
     assert trail and steps and calls["check"] > 0
     assert calls["is_regular"] == calls["check"]
@@ -215,7 +216,7 @@ def test_checks_per_step_stay_bounded(monkeypatch, n):
     steps = recipes.grid_reduction_recipe(n, n, holes)
     assert 0 < calls[0] <= 2 * len(steps)
     calls[0] = 0
-    _, trail = greedy_reduce(modelio.grid_with_holes(n, n, holes))
+    _, trail = auto_reduce(modelio.grid_with_holes(n, n, holes))
     assert 0 < calls[0] <= 5 * len(trail)
 
 
@@ -237,5 +238,5 @@ def test_greedy_checks_grow_linearly_on_many_hole_grids(monkeypatch, n):
     monkeypatch.setattr(reductions, "check", counted)
     P = modelio.grid_with_holes(n, n, many_holes(n))
     cells = sum(P.size(d) for d in P.degrees())
-    _, trail = greedy_reduce(P)
+    _, trail = auto_reduce(P)
     assert trail and 0 < calls[0] <= 3 * cells

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from precubical import core, modelio, recipes
 from precubical.core import CellRef, Complex, standard_cube
 from precubical.errors import DimensionUnsupported, OutOfRange, UnknownCell
-from precubical.reductions import Step, auto_reduce, greedy_reduce
+from precubical.reductions import Step, auto_reduce
 
 from conftest import glued_complexes
 from test_scheduler import fresh_tables
@@ -58,8 +58,8 @@ def assert_unchanged(P, before: Complex):
 
 
 def chains(P):
-    """Run greedy, greedy `auto_reduce` and the replay of the greedy trail on P."""
-    Q, trail = greedy_reduce(P)
+    """Run greedy `auto_reduce` twice and the replay of the greedy trail on P."""
+    Q, trail = auto_reduce(P)
     auto_reduce(P)
     steps = [Step.of(c) for c in trail]
     auto_reduce(P, "recipe", steps)
@@ -90,13 +90,13 @@ def test_chains_leave_a_grid_input_unchanged(n):
 @settings(max_examples=40, deadline=None)
 @given(glued_complexes(max_side=5, max_squares=16))
 def test_public_reduced_chain_leaves_every_complex_unchanged(P):
-    _, trail = greedy_reduce(P)
+    _, trail = auto_reduce(P)
     chain = [built(P)]
     for cert in trail:
         chain.append(built(chain[-1].reduced(cert.removed, cert.redirected)))
     befores = [twin(Q) for Q in chain]
     for Q in chain:  # a second chain from every complex of the first
-        greedy_reduce(Q)
+        auto_reduce(Q)
     for Q, before in zip(chain, befores):
         assert_unchanged(Q, before)
 
@@ -157,7 +157,7 @@ def copies(monkeypatch):
 @pytest.mark.parametrize("make", [lambda: path_complex(1500), lambda: two_hole_grid(12)])
 def test_greedy_copies_once(copies, make):
     P = make()
-    _, trail = greedy_reduce(P)
+    _, trail = auto_reduce(P)
     assert len(trail) > 100 and len(copies) == 1
 
 
