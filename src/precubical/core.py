@@ -531,7 +531,13 @@ def _stars(P: Complex) -> dict[tuple[int, str], tuple[tuple, tuple, tuple[int, .
     """Per cell (degree, id): its faces by face position (i, k), in order;
     the cofaces alone at their position, in position order; and the number
     of cofaces at each position. Cells of degree 2 and up get no cofaces."""
-    starts, ends, on_edge = P.coface_tables()
+    starts, ends, _ = P.coface_tables()
+    square_keys = ((1, 0), (1, 1), (2, 0), (2, 1))
+    squares_at: dict[str, tuple[list, list, list, list]] = {}  # edge -> its squares, by position
+    for s in P._cell_sets.get(2, ()):
+        faces = P._faces[(2, s)]
+        for at, key in enumerate(square_keys):
+            squares_at.setdefault(faces[key], ([], [], [], []))[at].append(s)
     stars = {}
     for n in P.degrees():
         keys = [(i, k) for i in range(1, n + 1) for k in (0, 1)]
@@ -540,12 +546,7 @@ def _stars(P: Complex) -> dict[tuple[int, str], tuple[tuple, tuple, tuple[int, .
             if n == 0:
                 ups = (starts.get(c, ()), ends.get(c, ()))
             elif n == 1:
-                ups = ([], [], [], [])
-                for s in on_edge.get(c, ()):
-                    faces = P.faces_of(2, s)
-                    for at, key in zip(ups, ((1, 0), (1, 1), (2, 0), (2, 1))):
-                        if faces[key] == c:
-                            at.append(s)
+                ups = squares_at.get(c, ((), (), (), ()))
             faces = P.faces_of(n, c)
             stars[(n, c)] = (
                 tuple([(n - 1, faces[key]) for key in keys]),

@@ -17,9 +17,8 @@ produced here unchanged.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Sequence
 
 from .core import CellRef, Complex
 from .errors import NotAcyclic, OutOfRange, PathExplosion, UnknownCell
@@ -48,6 +47,7 @@ def _topological_order(P: Complex) -> list[str]:
     cycle (a self-loop counts) and ValidationFailed on a broken face
     table."""
     starts, ends, _ = P.coface_tables()
+    faces = P._faces
     indegree = {v: len(ends.get(v, ())) for v in sorted(P.cell_ids(0))}
     ready = [v for v, d in indegree.items() if d == 0]
     order = []
@@ -55,7 +55,7 @@ def _topological_order(P: Complex) -> list[str]:
         v = ready.pop()
         order.append(v)
         for e in starts.get(v, ()):
-            w = P.faces_of(1, e)[(1, 1)]
+            w = faces[(1, e)][(1, 1)]
             indegree[w] -= 1
             if indegree[w] == 0:
                 ready.append(w)
@@ -193,27 +193,29 @@ def fundamental_bipartite_graph(
     path of each class as representative. Raises PathExplosion when more
     than max_paths classes of paths from one minimal vertex reach one
     vertex, and OutOfRange when max_paths is not an int of at least 1."""
-    if not isinstance(max_paths, int) or max_paths < 1:
+    if not isinstance(max_paths, int) or isinstance(max_paths, bool) or max_paths < 1:
         raise OutOfRange(f"max_paths must be an int of at least 1, not {max_paths!r}")
     order = _topological_order(P)
-    _, ends, on_edge = P.coface_tables()
+    starts = P.coface_tables()[0]
+    faces = P._faces
     # Per vertex id: its in-edges as (edge id, source id), and as
     # (a, b, a', b') the squares with top vertex there, [a, b] and
     # [a', b'] being the sides [d_2^0 s, d_1^1 s] and [d_1^0 s, d_2^1 s].
+    # Only vertices with an in-edge, or a square on top, have an entry.
+    # One pass over the face tables in their stored order; an unlisted
+    # cell may keep an empty one.
     into: dict[str, list[tuple[str, str]]] = {}
     tops: dict[str, list[tuple[str, str, str, str]]] = {}
-    for w in order:
-        edges = ends.get(w, ())
-        into[w] = [(e, P.faces_of(1, e)[(1, 0)]) for e in edges]
-        tops[w] = [
-            (f[(2, 0)], e, f[(1, 0)], f[(2, 1)])
-            for e in edges
-            for s in on_edge.get(e, ())
-            if (f := P.faces_of(2, s))[(1, 1)] == e
-        ]
-    outdegree = Counter(u for w in order for _, u in into[w])
-    minimals = tuple(CellRef(0, w) for w in sorted(order) if not into[w])
-    maximals = tuple(CellRef(0, w) for w in sorted(order) if not outdegree[w])
+    for (n, c), f in faces.items():
+        if n == 1 and f:
+            into.setdefault(f[(1, 1)], []).append((c, f[(1, 0)]))
+        elif n == 2 and f:
+            b = f[(1, 1)]
+            tops.setdefault(faces[(1, b)][(1, 1)], []).append((f[(2, 0)], b, f[(1, 0)], f[(2, 1)]))
+    outdegree = {u: len(ids) for u, ids in starts.items()}
+    vertices = sorted(order)
+    minimals = tuple(CellRef(0, w) for w in vertices if w not in into)
+    maximals = tuple(CellRef(0, w) for w in vertices if w not in outdegree)
     classes = {}
     for m in minimals:
         reps = _classes_from(order[order.index(m.id) :], into, tops, outdegree, max_paths)
@@ -224,31 +226,50 @@ def fundamental_bipartite_graph(
     return FbgTable(minimals, maximals, classes)
 
 
-def _classes_from(order, into, tops, outdegree, max_paths) -> dict[str, list[tuple[str, ...]]]:
-    """The sorted class representatives (edge-id tuples) of the paths
+def _classes_from(order, into, tops, outdegree, max_paths) -> dict[str, list[list[str]]]:
+    """The sorted class representatives (edge-id lists) of the paths
     from order[0] to each maximal vertex it reaches.
 
     A class at w is a union-find class of pairs (class c at v, edge v -> w):
     an exchange inside a prefix keeps its class, so the only relation left
     is (class of c.a, b) ~ (class of c.a', b') for each square with top w
     and each class c at its start. Classes are length-homogeneous, so the
-    least path of a class is the least rep(c) + (e,) over its pairs. A
+    least path of a class is the least rep(c) + [e] over its pairs. A
     vertex's representatives are dropped once its out-edges are consumed.
+
+    Where w is reached by one edge e from u and tops no square, nothing
+    merges: w's classes are u's, each extended by e, in the same order (no
+    path to u is a prefix of another, the 1-skeleton being acyclic), so
+    the count does not grow. If e is u's last out-edge, u's
+    representatives move to w and are extended in place; otherwise they
+    are copied. A representative is thus copied only at a branch point or
+    a merge, and a chain of L edges costs O(L), not O(L^2).
     """
     m = order[0]
-    reps = {m: [()]}  # vertex -> its classes' representatives, sorted
-    via: dict[str, list[int]] = {}  # edge u -> v: class at v of (c, edge), by class c at u
+    reps = {m: [[]]}  # vertex -> its classes' representatives, sorted
+    via: dict[str, Sequence[int]] = {}  # edge u -> v: class at v of (c, edge), by class c at u
     unused = dict(outdegree)
     for w in order[1:]:
-        ins = [(e, u) for e, u in into[w] if u in reps]
+        ins = [(e, u) for e, u in into.get(w, ()) if u in reps]
         if not ins:
+            continue
+        if len(ins) == 1 and w not in tops:
+            [(e, u)] = ins
+            unused[u] -= 1
+            if unused[u]:
+                reps[w] = [rep + [e] for rep in reps[u]]
+            else:
+                reps[w] = reps.pop(u)
+                for rep in reps[w]:
+                    rep.append(e)
+            via[e] = range(len(reps[w]))
             continue
         offset, total = {}, 0
         for e, u in ins:
             offset[e] = total
             total += len(reps[u])
         uf = _UnionFind(total)
-        for a, b, a2, b2 in tops[w]:
+        for a, b, a2, b2 in tops.get(w, ()):
             if a in via:
                 for x, y in zip(via[a], via[a2]):
                     uf.union(offset[b] + x, offset[b2] + y)
@@ -263,7 +284,7 @@ def _classes_from(order, into, tops, outdegree, max_paths) -> dict[str, list[tup
                 f"{len(least)} classes of paths from {m!r} reach {w!r}, "
                 f"more than max_paths={max_paths}"
             )
-        paths = {root: rep + (e,) for root, (rep, e) in least.items()}
+        paths = {root: rep + [e] for root, (rep, e) in least.items()}
         roots = sorted(paths, key=paths.get)  # classes may differ in length
         index = {root: k for k, root in enumerate(roots)}
         reps[w] = [paths[r] for r in roots]

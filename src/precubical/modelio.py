@@ -157,12 +157,17 @@ def vertex_id(i: int, j: int) -> str:
     return f"({i},{j})"
 
 
+def _is_int(x) -> bool:
+    """True for an int that is not a bool: True would read as 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def grid_with_holes(m: int, n: int, holes=()) -> Complex:
     """An m-by-n grid of squares modelling two sequential processes, with
     the squares at the given (i, j) positions removed. Holes remove only
     squares: both interleavings around a hole stay executable, only their
     independence square is absent."""
-    if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
+    if not (_is_int(m) and _is_int(n) and m >= 1 and n >= 1):
         raise OutOfRange(f"grid needs ints m >= 1 and n >= 1, not {m!r} and {n!r}")
     try:
         holes = set(holes)
@@ -170,7 +175,7 @@ def grid_with_holes(m: int, n: int, holes=()) -> Complex:
         raise OutOfRange(f"holes must be a collection of (i, j) pairs, not {holes!r}") from None
     for hole in holes:
         if not (isinstance(hole, tuple) and len(hole) == 2
-                and all(isinstance(c, int) for c in hole) and 0 <= hole[0] < m and 0 <= hole[1] < n):
+                and all(map(_is_int, hole)) and 0 <= hole[0] < m and 0 <= hole[1] < n):
             raise OutOfRange(f"hole {hole!r} is not a square (i, j) of the {m}x{n} grid")
     cells: dict[int, list[str]] = {0: [], 1: [], 2: []}
     faces = {}

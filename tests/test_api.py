@@ -42,15 +42,18 @@ SQUARE = modelio.named_fixture("square")
     "call",
     [
         lambda: fbg.fundamental_bipartite_graph(SQUARE, max_paths="3"),
+        lambda: fbg.fundamental_bipartite_graph(SQUARE, max_paths=True),
         lambda: reductions.auto_reduce(SQUARE, "recipe", "abc"),
         lambda: reductions.auto_reduce(SQUARE, "recipe", [1]),
         lambda: modelio.grid_with_holes(2, 2, [(0,)]),
         lambda: modelio.grid_with_holes(2.5, 2),
         lambda: modelio.grid_with_holes("2", 2),
         lambda: modelio.grid_with_holes(2, 2, None),
+        lambda: modelio.grid_with_holes(True, 2),
+        lambda: modelio.grid_with_holes(2, 2, [(True, 0)]),
     ],
-    ids=["max-paths-str", "recipe-str", "recipe-int-entry", "hole-1-tuple", "grid-float",
-         "grid-str", "holes-none"],
+    ids=["max-paths-str", "max-paths-bool", "recipe-str", "recipe-int-entry", "hole-1-tuple",
+         "grid-float", "grid-str", "holes-none", "grid-bool", "hole-bool"],
 )
 def test_bad_arguments_raise_out_of_range(call):
     with pytest.raises(OutOfRange):

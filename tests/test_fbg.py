@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from math import comb
 
 import pytest
@@ -9,7 +12,7 @@ from precubical.cli import main
 from precubical.core import CellRef, Complex
 from precubical.errors import NotAcyclic, PathExplosion, UnknownCell
 
-from conftest import glued_complexes, random_grid_complex
+from conftest import glued_complexes, random_glued_complex, random_grid_complex
 from reference import all_cells, restrict
 
 
@@ -137,6 +140,22 @@ class TestTable:
         ):
             fbg.fundamental_bipartite_graph(double_edge, max_paths=1)
 
+    def test_class_cap_message_through_a_chain(self):
+        # Three parallel edges u -> w, then a chain w -> x -> y: the chain
+        # vertices skip the cap check, so the error must still name w.
+        P = from_edges({"e1": ("u", "w"), "e2": ("u", "w"), "e3": ("u", "w"),
+                        "c1": ("w", "x"), "c2": ("x", "y")})
+        assert fbg.fundamental_bipartite_graph(P, max_paths=3).count(CellRef(0, "u"), CellRef(0, "y")) == 3
+        with pytest.raises(
+            PathExplosion, match=r"^3 classes of paths from 'u' reach 'w', more than max_paths=2$"
+        ):
+            fbg.fundamental_bipartite_graph(P, max_paths=2)
+
+    def test_empty_tables_of_unlisted_cells_are_ignored(self, interval):
+        P = Complex({0: ["a0", "a1"], 1: ["e"]},
+                    {(1, "e"): {(1, 0): "a0", (1, 1): "a1"}, (1, "x"): {}, (2, "s"): {}})
+        assert fbg.fundamental_bipartite_graph(P) == fbg.fundamental_bipartite_graph(interval)
+
     def test_unreachable_pair_and_isolated_vertex(self):
         P = Complex(
             {0: ["a", "b", "c", "z"], 1: ["x", "y"]},
@@ -174,6 +193,75 @@ class TestAgainstEnumeration:
         assert fbg.fundamental_bipartite_graph(P) == brute_force_table(P)
 
 
+def from_edges(edges, squares=None, vertices=()):
+    """A complex from edges {id: (source, target)}, squares {id: (d_1^0,
+    d_1^1, d_2^0, d_2^1)} and extra vertices."""
+    squares = squares or {}
+    ends = {x for pair in edges.values() for x in pair}
+    faces = {(1, e): {(1, 0): a, (1, 1): b} for e, (a, b) in edges.items()}
+    for s, sides in squares.items():
+        faces[(2, s)] = dict(zip([(1, 0), (1, 1), (2, 0), (2, 1)], sides))
+    return Complex({0: sorted(ends | set(vertices)), 1: list(edges), 2: list(squares)}, faces)
+
+
+# The unit square on corners 00, 01, 10, 11, as the standard 2-cube names them.
+SQUARE_EDGES = {"0*": ("00", "01"), "1*": ("10", "11"), "*0": ("00", "10"), "*1": ("01", "11")}
+SQUARE = {"**": ("0*", "1*", "*0", "*1")}
+
+# Shapes where a vertex has one in-edge and tops no square, so that its
+# classes pass straight through, moved or copied.
+PASS_THROUGH = {
+    "chain-into-square": from_edges({"c0": ("x0", "x1"), "c1": ("x1", "00"), **SQUARE_EDGES}, SQUARE),
+    "square-then-chain": from_edges({**SQUARE_EDGES, "c0": ("11", "y1"), "c1": ("y1", "y2")}, SQUARE),
+    "hollow-square-then-chain": from_edges(
+        {**SQUARE_EDGES, "c0": ("11", "y1"), "c1": ("y1", "y2"), "c2": ("y2", "y3")}
+    ),
+    # u has two classes and out-degree 2: each branch starts a chain; the
+    # first branch taken copies u's representatives, the last moves them.
+    "branch-into-chains": from_edges({
+        "e1": ("m", "u"), "e2": ("m", "u"), "a1": ("u", "a"), "a2": ("a", "b"),
+        "b1": ("u", "c"), "b2": ("c", "d"), "b3": ("d", "b"), "t": ("u", "z"),
+    }),
+    "double-edges-then-chain": from_edges(
+        {"e1": ("u", "w"), "e2": ("u", "w"), "c1": ("w", "x"), "c2": ("x", "y")}
+    ),
+    "isolated-vertex": from_edges({"c0": ("a", "b")}, vertices=["z"]),
+    # Two minimal vertices of out-degree 1 sharing a chain: each run from a
+    # minimal vertex moves its own representatives.
+    "minimals-of-out-degree-1": from_edges(
+        {"p": ("m1", "u"), "q": ("m2", "u"), "c1": ("u", "v"), "c2": ("v", "w"), **SQUARE_EDGES,
+         "r": ("w", "00")}, SQUARE
+    ),
+}
+
+
+class TestPassThrough:
+    @pytest.mark.parametrize("name", PASS_THROUGH)
+    def test_against_enumeration(self, name):
+        P = PASS_THROUGH[name]
+        assert fbg.fundamental_bipartite_graph(P) == brute_force_table(P)
+
+    def test_answer_does_not_depend_on_the_hash_seed(self, tmp_path):
+        rng = random.Random(7)
+        glued = next(
+            P for P in (random_glued_complex(rng) for _ in range(1000))
+            if fbg.one_skeleton_is_acyclic(P) and len(core.minimal_vertices(P)) >= 3
+        )
+        grid = modelio.grid_with_holes(4, 5, {(1, 1), (2, 3)})
+        code = "import sys; from precubical.cli import main; sys.exit(main(sys.argv[1:]))"
+        for name, P in (("glued", glued), ("grid", grid)):
+            path = tmp_path / f"{name}.pcs"
+            modelio.save(P, path)
+            outs = []
+            for seed in ("0", "1"):
+                env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": seed}
+                argv = [sys.executable, "-c", code, "fbg", str(path), "--json"]
+                run = subprocess.run(argv, env=env, capture_output=True, text=True)
+                assert run.returncode == 0, run.stderr
+                outs.append(run.stdout)
+            assert outs[0] == outs[1]
+
+
 class TestLongPath:
     """Paths far deeper than the interpreter's recursion limit."""
 
@@ -190,6 +278,12 @@ class TestLongPath:
         end = CellRef(0, f"x{self.LENGTH}")
         [path] = fbg.enumerate_dipaths(long_path, CellRef(0, "x0"), end)
         assert len(path) == self.LENGTH
+
+    def test_table(self, long_path):
+        table = fbg.fundamental_bipartite_graph(long_path)
+        assert table.minimals == (CellRef(0, "x0"),)
+        [rep] = table.classes[(CellRef(0, "x0"), CellRef(0, f"x{self.LENGTH}"))][1]
+        assert rep.edge_ids() == tuple(f"e{t}" for t in range(self.LENGTH))
 
     def test_cli_fbg(self, long_path, tmp_path, capsys):
         out = tmp_path / "path.pcs"
