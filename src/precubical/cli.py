@@ -13,16 +13,7 @@ import json
 import sys
 
 from . import core, fbg, modelio, recipes, reductions
-from .errors import (
-    ConditionsFailed,
-    GuaranteeLost,
-    DocumentSyntaxError,
-    OutOfRange,
-    PrecubicalError,
-    RecipeStepFailed,
-    UsageError,
-    ValidationFailed,
-)
+from .errors import DocumentSyntaxError, OutOfRange, PrecubicalError, UsageError, ValidationFailed
 
 
 def _cell_str(cell: core.CellRef) -> str:
@@ -123,25 +114,15 @@ def cmd_gen(args) -> int:
                 raise UsageError(f"--holes expects 'i,j;i,j', not {args.holes!r}") from None
         P = modelio.grid_with_holes(args.grid[0], args.grid[1], holes)
         name = f"grid({args.grid[0]},{args.grid[1]})"
-    text = modelio.serialize(P, name)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(modelio.serialize(P, name), args.output)
     return 0
 
 
 def cmd_reduce(args) -> int:
     P = modelio.load(args.input)
-    try:
-        Q, cert = reductions.run(
-            P, args.op, args.cell, args.a, args.b, allow_empty_y=args.allow_empty_y
-        )
-    except (ConditionsFailed, GuaranteeLost) as exc:
-        _print_certificate(exc.certificate, args.json)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    Q, cert = reductions.run(
+        P, args.op, args.cell, args.a, args.b, allow_empty_y=args.allow_empty_y
+    )
     _print_certificate(cert, args.json)
     if args.output:
         modelio.save(Q, args.output)
@@ -151,13 +132,7 @@ def cmd_reduce(args) -> int:
 def cmd_auto_reduce(args) -> int:
     P = modelio.load(args.input)
     steps = recipes.parse_recipe(modelio.read_text(args.recipe)) if args.recipe else None
-    try:
-        Q, trail = reductions.auto_reduce(P, "greedy" if steps is None else "recipe", steps)
-    except RecipeStepFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.certificate is not None:
-            _print_certificate(exc.certificate, args.json)
-        return 1
+    Q, trail = reductions.auto_reduce(P, "greedy" if steps is None else "recipe", steps)
     for cert in trail:
         print(reductions.Step.of(cert))
     print(f"{len(trail)} reductions applied")
@@ -222,14 +197,17 @@ def cmd_iso(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    P = modelio.load(args.input)
-    text = modelio.export_dot(P)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    _write(modelio.export_dot(modelio.load(args.input)), args.output)
+    return 0
+
+
+def _write(text: str, path):
+    """Write text to the file at path, or to stdout without a path."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
 
 
 MAX_PATHS_HELP = (
@@ -332,6 +310,9 @@ def main(argv=None) -> int:
             print(violation, file=sys.stderr)
         return 1
     except PrecubicalError as exc:
+        # ConditionsFailed, GuaranteeLost, and RecipeStepFailed on a checked step
+        if getattr(exc, "certificate", None) is not None:
+            _print_certificate(exc.certificate, args.json)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

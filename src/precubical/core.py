@@ -143,8 +143,8 @@ class Complex:
     def coface_tables(self) -> tuple[dict, dict, dict]:
         """The stored coface tables (edges by d_1^0, edges by d_1^1, squares by
         face), each id -> nonempty sorted id list, built unless they exist.
-        Building raises ValidationFailed with :func:`validate`'s report, less
-        duplicate ids, on a missing or dangling face or a broken identity."""
+        Building raises ValidationFailed with :func:`validate`'s report
+        unless that report is empty."""
         if self._cofaces is None:
             report = _face_report(self)
             if report:
@@ -259,7 +259,7 @@ class Complex:
     __hash__ = None
 
     def __repr__(self):
-        counts = ", ".join(f"{n}: {len(self.cell_ids(n))}" for n in self.degrees())
+        counts = ", ".join(f"{n}: {self.size(n)}" for n in self.degrees())
         return f"Complex({{{counts}}})"
 
 
@@ -282,12 +282,22 @@ class Violation:
 def validate(P: Complex) -> list[Violation]:
     """Check a raw complex and report every defect (empty report = valid).
 
-    Reports duplicate ids, cells of negative degree, missing or dangling
-    face entries, entries at no face position (i, k), 1 <= i <= n,
-    k in {0, 1}, of their cell, every violated cubical identity with
-    its (i, j, k, l) indices, and every nonempty face table given for a
-    cell that is not listed.
+    Reports repeated and empty ids, cells of negative degree, missing or
+    dangling face entries, entries at no face position (i, k),
+    1 <= i <= n, k in {0, 1}, of their cell, every violated cubical
+    identity with its (i, j, k, l) indices, and every nonempty face table
+    given for a cell that is not listed. The coface tables refuse exactly
+    what this reports.
     """
+    return _face_report(P)
+
+
+def _face_report(P: Complex) -> list[Violation]:
+    """:func:`validate`'s report, in this order: ids, then each degree's
+    cells, then identities, then the face tables of unlisted cells.
+    An identity is checked only where its four face entries resolve. If
+    the report is empty, P keeps the coface tables filled on the way, so
+    they are built, and the face tables checked, once per complex."""
     report: list[Violation] = []
     for n in P.degrees():
         seen: set[str] = set()
@@ -299,18 +309,6 @@ def validate(P: Complex) -> list[Violation]:
                     Violation("duplicate-id", CellRef(n, cid), f"id {cid!r} repeated in degree {n}")
                 )
             seen.add(cid)
-    return report + _face_report(P)
-
-
-def _face_report(P: Complex) -> list[Violation]:
-    """The cells of negative degree, the missing, dangling and extra face
-    entries, then the violated cubical identities, of every degree, then
-    the face tables of unlisted cells: all of :func:`validate` but
-    duplicate ids.
-    An identity is checked only where its four face entries resolve. If
-    the report is empty, P keeps the coface tables filled on the way, so
-    they are built, and the face tables checked, once per complex."""
-    report: list[Violation] = []
     resolved: dict[tuple[int, str], dict[tuple[int, int], str]] = {}
     cofaces: tuple[dict, dict, dict] = ({}, {}, {})
     for n in P.degrees():
@@ -405,8 +403,6 @@ def standard_cube(n: int) -> Complex:
                 for k in (0, 1):
                     table[(i, k)] = w[:pos] + str(k) + w[pos + 1 :]
             faces[(r, w)] = table
-    if n == 0:
-        cells = {0: [""]}
     return Complex(cells, faces)
 
 

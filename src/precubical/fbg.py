@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CellRef, Complex
+from .core import CellRef, Complex, maximal_vertices, minimal_vertices
 from .errors import NotAcyclic, OutOfRange, PathExplosion, UnknownCell
 
 DEFAULT_MAX_PATHS = 1_000_000
@@ -85,8 +85,7 @@ def enumerate_dipaths(
     for v in (start, end):
         if not P.has(v) or v.degree != 0:
             raise UnknownCell(f"no vertex {v.id!r}")
-    if not one_skeleton_is_acyclic(P):
-        raise NotAcyclic("the 1-skeleton has a directed cycle")
+    _topological_order(P)  # raises NotAcyclic
 
     paths: list[EdgePath] = []
     stack: list[CellRef] = []  # the edges of the current path
@@ -213,9 +212,7 @@ def fundamental_bipartite_graph(
             b = f[(1, 1)]
             tops.setdefault(faces[(1, b)][(1, 1)], []).append((f[(2, 0)], b, f[(1, 0)], f[(2, 1)]))
     outdegree = {u: len(ids) for u, ids in starts.items()}
-    vertices = sorted(order)
-    minimals = tuple(CellRef(0, w) for w in vertices if w not in into)
-    maximals = tuple(CellRef(0, w) for w in vertices if w not in outdegree)
+    minimals, maximals = tuple(sorted(minimal_vertices(P))), tuple(sorted(maximal_vertices(P)))
     classes = {}
     for m in minimals:
         reps = _classes_from(order[order.index(m.id) :], into, tops, outdegree, max_paths)

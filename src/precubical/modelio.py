@@ -35,19 +35,21 @@ _FACE_KEY = re.compile(r"^d(\d+)_([01])$")
 
 
 def serialize(P: Complex, name: str = None) -> str:
-    """The pcsv1 document of P. An id that a record cannot carry, one that
+    """The pcsv1 document of P, one record per id, a repeated id as often as
+    it is given. An id that a record cannot carry, one that is not a str,
     is empty or holds whitespace, raises OutOfRange naming the first such
-    cell by degree and id."""
+    cell, in the given order, by degree and id."""
     lines = [HEADER]
     if name:
         lines.append(f"# {name}")
     coords = P.coords_table()
     for n in P.degrees():
-        for cid in sorted(set(P.cell_ids(n))):
-            if cid.split() != [cid]:  # what parse reads as one token
-                raise OutOfRange(
-                    f"cell {cid!r} of degree {n}: a pcsv1 id is nonempty and holds no whitespace"
-                )
+        ids = P.cell_ids(n)
+        for cid in ids:  # before sorting, which raises TypeError on ids of mixed types
+            if not isinstance(cid, str) or cid.split() != [cid]:  # what parse reads as one token
+                raise OutOfRange(f"cell {cid!r} of degree {n}: a pcsv1 id is a nonempty str "
+                                 "and holds no whitespace")
+        for cid in sorted(ids):
             table = P.faces_of(n, cid)
             parts = [str(n), cid, *(f"d{i}_{k}={table[(i, k)]}" for i, k in sorted(table))]
             pos = coords.get((n, cid))
@@ -309,13 +311,13 @@ def export_dot(P: Complex, name: str = "complex") -> str:
     on_edge = P.coface_tables()[2]
     coords = P.coords_table()
     out = [f"digraph {_quoted(name)} {{"]
-    for v in sorted(set(P.cell_ids(0))):
+    for v in sorted(P.cell_ids(0)):
         attrs = [f"label={_quoted(v)}"]
         pos = coords.get((0, v))
         if pos is not None and len(pos) >= 2:
             attrs.append(f'pos="{pos[0]},{pos[1]}!"')
         out.append(f'  {_quoted(v)} [{" ".join(attrs)}];')
-    for e in sorted(set(P.cell_ids(1))):
+    for e in sorted(P.cell_ids(1)):
         faces = P.faces_of(1, e)
         src, tgt = _quoted(faces[(1, 0)]), _quoted(faces[(1, 1)])
         if e in on_edge:
@@ -326,7 +328,7 @@ def export_dot(P: Complex, name: str = "complex") -> str:
             out.append(f"  {mid} -> {tgt};")
         else:
             out.append(f"  {src} -> {tgt} [label={_quoted(e)}];")
-    for s in sorted(set(P.cell_ids(2))):
+    for s in sorted(P.cell_ids(2)):
         faces = P.faces_of(2, s)
         boundary = [faces[(1, 0)], faces[(1, 1)], faces[(2, 0)], faces[(2, 1)]]
         out.append(f"  // square {s}: [{' '.join(boundary)}]")

@@ -97,9 +97,8 @@ class ReductionCertificate:
 
     @cached_property
     def conditions(self) -> tuple[Condition, ...]:
-        return (_HOLDS["reg"] if self._reg else Condition("reg", False), *(
-            Condition(label, False, _cells(d, sorted(w))) if w else _HOLDS[label]
-            for label, d, w in self._found
+        return (Condition("reg", self._reg), *(
+            Condition(label, not w, _cells(d, sorted(w))) for label, d, w in self._found
         ))
 
     @cached_property
@@ -139,11 +138,6 @@ class ReductionCertificate:
             if c.label == label:
                 return c
         raise KeyError(label)
-
-
-# One shared condition per label for every condition that holds: it has
-# no witness, and a Condition is immutable.
-_HOLDS = {label: Condition(label, True) for label in ("reg", "i", "ii", "iii")}
 
 
 def _require(P: Complex, cell_id: str, degree: int) -> CellRef:

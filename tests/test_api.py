@@ -58,3 +58,18 @@ SQUARE = modelio.named_fixture("square")
 def test_bad_arguments_raise_out_of_range(call):
     with pytest.raises(OutOfRange):
         call()
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (SQUARE, "Complex({0: 4, 1: 4, 2: 1})"),
+        (reductions.check(SQUARE, reductions.SQUARE_TWO_FREE, "s", 1, 0),
+         "ReductionCertificate(kind='square-two-free', cell=CellRef(2, 's'), params="),
+    ],
+    ids=["Complex", "ReductionCertificate"],
+)
+def test_repr_and_equality_with_another_type(value, shown):
+    assert repr(value).startswith(shown)
+    assert value.__eq__(object()) is NotImplemented
+    assert value != object()

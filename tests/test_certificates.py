@@ -128,3 +128,10 @@ def test_certificate_fields_cannot_be_assigned(field, read_first):
     if read_first:
         assert getattr(cert, field) is before
     assert getattr(cert, field) is not None
+
+
+def test_condition_of_an_unknown_label_raises_key_error():
+    cert = check(modelio.named_fixture("square"), SQUARE_TWO_FREE, "s", 1, 0)
+    assert cert.condition("iii").holds
+    with pytest.raises(KeyError):
+        cert.condition("iv")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -129,6 +131,13 @@ def test_export_dot(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("digraph")
 
 
+def test_export_dot_to_a_file(tmp_path, capsys):
+    de, out = write_fixture(tmp_path, "double_edge"), tmp_path / "de.dot"
+    assert main(["export-dot", de, "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == modelio.export_dot(modelio.load(de))
+
+
 def test_gen_grid_with_holes(tmp_path, capsys):
     assert main(["gen", "--grid", "2", "2", "--holes", "0,0;1,1"]) == 0
     P = modelio.parse(capsys.readouterr().out)
@@ -166,6 +175,22 @@ def test_recipe_step_failure(tmp_path, capsys):
     recipe_path = tmp_path / "steps.txt"
     recipe_path.write_text("edge-collapse p 0\n")
     assert main(["auto-reduce", de, "--recipe", str(recipe_path)]) == 1
+
+
+@pytest.mark.parametrize("step, certified", [("p", True), ("nope", False)])
+def test_recipe_step_failure_prints_its_certificate_then_the_error(
+    tmp_path, capsys, step, certified
+):
+    de = write_fixture(tmp_path, "double_edge")
+    recipe_path = tmp_path / "steps.txt"
+    recipe_path.write_text(f"edge-collapse {step} 0\n")
+    both = io.StringIO()
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        assert main(["auto-reduce", de, "--recipe", str(recipe_path)]) == 1
+    *shown, last = both.getvalue().splitlines()
+    assert last == f"error: recipe step 0 (edge-collapse {step} 0) failed"
+    assert shown[:1] == (["edge-collapse on p"] if certified else [])
+    assert ("    (i) FAILED  witnesses: q/1" in shown) == certified
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

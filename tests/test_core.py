@@ -54,6 +54,9 @@ class TestValidate:
         report = core.validate(P)
         assert [v.kind for v in report] == ["duplicate-id"]
 
+    def test_repr_counts_each_id_once(self):
+        assert repr(Complex({0: ["a", "a", "b"], 1: ["e"]})) == "Complex({0: 2, 1: 1})"
+
     def test_missing_face_entry(self):
         P = Complex({0: ["a", "b"], 1: ["e"]}, {(1, "e"): {(1, 0): "a"}})
         report = core.validate(P)
@@ -143,6 +146,19 @@ def iterated_faces(P: Complex, n: int, cid: str):
 
 
 class TestRegularity:
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda P: P.face(CellRef(1, "nope"), 1, 0),
+            lambda P: P.face(CellRef(1, "e"), 2, 0),
+            lambda P: core.is_regular(P, CellRef(1, "nope")),
+        ],
+        ids=["face-of-unknown-cell", "face-at-no-position", "is_regular-of-unknown-cell"],
+    )
+    def test_unknown_cell_or_face(self, interval, query):
+        with pytest.raises(UnknownCell):
+            query(interval)
+
     def test_circle_edge_not_regular(self, circle):
         assert not core.is_regular(circle, CellRef(1, "e"))
 

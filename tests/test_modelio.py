@@ -47,6 +47,19 @@ class TestSerialization:
         assert "sq" in str(excinfo.value)
         assert "d2_1" in str(excinfo.value)
 
+    def test_face_key_given_twice(self):
+        text = "pcsv1\n0 a\n0 b\n1 e d1_0=a d1_0=b d1_1=b\n"
+        with pytest.raises(DocumentSyntaxError, match="'d1_0' given twice") as excinfo:
+            modelio.parse(text)
+        assert excinfo.value.line_number == 4
+
+    def test_repeated_id_is_written_as_often_as_given(self):
+        P = Complex({0: ["a", "b", "a"], 1: ["e"]}, {(1, "e"): {(1, 0): "a", (1, 1): "b"}})
+        text = modelio.serialize(P)
+        assert text.splitlines()[1:4] == ["0 a", "0 a", "0 b"]
+        report = core.validate(modelio.parse(text, check=False))
+        assert report == core.validate(P) and [v.kind for v in report] == ["duplicate-id"]
+
     def test_missing_header(self):
         with pytest.raises(DocumentSyntaxError):
             modelio.parse("0 a\n")
@@ -122,6 +135,13 @@ class TestValidateCoversTheFormat:
         with pytest.raises(OutOfRange, match=named):
             modelio.save(P, path)
         assert path.read_text() == "kept\n"
+
+    def test_id_that_is_not_a_str_is_refused(self):
+        # checked before sorting, which would raise TypeError on "a" and 1
+        P = Complex({0: ["a", 1]})
+        assert core.validate(P) == []
+        with pytest.raises(OutOfRange, match="cell 1 of degree 0"):
+            modelio.serialize(P)
 
     @settings(max_examples=100, deadline=None)
     @given(glued_complexes())

@@ -210,11 +210,10 @@ class TestBrokenFaceTables:
     @settings(max_examples=80, deadline=None)
     @given(glued_complexes(), st.sampled_from(PERTURBATIONS), st.randoms(use_true_random=False))
     def test_build_cofaces_raises_the_face_report(self, P, how, rng):
-        # the coface tables refuse exactly what validate reports, bar duplicate ids
         Q = perturb(P, rng, how)
         if Q is None:
             return
-        expected = [v for v in core.validate(Q) if v.kind != "duplicate-id"]
+        expected = core.validate(Q)
         if expected:
             with pytest.raises(ValidationFailed) as excinfo:
                 Q.coface_tables()
@@ -259,6 +258,49 @@ class TestBrokenFaceTablesInFbg:
         with pytest.raises(ValidationFailed) as excinfo:
             fbg.fundamental_bipartite_graph(broken)
         assert {v.kind for v in excinfo.value.report} == {"identity"}
+
+
+_EDGE = {(1, 0): "a", (1, 1): "b"}
+# A repeated vertex id, and an edge whose id is empty: each complex is
+# refused by validate alone, every face entry resolving.
+ID_PROBES = {
+    "repeated-vertex": Complex({0: ["a", "a", "b"], 1: ["e"]}, {(1, "e"): _EDGE}),
+    "empty-edge-id": Complex({0: ["a", "b"], 1: ["", "e"]}, {(1, ""): _EDGE, (1, "e"): _EDGE}),
+}
+
+
+class TestOneGate:
+    """Every layer that reads the coface tables refuses exactly what
+    validate reports, id defects included."""
+
+    @pytest.mark.parametrize("probe", ID_PROBES)
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda P: check(P, EDGE_COLLAPSE, "e", None, 0),
+            lambda P: edge_collapse(P, "e", 0, allow_empty_y=True),
+            lambda P: auto_reduce(P),
+            lambda P: auto_reduce(P, "recipe", [Step(EDGE_COLLAPSE, "e", 0)]),
+            fbg.fundamental_bipartite_graph,
+            lambda P: fbg.enumerate_dipaths(P, CellRef(0, "a"), CellRef(0, "b")),
+            lambda P: core.are_isomorphic(P, P),
+            core.minimal_vertices,
+            modelio.export_dot,
+        ],
+        ids=["check", "edge_collapse", "greedy", "recipe", "fbg", "enumerate_dipaths",
+             "are_isomorphic", "minimal_vertices", "export_dot"],
+    )
+    def test_id_defects_are_refused(self, probe, query):
+        P = ID_PROBES[probe]
+        report = core.validate(P)
+        assert [v.kind for v in report] == ["duplicate-id"]
+        with pytest.raises(ValidationFailed) as excinfo:
+            query(P)
+        assert excinfo.value.report == report
+
+    def test_empty_id_is_named(self):
+        [violation] = core.validate(ID_PROBES["empty-edge-id"])
+        assert (violation.cell, violation.message) == (CellRef(1, ""), "empty cell id")
 
 
 class TestSquareOneFree:
