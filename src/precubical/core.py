@@ -7,12 +7,13 @@ d_i^k d_j^l = d_{j-1}^l d_i^k for i < j.
 
 Complexes are immutable after construction, as any caller sees them, and
 all public operations here are pure. The library's reduction chains
-(greedy, recipe generation and replay) copy their input once and then
-patch that private working copy in place, step by step, from the ids
-their certificates keep; no caller ever holds a complex that is patched,
-and the copy owns the coface lists it edits. Cell identity is the pair
-(degree, id string); coordinates attached by generators are layout
-metadata only and are never consulted by any algorithm.
+patch one private working copy in place, step by step, from the ids
+their certificates keep: greedy and replay copy their input once, and
+recipe generation adopts the grid it has just built. No caller ever
+holds a complex that is patched, and the working copy owns the coface
+lists it edits. Cell identity is the pair (degree, id string);
+coordinates attached by generators are layout metadata only and are
+never consulted by any algorithm.
 """
 
 from __future__ import annotations
@@ -47,17 +48,18 @@ class Complex:
 
     Internal code reads ids through :meth:`faces_of` and
     :meth:`coface_tables`; :class:`CellRef` is the type of the public API.
-    The coface tables are filled by the check of the face tables, in a
-    clean :func:`validate` or on first query, not here; :meth:`reduced`
-    patches them.
+    The coface tables are built once the check of the face tables comes
+    back clean, in :func:`validate` or on first query, not here;
+    :meth:`reduced` patches them.
 
     A complex never changes once a caller holds it. Only the library's
-    private working copies, made by :meth:`_copy`, are changed, by
-    :meth:`_patch`. A copy owns its cell sets and coface lists, and a
-    patch edits them in place; it shares its face-table dicts with its
-    source, so a patch replaces one to redirect it. A patch only removes
-    cells, never adds one, and logs the (degree, id) of each cell it
-    removes; a copy starts with an empty log.
+    private working copies are changed, by :meth:`_patch`: a copy made by
+    :meth:`_copy`, or a complex the library has just built and not handed
+    out, taken over by :meth:`_adopt`. A working copy owns its cell sets
+    and coface lists, and a patch edits them in place; a copy shares its
+    face-table dicts with its source, so a patch replaces one to redirect
+    it. A patch only removes cells, never adds one, and logs the (degree,
+    id) of each cell it removes; a working copy starts with an empty log.
     """
 
     def __init__(
@@ -143,8 +145,8 @@ class Complex:
     def coface_tables(self) -> tuple[dict, dict, dict]:
         """The stored coface tables (edges by d_1^0, edges by d_1^1, squares by
         face), each id -> nonempty sorted id list, built unless they exist.
-        Building raises ValidationFailed with :func:`validate`'s report
-        unless that report is empty."""
+        They are built only after :func:`validate`'s report comes back
+        empty; otherwise ValidationFailed carries that report."""
         if self._cofaces is None:
             report = _face_report(self)
             if report:
@@ -214,6 +216,14 @@ class Complex:
         Q._log = []
         Q._cofaces = tuple({key: ids.copy() for key, ids in table.items()} for table in tables)
         return Q
+
+    def _adopt(self) -> Complex:
+        """This complex as a working copy, for one the library has just
+        built valid by construction and not handed to any caller: its
+        coface tables are built with no face report, and :meth:`_patch`
+        may then edit it in place."""
+        self._cofaces = _cofaces_of(self)
+        return self
 
     def _patch(self, removed, redirected):
         """Remove the cells `removed`, (degree, id) pairs, and move the edge
@@ -296,8 +306,9 @@ def _face_report(P: Complex) -> list[Violation]:
     """:func:`validate`'s report, in this order: ids, then each degree's
     cells, then identities, then the face tables of unlisted cells.
     An identity is checked only where its four face entries resolve. If
-    the report is empty, P keeps the coface tables filled on the way, so
-    they are built, and the face tables checked, once per complex."""
+    the report is empty and P has no coface tables yet, they are built
+    afterwards from the checked face tables, so an invalid complex builds
+    none, and a valid one is checked and built once."""
     report: list[Violation] = []
     for n in P.degrees():
         seen: set[str] = set()
@@ -310,7 +321,6 @@ def _face_report(P: Complex) -> list[Violation]:
                 )
             seen.add(cid)
     resolved: dict[tuple[int, str], dict[tuple[int, int], str]] = {}
-    cofaces: tuple[dict, dict, dict] = ({}, {}, {})
     for n in P.degrees():
         if n < 0:
             for cid in sorted(P._cell_sets[n]):
@@ -338,10 +348,6 @@ def _face_report(P: Complex) -> list[Violation]:
                         report.append(Violation("dangling-face", CellRef(n, cid), message, (i, k)))
                     else:
                         faces[(i, k)] = fid
-                        if n <= 2:
-                            ids = cofaces[k if n == 1 else 2].setdefault(fid, [])
-                            if ids[-1:] != [cid]:
-                                ids.append(cid)
             if len(table) + missing > 2 * n:  # an entry at no face position
                 report += _extra_entries(n, cid, table)
     for (n, cid), faces in resolved.items():
@@ -364,8 +370,28 @@ def _face_report(P: Complex) -> list[Violation]:
         message = f"face table given, but {cid!r} is not listed in degree {n}"
         report.append(Violation("unlisted-cell", CellRef(n, cid), message))
     if not report and P._cofaces is None:
-        P._cofaces = cofaces
+        P._cofaces = _cofaces_of(P)
     return report
+
+
+def _cofaces_of(P: Complex) -> tuple[dict, dict, dict]:
+    """The coface tables (edges by d_1^0, edges by d_1^1, squares by face)
+    from the stored face tables of the listed edges and squares, each face
+    id -> nonempty sorted id list with no repeats. P must be valid."""
+    starts: dict[str, list[str]] = {}
+    ends: dict[str, list[str]] = {}
+    on_edge: dict[str, list[str]] = {}
+    faces = P._faces
+    for e in sorted(P._cell_sets.get(1, ())):
+        table = faces[(1, e)]
+        starts.setdefault(table[(1, 0)], []).append(e)
+        ends.setdefault(table[(1, 1)], []).append(e)
+    for s in sorted(P._cell_sets.get(2, ())):
+        for fid in faces[(2, s)].values():
+            ids = on_edge.setdefault(fid, [])
+            if ids[-1:] != [s]:  # a square may have one edge at two positions
+                ids.append(s)
+    return starts, ends, on_edge
 
 
 def _extra_entries(n: int, cid: str, table) -> list[Violation]:
@@ -382,14 +408,19 @@ def is_valid(P: Complex) -> bool:
     return not validate(P)
 
 
+def _is_int(x) -> bool:
+    """True for an int that is not a bool: True would read as 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # -- the standard n-cube ---------------------------------------------------
 
 
 def standard_cube(n: int) -> Complex:
     """The precubical n-cube: cells are words over {0, 1, *}, a degree-r
     cell has exactly r stars, and d_i^k substitutes k for the i-th star."""
-    if n < 0:
-        raise OutOfRange(f"a cube has degree n >= 0, not {n}")
+    if not (_is_int(n) and n >= 0):
+        raise OutOfRange(f"a cube has an int degree n >= 0, not {n!r}")
     cells: dict[int, list[str]] = {}
     faces: dict[tuple[int, str], dict[tuple[int, int], str]] = {}
     for word in itertools.product("01*", repeat=n):

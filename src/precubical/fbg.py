@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CellRef, Complex, maximal_vertices, minimal_vertices
+from .core import CellRef, Complex, _is_int, maximal_vertices, minimal_vertices
 from .errors import NotAcyclic, OutOfRange, PathExplosion, UnknownCell
 
 DEFAULT_MAX_PATHS = 1_000_000
@@ -192,7 +192,7 @@ def fundamental_bipartite_graph(
     path of each class as representative. Raises PathExplosion when more
     than max_paths classes of paths from one minimal vertex reach one
     vertex, and OutOfRange when max_paths is not an int of at least 1."""
-    if not isinstance(max_paths, int) or isinstance(max_paths, bool) or max_paths < 1:
+    if not (_is_int(max_paths) and max_paths >= 1):
         raise OutOfRange(f"max_paths must be an int of at least 1, not {max_paths!r}")
     order = _topological_order(P)
     starts = P.coface_tables()[0]

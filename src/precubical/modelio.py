@@ -36,9 +36,13 @@ _FACE_KEY = re.compile(r"^d(\d+)_([01])$")
 
 def serialize(P: Complex, name: str = None) -> str:
     """The pcsv1 document of P, one record per id, a repeated id as often as
-    it is given. An id that a record cannot carry, one that is not a str,
-    is empty or holds whitespace, raises OutOfRange naming the first such
-    cell, in the given order, by degree and id."""
+    it is given. What a document cannot carry raises OutOfRange: a name
+    that is not one line; an id that is not a str, is empty or holds
+    whitespace, naming the first such cell, in the given order, by degree
+    and id; and a position that is not one or more ints, naming the first
+    such cell in record order."""
+    if name and name.splitlines() != [name]:  # parse splits lines as str.splitlines does
+        raise OutOfRange(f"name {name!r}: a pcsv1 name is one line")
     lines = [HEADER]
     if name:
         lines.append(f"# {name}")
@@ -54,7 +58,10 @@ def serialize(P: Complex, name: str = None) -> str:
             parts = [str(n), cid, *(f"d{i}_{k}={table[(i, k)]}" for i, k in sorted(table))]
             pos = coords.get((n, cid))
             if pos is not None:
-                parts.append("pos=" + ",".join(str(c) for c in pos))
+                if not (pos and all(map(core._is_int, pos))):  # what parse reads as a position
+                    raise OutOfRange(f"cell {cid!r} of degree {n}: position {pos!r} is not "
+                                     "one or more ints")
+                parts.append("pos=" + ",".join(map(str, pos)))
             lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -159,17 +166,12 @@ def vertex_id(i: int, j: int) -> str:
     return f"({i},{j})"
 
 
-def _is_int(x) -> bool:
-    """True for an int that is not a bool: True would read as 1."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def grid_with_holes(m: int, n: int, holes=()) -> Complex:
     """An m-by-n grid of squares modelling two sequential processes, with
     the squares at the given (i, j) positions removed. Holes remove only
     squares: both interleavings around a hole stay executable, only their
     independence square is absent."""
-    if not (_is_int(m) and _is_int(n) and m >= 1 and n >= 1):
+    if not (core._is_int(m) and core._is_int(n) and m >= 1 and n >= 1):
         raise OutOfRange(f"grid needs ints m >= 1 and n >= 1, not {m!r} and {n!r}")
     try:
         holes = set(holes)
@@ -177,7 +179,7 @@ def grid_with_holes(m: int, n: int, holes=()) -> Complex:
         raise OutOfRange(f"holes must be a collection of (i, j) pairs, not {holes!r}") from None
     for hole in holes:
         if not (isinstance(hole, tuple) and len(hole) == 2
-                and all(map(_is_int, hole)) and 0 <= hole[0] < m and 0 <= hole[1] < n):
+                and all(map(core._is_int, hole)) and 0 <= hole[0] < m and 0 <= hole[1] < n):
             raise OutOfRange(f"hole {hole!r} is not a square (i, j) of the {m}x{n} grid")
     cells: dict[int, list[str]] = {0: [], 1: [], 2: []}
     faces = {}
@@ -304,7 +306,10 @@ def export_dot(P: Complex, name: str = "complex") -> str:
     """Directed-graph text for graphviz. Vertices become nodes, edges
     become labeled arcs, and each square is emitted as a comment plus a
     plaintext node dashed-linked to the label nodes of its four boundary
-    edges. Every id and the graph name are written as quoted strings."""
+    edges. Every id and the graph name, a str, are written as quoted
+    strings."""
+    if not isinstance(name, str):
+        raise OutOfRange(f"graph name must be a str, not {name!r}")
     dim = P.dimension
     if dim is not None and dim > 2:
         raise DimensionUnsupported(f"cannot draw dimension {dim}")

@@ -47,7 +47,7 @@ def grid_reduction_recipe(m: int, n: int, holes=()) -> list[Step]:
     """A full reduction recipe for grid_with_holes(m, n, holes)."""
     from .modelio import grid_with_holes
 
-    P = grid_with_holes(m, n, holes)._copy()  # every phase patches this copy
+    P = grid_with_holes(m, n, holes)._adopt()  # every phase patches this grid
     holes = set(holes)
     order = [(i, j) for j in range(n - 1, -1, -1) for i in range(m) if (i, j) not in holes]
     down = {f"s({i},{j})": r for r, (i, j) in enumerate(order)}  # the downward rank

@@ -51,9 +51,14 @@ SQUARE = modelio.named_fixture("square")
         lambda: modelio.grid_with_holes(2, 2, None),
         lambda: modelio.grid_with_holes(True, 2),
         lambda: modelio.grid_with_holes(2, 2, [(True, 0)]),
+        lambda: core.standard_cube(True),
+        lambda: core.standard_cube("2"),
+        lambda: core.standard_cube(-1),
+        lambda: modelio.export_dot(SQUARE, 5),
     ],
     ids=["max-paths-str", "max-paths-bool", "recipe-str", "recipe-int-entry", "hole-1-tuple",
-         "grid-float", "grid-str", "holes-none", "grid-bool", "hole-bool"],
+         "grid-float", "grid-str", "holes-none", "grid-bool", "hole-bool", "cube-bool",
+         "cube-str", "cube-negative", "dot-name-int"],
 )
 def test_bad_arguments_raise_out_of_range(call):
     with pytest.raises(OutOfRange):

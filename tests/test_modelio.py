@@ -90,7 +90,8 @@ class TestValidateCoversTheFormat:
     complexes holds a face entry, or a degree, that a document cannot
     state, so validate and the coface tables must refuse it. The empty
     vertex id of `standard_cube(0)` and ids holding whitespace validate,
-    but no record can carry them, so serialize refuses them instead."""
+    but no record can carry them, and neither can positions that are not
+    one or more ints, so serialize refuses them instead."""
 
     @pytest.mark.parametrize(
         "P, kind",
@@ -122,8 +123,11 @@ class TestValidateCoversTheFormat:
             (Complex({0: ["a b"]}), 0, "a b"),
             (core.standard_cube(0), 0, ""),
             (Complex({0: ["a", "b"], 1: ["e\tf"]}, {(1, "e\tf"): _INTERVAL_FACES}), 1, "e\tf"),
+            *((Complex({0: ["a", "b"], 1: ["e"]}, {(1, "e"): _INTERVAL_FACES}, {(1, "e"): pos}),
+               1, "e") for pos in [(0, "x"), (1.5, 2), (True, 2), ()]),
         ],
-        ids=["space-in-vertex-id", "empty-vertex-id", "tab-in-edge-id"],
+        ids=["space-in-vertex-id", "empty-vertex-id", "tab-in-edge-id", "str-position",
+             "float-position", "bool-position", "empty-position"],
     )
     def test_ids_the_format_cannot_carry_are_refused(self, P, degree, cid, tmp_path):
         assert core.validate(P) == []
@@ -142,6 +146,19 @@ class TestValidateCoversTheFormat:
         assert core.validate(P) == []
         with pytest.raises(OutOfRange, match="cell 1 of degree 0"):
             modelio.serialize(P)
+
+    @pytest.mark.parametrize("name", ["x\n0 ghost", "x\u2028y"], ids=["newline", "line-separator"])
+    def test_name_of_more_than_one_line_is_refused(self, name, tmp_path):
+        # parse splits lines as str.splitlines does, so the first name would
+        # add a vertex `ghost` and the second would make a record of `y`
+        P = modelio.named_fixture("interval")
+        with pytest.raises(OutOfRange, match="name"):
+            modelio.serialize(P, name)
+        path = tmp_path / "out.pcsv"
+        path.write_text("kept\n")
+        with pytest.raises(OutOfRange):
+            modelio.save(P, path, name)
+        assert path.read_text() == "kept\n"
 
     @settings(max_examples=100, deadline=None)
     @given(glued_complexes())

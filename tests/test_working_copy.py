@@ -1,6 +1,8 @@
-"""Reduction chains patch one private working copy of their input: no
-caller sees a complex change, and the copy is made once per chain, not
-once per step."""
+"""Reduction chains patch one private working copy: no caller sees a
+complex change, greedy and replay copy their input once per chain, not
+once per step, and the recipe generator patches the grid it built."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -163,7 +165,43 @@ def test_greedy_copies_once(copies, make):
 
 def test_recipe_generation_and_replay_copy_once_per_chain(copies):
     steps = recipes.grid_reduction_recipe(12, 12, two_holes(12))
-    assert len(copies) == 1  # every phase runs on one working copy
+    assert len(copies) == 0  # every phase patches the grid the generator built
     copies.clear()
     _, trail = auto_reduce(two_hole_grid(12), "recipe", steps)
     assert len(trail) == len(steps) > 100 and len(copies) == 1
+
+
+def grid_shapes(m, n):
+    """The hole sets the suite and the benchmark build m x n grids with:
+    none, two (where they fit), each square a hole with probability 0.15
+    (drawn as `conftest.many_holes` draws them), and every square a hole,
+    which leaves no degree 2."""
+    rng = random.Random(3)
+    yield set()
+    if min(m, n) >= 2:
+        yield {(1, 1), (m - 2, n - 2)}
+    yield {(i, j) for i in range(m) for j in range(n) if rng.random() < 0.15}
+    yield {(i, j) for i in range(m) for j in range(n)}
+
+
+GRID_SIZES = [(n, n) for n in range(1, 33)] + [
+    (m, n) for m in range(5, 9) for n in range(5, 9) if m != n]
+
+
+@pytest.mark.parametrize("m, n", GRID_SIZES, ids=[f"{m}x{n}" for m, n in GRID_SIZES])
+def test_adopted_grid_tables_equal_the_face_reports(m, n):
+    """The recipe generator adopts the grid it builds with no face report:
+    that grid is valid, and its tables are those the report would build."""
+    for holes in grid_shapes(m, n):
+        assert core.validate(modelio.grid_with_holes(m, n, holes)) == []
+        P = modelio.grid_with_holes(m, n, holes)
+        assert P._adopt() is P
+        assert P._cofaces == fresh_tables(P)
+
+
+def test_recipe_generation_runs_no_face_report_and_no_copy(monkeypatch, copies):
+    reports = []
+    original = core._face_report
+    monkeypatch.setattr(core, "_face_report", lambda P: reports.append(P) or original(P))
+    steps = recipes.grid_reduction_recipe(8, 8, two_holes(8))
+    assert len(steps) > 50 and reports == [] and copies == []
