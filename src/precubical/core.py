@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping, Optional
+from typing import Optional
 
 from .errors import DimensionUnsupported, OutOfRange, UnknownCell, ValidationFailed
 
@@ -43,14 +44,15 @@ class Complex:
 
     `cells` maps each degree to an iterable of cell ids. `faces` maps
     (degree, id) to a mapping (i, k) -> face id of degree one less.
-    The constructor stores the tables as given; use :func:`validate` to
-    check the precubical identities and referential integrity.
+    The constructor stores the tables as given (OutOfRange if `cells` is
+    not a mapping or holds a str or bytes); use :func:`validate` to check
+    the precubical identities and referential integrity.
 
     Internal code reads ids through :meth:`faces_of` and
     :meth:`coface_tables`; :class:`CellRef` is the type of the public API.
     The coface tables are built once the check of the face tables comes
-    back clean, in :func:`validate` or on first query, not here;
-    :meth:`reduced` patches them.
+    back clean, in :func:`validate` or on first query, not here; a
+    working copy patches them.
 
     A complex never changes once a caller holds it. Only the library's
     private working copies are changed, by :meth:`_patch`: a copy made by
@@ -68,6 +70,8 @@ class Complex:
         faces: Mapping[tuple[int, str], Mapping[tuple[int, int], str]] = (),
         coords: Mapping[tuple[int, str], tuple[int, ...]] = (),
     ):
+        if not isinstance(cells, Mapping) or any(isinstance(i, str | bytes) for i in cells.values()):
+            raise OutOfRange(f"cells must map each degree to a collection of ids, not {cells!r}")
         self._cells: Optional[dict[int, tuple[str, ...]]] = {  # None once patched
             n: tuple(ids) for n, ids in cells.items() if ids
         }
@@ -155,7 +159,9 @@ class Complex:
 
     def edges_at(self, v: CellRef, k: Optional[int] = None) -> list[CellRef]:
         """The edges e with d_1^k e = v, or with v at either end if k is
-        None, sorted by id."""
+        None, sorted by id. Any other k raises OutOfRange."""
+        if k is not None and not (_is_int(k) and k in (0, 1)):
+            raise OutOfRange(f"k must be None, 0 or 1, not {k!r}")
         starts, ends, _ = self.coface_tables()
         if k is not None:
             ids = (starts, ends)[k].get(v.id, ())
@@ -169,19 +175,18 @@ class Complex:
         redirected: Mapping[tuple[CellRef, int, int], CellRef] = (),
     ) -> Complex:
         """This complex without the cells `removed`, with each face entry
-        (edge, 1, k) of `redirected` pointing at its target vertex instead.
-        This complex is left as it is; the successor is a patched working
-        copy. Checking that the step keeps the complex valid costs its star:
-        UnknownCell for a removed cell, redirected edge or target this
-        complex lacks; OutOfRange for a redirect that is not of an edge end
-        to a vertex, or a step leaving a surviving cell a removed face or
-        moving an edge of a surviving square; DimensionUnsupported above
-        dimension 2; and ValidationFailed if this complex is invalid.
+        (edge, 1, k) of `redirected` but those of removed edges pointing at
+        its target vertex instead. This complex is left as it is; the result
+        is a patched working copy, refused exactly when :func:`validate`
+        reports it (OutOfRange with that report), at the cost of one face
+        report. Before that: DimensionUnsupported above dimension 2,
+        ValidationFailed if this complex is invalid, UnknownCell for a cell
+        it lacks, OutOfRange for a redirect not of an edge end to a vertex.
         """
         removed, redirected = frozenset(removed), dict(redirected)
         if (self.dimension or 0) > 2:
             raise DimensionUnsupported(f"reduced works in dimension <= 2, not {self.dimension}")
-        starts, ends, on_edge = self.coface_tables()
+        Q = self._copy()
         for cell in (*removed, *(e for e, _, _ in redirected), *redirected.values()):
             if not self.has(cell):
                 raise UnknownCell(f"no cell {cell.id!r} of degree {cell.degree}")
@@ -189,17 +194,10 @@ class Complex:
             if (e.degree, i, v.degree) != (1, 1, 0) or k not in (0, 1):
                 raise OutOfRange(f"{(e, i, k)!r} -> {v!r} does not move an edge end to a vertex")
         gone = {(c.degree, c.id) for c in removed}
-        moves = [(e.id, 1, k, v.id) for (e, _, k), v in redirected.items() if (1, e.id) not in gone]
-        moved = {(1, e, k) for e, _, k, _ in moves}
-        for n, cid in gone | {(1, e) for e, *_ in moves}:  # every coface goes, or moves off
-            for k, table in enumerate(((starts, ends), (on_edge,), ())[n]):
-                for up in table.get(cid, ()):
-                    if (n + 1, up) not in gone and (n + 1, up, k) not in moved:
-                        raise OutOfRange(f"{CellRef(n + 1, up)!r} would lose its face {cid!r}")
-        if any((0, v) in gone for *_, v in moves):
-            raise OutOfRange("an edge end moves to a removed vertex")
-        Q = self._copy()
-        Q._patch(gone, moves)
+        Q._patch(gone, [(e.id, 1, k, v.id) for (e, _, k), v in redirected.items()
+                        if (1, e.id) not in gone])
+        if report := _face_report(Q):
+            raise OutOfRange("the step leaves an invalid complex: " + "; ".join(map(str, report)))
         return Q
 
     def _copy(self) -> Complex:
@@ -227,12 +225,12 @@ class Complex:
 
     def _patch(self, removed, redirected):
         """Remove the cells `removed`, (degree, id) pairs, and move the edge
-        ends `redirected`, (edge, 1, k, vertex) ids, in place, by a step that
-        keeps this working copy valid: a holding certificate's, or one that
-        :meth:`reduced` checked. The cost is what the step touches; the
-        coface lists of a removed cell empty as its cofaces go or move. A
-        redirect replaces the face-table dict, which may be shared. Each cell
-        removed is logged: the cells before are those after plus the new log."""
+        ends `redirected`, (edge, 1, k, vertex) ids, in place: a holding
+        certificate's step, or any on a throwaway copy that :meth:`reduced`
+        checks afterwards. The cost is what the step touches. A redirect
+        replaces the face-table dict, which may be shared, never mutating
+        it. Each cell removed is logged: the cells before are those after
+        plus the new log."""
         faces, tables = self._faces, self._cofaces
         unlinked = []  # (table index, face id, cell id): coface entries to take out
         for n, cid in removed:

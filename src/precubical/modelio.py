@@ -56,14 +56,18 @@ def serialize(P: Complex, name: str = None) -> str:
         for cid in sorted(ids):
             table = P.faces_of(n, cid)
             parts = [str(n), cid, *(f"d{i}_{k}={table[(i, k)]}" for i, k in sorted(table))]
-            pos = coords.get((n, cid))
-            if pos is not None:
-                if not (pos and all(map(core._is_int, pos))):  # what parse reads as a position
-                    raise OutOfRange(f"cell {cid!r} of degree {n}: position {pos!r} is not "
-                                     "one or more ints")
+            if (pos := _position(coords, n, cid)) is not None:
                 parts.append("pos=" + ",".join(map(str, pos)))
             lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
+
+
+def _position(coords, n: int, cid: str):
+    """The position of cell (n, cid) in `coords`, or None; OutOfRange unless ints."""
+    pos = coords.get((n, cid))
+    if pos is not None and not (pos and all(map(core._is_int, pos))):
+        raise OutOfRange(f"cell {cid!r} of degree {n}: position {pos!r} is not one or more ints")
+    return pos
 
 
 def parse(text: str, check: bool = True) -> Complex:
@@ -307,7 +311,7 @@ def export_dot(P: Complex, name: str = "complex") -> str:
     become labeled arcs, and each square is emitted as a comment plus a
     plaintext node dashed-linked to the label nodes of its four boundary
     edges. Every id and the graph name, a str, are written as quoted
-    strings."""
+    strings; a position must be one or more ints, as in serialize."""
     if not isinstance(name, str):
         raise OutOfRange(f"graph name must be a str, not {name!r}")
     dim = P.dimension
@@ -318,7 +322,7 @@ def export_dot(P: Complex, name: str = "complex") -> str:
     out = [f"digraph {_quoted(name)} {{"]
     for v in sorted(P.cell_ids(0)):
         attrs = [f"label={_quoted(v)}"]
-        pos = coords.get((0, v))
+        pos = _position(coords, 0, v)
         if pos is not None and len(pos) >= 2:
             attrs.append(f'pos="{pos[0]},{pos[1]}!"')
         out.append(f'  {_quoted(v)} [{" ".join(attrs)}];')

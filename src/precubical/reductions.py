@@ -280,8 +280,8 @@ def run(
     dimension <= 2 and that its face entries resolve, then the conditions
     on the cell. In check mode return (None, certificate); in apply mode
     raise ConditionsFailed or GuaranteeLost (unless allow_empty_y) or
-    return the reduced complex with the certificate. `a` is 1 or 2 for
-    square-two-free and None for the other moves.
+    return a copy of P patched by the proved step, with the certificate.
+    `a` is 1 or 2 for square-two-free and None for the other moves.
 
     The certificate keeps the facts the check found as ids and builds its
     `CellRef` fields (the condition witnesses, `removed`, `redirected`,
@@ -306,7 +306,9 @@ def run(
     if mode == "check":
         return None, cert
     _require_applicable(cert, allow_empty_y)
-    return P.reduced(cert.removed, cert.redirected), cert
+    Q = P._copy()
+    Q._patch(cert._removed, cert._redirected)
+    return Q, cert
 
 
 def _check_params(kind, a, b):
@@ -389,13 +391,8 @@ def _schedule(P: Complex, rows, rank=None) -> Iterator[ReductionCertificate]:
 
     Each step then costs what the step touches, not a scan of the complex.
     Checks go through the module's `check`, and a step applies the
-    certificate its check passed. A bad entry raises OutOfRange first.
+    certificate its check passed.
     """
-    for entry in (entry for row in rows for entry in row):
-        try:
-            _check_params(*entry)
-        except (OutOfRange, TypeError) as exc:
-            raise OutOfRange(f"bad attempt entry {entry!r}: {exc}") from None
     degrees = [_MOVES[row[0][0]][0] for row in rows]
     pending = {(index if rank is None else rank[cid], index, cid)
                for index, d in enumerate(degrees) for cid in P.cell_ids(d)}

@@ -6,6 +6,7 @@ import pytest
 
 import precubical
 from precubical import core, fbg, modelio, reductions
+from precubical.core import CellRef
 from precubical.errors import OutOfRange
 
 REMOVED = (
@@ -55,10 +56,17 @@ SQUARE = modelio.named_fixture("square")
         lambda: core.standard_cube("2"),
         lambda: core.standard_cube(-1),
         lambda: modelio.export_dot(SQUARE, 5),
+        lambda: SQUARE.edges_at(CellRef(0, "w01"), 2),
+        lambda: SQUARE.edges_at(CellRef(0, "w01"), -1),
+        lambda: SQUARE.edges_at(CellRef(0, "w01"), True),
+        lambda: core.Complex({0: "ab"}),
+        lambda: core.Complex({0: b"ab"}),
+        lambda: core.Complex(None),
     ],
     ids=["max-paths-str", "max-paths-bool", "recipe-str", "recipe-int-entry", "hole-1-tuple",
          "grid-float", "grid-str", "holes-none", "grid-bool", "hole-bool", "cube-bool",
-         "cube-str", "cube-negative", "dot-name-int"],
+         "cube-str", "cube-negative", "dot-name-int", "edges-at-2", "edges-at-minus-1",
+         "edges-at-bool", "cells-str", "cells-bytes", "cells-none"],
 )
 def test_bad_arguments_raise_out_of_range(call):
     with pytest.raises(OutOfRange):

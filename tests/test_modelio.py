@@ -286,6 +286,13 @@ class TestDot:
             "}",
         ]
 
+    @pytest.mark.parametrize("pos", [('1"] x [y="', 2), (1.5, 2), (True, 2)],
+                             ids=["injection", "float", "bool"])
+    def test_a_position_that_is_not_ints_is_refused(self, pos):
+        P = Complex({0: ["a"]}, coords={(0, "a"): pos})
+        with pytest.raises(OutOfRange, match="cell 'a' of degree 0"):
+            modelio.export_dot(P)
+
     def test_every_quoted_string_closes(self, square):
         text = modelio.serialize(square).replace("eL", 'e"L').replace("w00", "w\\00")
         for line in modelio.export_dot(modelio.parse(text)).splitlines():

@@ -14,7 +14,6 @@ from precubical.errors import OutOfRange
 from precubical.reductions import (
     EDGE_COLLAPSE,
     GREEDY_ATTEMPTS,
-    SQUARE_TWO_FREE,
     Step,
     auto_reduce,
     check,
@@ -140,17 +139,6 @@ def recipe_or_refusal(make, *args):
 def test_recipe_matches_sweep(grid):
     expected = recipe_or_refusal(sweep_recipe, *grid)
     assert recipe_or_refusal(recipes.grid_reduction_recipe, *grid) == expected
-
-
-@pytest.mark.parametrize("P", [Complex({}), modelio.named_fixture("square")], ids=["empty", "square"])
-@pytest.mark.parametrize(
-    "entry",
-    [("bogus", None, 0), (EDGE_COLLAPSE, None, 2), (EDGE_COLLAPSE, 1, 0),
-     (SQUARE_TWO_FREE, None, 0), (SQUARE_TWO_FREE, 3, 1), (EDGE_COLLAPSE, 0)],
-)
-def test_bad_attempt_entries_raise_out_of_range(P, entry):
-    with pytest.raises(OutOfRange, match="bad attempt entry"):
-        list(reductions._schedule(P._copy(), [(GREEDY_ATTEMPTS[0],), (entry,)]))
 
 
 @settings(max_examples=100, deadline=None)
