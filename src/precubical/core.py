@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from math import comb
+from operator import itemgetter
 from typing import Optional
 
 from .errors import DimensionUnsupported, OutOfRange, UnknownCell, ValidationFailed
@@ -44,9 +46,10 @@ class Complex:
 
     `cells` maps each degree to an iterable of cell ids. `faces` maps
     (degree, id) to a mapping (i, k) -> face id of degree one less.
-    The constructor stores the tables as given (OutOfRange if `cells` is
-    not a mapping or holds a str or bytes); use :func:`validate` to check
-    the precubical identities and referential integrity.
+    The constructor stores a copy of the tables (OutOfRange unless `cells`
+    maps int degrees to collections of ids, not str or bytes); use
+    :func:`validate` to check the precubical identities and referential
+    integrity.
 
     Internal code reads ids through :meth:`faces_of` and
     :meth:`coface_tables`; :class:`CellRef` is the type of the public API.
@@ -70,18 +73,30 @@ class Complex:
         faces: Mapping[tuple[int, str], Mapping[tuple[int, int], str]] = (),
         coords: Mapping[tuple[int, str], tuple[int, ...]] = (),
     ):
-        if not isinstance(cells, Mapping) or any(isinstance(i, str | bytes) for i in cells.values()):
+        if not isinstance(cells, Mapping):
             raise OutOfRange(f"cells must map each degree to a collection of ids, not {cells!r}")
+        for n, ids in cells.items():
+            if not (_is_int(n) and isinstance(ids, Iterable)) or isinstance(ids, str | bytes):
+                raise OutOfRange(f"degree {n!r}: cells must map int degrees to ids, not {ids!r}")
+        self._own(cells, {key: dict(table) for key, table in dict(faces).items()},
+                  {key: tuple(pos) for key, pos in dict(coords).items()})
+
+    @classmethod
+    def _owning(cls, cells, faces, coords) -> Complex:
+        """A complex over tables the library has just built and keeps no
+        other reference to: int degrees, face-table dicts and position
+        tuples, stored as they are instead of copied."""
+        P = cls.__new__(cls)
+        P._own(cells, faces, coords)
+        return P
+
+    def _own(self, cells, faces, coords):
         self._cells: Optional[dict[int, tuple[str, ...]]] = {  # None once patched
             n: tuple(ids) for n, ids in cells.items() if ids
         }
         self._cell_sets: dict[int, set[str]] = {n: set(ids) for n, ids in self._cells.items()}
-        self._faces: dict[tuple[int, str], dict[tuple[int, int], str]] = {
-            key: dict(table) for key, table in dict(faces).items()
-        }
-        self._coords: dict[tuple[int, str], tuple[int, ...]] = {
-            key: tuple(pos) for key, pos in dict(coords).items()
-        }
+        self._faces: dict[tuple[int, str], dict[tuple[int, int], str]] = faces
+        self._coords: dict[tuple[int, str], tuple[int, ...]] = coords
         self._log: list[tuple[int, str]] = []  # the (degree, id) of each cell _patch removed
         # (edges by d_1^0, edges by d_1^1, squares by face): id -> sorted ids
         self._cofaces: Optional[tuple[dict, dict, dict]] = None
@@ -330,8 +345,12 @@ def _face_report(P: Complex) -> list[Violation]:
                 report += _extra_entries(0, cid, P._faces[(0, cid)])
             continue
         below = P._cell_sets.get(n - 1, frozenset())
+        positions = {(i, k) for i in range(1, n + 1) for k in (0, 1)}
         for cid in sorted(P._cell_sets[n]):
             table = P._faces.get((n, cid), {})
+            if table.keys() == positions and below.issuperset(table.values()):
+                resolved[(n, cid)] = table  # clean: every entry resolves
+                continue
             faces = resolved[(n, cid)] = {}
             missing = 0
             for i in range(1, n + 1):
@@ -432,7 +451,7 @@ def standard_cube(n: int) -> Complex:
                 for k in (0, 1):
                     table[(i, k)] = w[:pos] + str(k) + w[pos + 1 :]
             faces[(r, w)] = table
-    return Complex(cells, faces)
+    return Complex._owning(cells, faces, {})
 
 
 # -- regularity ------------------------------------------------------------
@@ -483,7 +502,7 @@ def _moved_faces(P: Complex, key) -> Complex:
         if n > 0
         for cid in P.cell_ids(n)
     }
-    return Complex({n: P.cell_ids(n) for n in P.degrees()}, faces, P.coords_table())
+    return Complex._owning({n: P.cell_ids(n) for n in P.degrees()}, faces, P.coords_table())
 
 
 # -- extremal vertices -----------------------------------------------------
@@ -511,51 +530,61 @@ def extremal(P: Complex) -> set[CellRef]:
 def are_isomorphic(P: Complex, Q: Complex) -> Optional[dict[CellRef, CellRef]]:
     """A degree-preserving bijection commuting with all faces, or None.
 
+    Every cell has a class, which any isomorphism keeps: its degree, its
+    number of cofaces at each face position, and the classes of its faces,
+    position by position. P and Q must have as many cells of each class.
     Mapping a cell forces the images of its faces and, at each face
     position where the cell has exactly one coface, the image of that
-    coface. The search branches only when nothing is forced: the first
-    unmapped cell of P in (degree descending, id) order tries, in id
-    order, the cells of Q with its degree and its number of cofaces at
-    each position. Raises ValidationFailed, as the coface tables do, if
-    either complex is invalid.
+    coface. The search branches only when nothing is forced: the unmapped
+    cell of P whose class is smallest, ties broken by degree descending
+    and then id, tries the cells of Q of its class in id order. Raises
+    ValidationFailed, as the coface tables do, if either complex is invalid.
     """
-    star_p, star_q = _stars(P), _stars(Q)
-    if any(P.size(n) != Q.size(n) for n in {*P.degrees(), *Q.degrees()}):
+    classes: dict[tuple, int] = {}  # signature -> class, shared by P and Q
+    star_p, star_q = _stars(P, classes), _stars(Q, classes)
+    alike: dict[int, list[str]] = {}  # class -> the ids of Q's cells of it
+    for stars in star_q:
+        for q in sorted(stars):
+            alike.setdefault(stars[q][2], []).append(q)
+    sizes = Counter(c for stars in star_p for _, _, c in stars.values())
+    if sizes != {c: len(qs) for c, qs in alike.items()}:
         return None
-    alike: dict[tuple, list[tuple[int, str]]] = {}
-    for q, (_, _, sig) in sorted(star_q.items()):
-        alike.setdefault((q[0], sig), []).append(q)
-    order = sorted(star_p, key=lambda c: (-c[0], c[1]))
-    image: dict[tuple[int, str], tuple[int, str]] = {}
-    used: set[tuple[int, str]] = set()
+    order = sorted((sizes[c], -n, p) for n, stars in enumerate(star_p)
+                   for p, (_, _, c) in stars.items())
+    image: list[dict[str, str]] = [{} for _ in star_p]  # per degree
+    used: list[set[str]] = [set() for _ in star_p]
     trail: list[tuple[int, str]] = []  # the cells of P mapped, in order
-    stack: list = []  # per branch: its place in order, untried cells of Q, len(trail)
+    stack: list = []  # per branch: its cell of P, its place in order, untried ids of Q, len(trail)
     pos = 0
     while True:
-        while pos < len(order) and order[pos] in image:
+        while pos < len(order) and order[pos][2] in image[-order[pos][1]]:
             pos += 1
         if pos == len(order):
-            return {CellRef(*p): CellRef(*q) for p, q in image.items()}
-        p = order[pos]
-        stack.append((pos, iter(alike.get((p[0], star_p[p][2]), ())), len(trail)))
+            return {CellRef(n, p): CellRef(n, q)
+                    for n, pairs in enumerate(image) for p, q in pairs.items()}
+        _, n, p = order[pos]
+        stack.append((-n, p, pos, iter(alike[star_p[-n][p][2]]), len(trail)))
         while stack:  # the next candidate of the innermost branch left
-            pos, untried, mark = stack[-1]
+            n, p, pos, untried, mark = stack[-1]
             q = next(untried, None)
             while len(trail) > mark:
-                used.discard(image.pop(trail.pop()))
+                m, a = trail.pop()
+                used[m].discard(image[m].pop(a))
             if q is None:
                 stack.pop()
-            elif _force(order[pos], q, star_p, star_q, image, used, trail):
+            elif _force(n, (p,), (q,), star_p, star_q, image, used, trail):
                 break
         else:
             return None
         pos += 1
 
 
-def _stars(P: Complex) -> dict[tuple[int, str], tuple[tuple, tuple, tuple[int, ...]]]:
-    """Per cell (degree, id): its faces by face position (i, k), in order;
-    the cofaces alone at their position, in position order; and the number
-    of cofaces at each position. Cells of degree 2 and up get no cofaces."""
+def _stars(P: Complex, classes: dict) -> list[dict[str, tuple[tuple, tuple, int]]]:
+    """Per degree, from 0, per cell id: its face ids by face position (i,
+    k), in order; the ids of its cofaces alone at their position, in
+    position order; and its class, numbered in `classes` by signature: the
+    degree, the number of cofaces at each position and the classes of the
+    faces in position order. Cells of degree 2 and up get no cofaces."""
     starts, ends, _ = P.coface_tables()
     square_keys = ((1, 0), (1, 1), (2, 0), (2, 1))
     squares_at: dict[str, tuple[list, list, list, list]] = {}  # edge -> its squares, by position
@@ -563,42 +592,50 @@ def _stars(P: Complex) -> dict[tuple[int, str], tuple[tuple, tuple, tuple[int, .
         faces = P._faces[(2, s)]
         for at, key in enumerate(square_keys):
             squares_at.setdefault(faces[key], ([], [], [], []))[at].append(s)
-    stars = {}
-    for n in P.degrees():
-        keys = [(i, k) for i in range(1, n + 1) for k in (0, 1)]
+    out = []
+    below: dict[str, int] = {}  # id -> class, in the degree below
+    for n in P.degrees():  # ascending, so the faces of a cell have their classes
+        by_position = itemgetter(*[(i, k) for i in range(1, n + 1) for k in (0, 1)]) if n else None
+        here, stars = {}, {}
         for c in P._cell_sets[n]:
-            ups = ()
+            ups, fids = (), ()
             if n == 0:
                 ups = (starts.get(c, ()), ends.get(c, ()))
-            elif n == 1:
-                ups = squares_at.get(c, ((), (), (), ()))
-            faces = P.faces_of(n, c)
-            stars[(n, c)] = (
-                tuple([(n - 1, faces[key]) for key in keys]),
-                tuple([(n + 1, at[0]) for at in ups if len(at) == 1]),
-                tuple(map(len, ups)),
-            )
-    return stars
+            else:
+                fids = by_position(P._faces[(n, c)])
+                if n == 1:
+                    ups = squares_at.get(c, ((), (), (), ()))
+            signature = (n, *map(len, ups), *map(below.get, fids))
+            here[c] = cls = classes.setdefault(signature, len(classes))
+            stars[c] = (fids, tuple([at[0] for at in ups if len(at) == 1]), cls)
+        below = here
+        out.append(stars)
+    return out
 
 
-def _force(p, q, star_p, star_q, image, used, trail) -> bool:
-    """Map cell p of P to q, then every cell that forces; False on a clash."""
-    work = [(p, q)]
+def _force(n, ps, qs, star_p, star_q, image, used, trail) -> bool:
+    """Map the degree-n cells ps of P to qs, position by position, then
+    every cell that forces; False on a clash."""
+    work = [(n, ps, qs)]
     while work:
-        a, b = work.pop()
-        if a in image:
-            if image[a] != b:
+        n, ps, qs = work.pop()
+        mapped, taken, stars_p, stars_q = image[n], used[n], star_p[n], star_q[n]
+        for a, b in zip(ps, qs):
+            if a in mapped:
+                if mapped[a] != b:
+                    return False
+                continue
+            faces_a, alone_a, cls = stars_p[a]
+            faces_b, alone_b, cls_b = stars_q[b]
+            if b in taken or cls != cls_b:
                 return False
-            continue
-        faces_a, alone_a, sig = star_p[a]
-        faces_b, alone_b, sig_b = star_q[b]
-        if b in used or sig != sig_b:
-            return False
-        image[a] = b
-        used.add(b)
-        trail.append(a)
-        work += zip(faces_a, faces_b)
-        work += zip(alone_a, alone_b)  # equal signatures: the same positions
+            mapped[a] = b
+            taken.add(b)
+            trail.append((n, a))
+            if faces_a:
+                work.append((n - 1, faces_a, faces_b))
+            if alone_a:  # equal classes: the same positions
+                work.append((n + 1, alone_a, alone_b))
     return True
 
 

@@ -32,6 +32,9 @@ from .errors import (
 HEADER = "pcsv1"
 
 _FACE_KEY = re.compile(r"^d(\d+)_([01])$")
+# The face keys of degrees up to 8, each to one shared (i, k) tuple; parse
+# reads any other key by _FACE_KEY.
+_FACE_KEYS = {f"d{i}_{k}": (i, k) for i in range(1, 9) for k in (0, 1)}
 
 
 def serialize(P: Complex, name: str = None) -> str:
@@ -104,36 +107,35 @@ def parse(text: str, check: bool = True) -> Complex:
                 raise DocumentSyntaxError(lineno, f"bad token {token!r}")
             if key == "pos":
                 try:
-                    coords[(degree, cid)] = tuple(int(c) for c in value.split(","))
+                    coords[(degree, cid)] = tuple(map(int, value.split(",")))
                 except ValueError:
                     raise DocumentSyntaxError(lineno, f"bad position {value!r}") from None
                 continue
-            m = _FACE_KEY.match(key)
-            if not m:
-                raise DocumentSyntaxError(lineno, f"bad face key {key!r}")
-            try:
-                i, k = int(m.group(1)), int(m.group(2))
-            except ValueError:  # more digits than int() reads: beyond any degree
-                i, k = 0, 0
-            if not 1 <= i <= degree:
+            ik = _FACE_KEYS.get(key)
+            if ik is None:
+                m = _FACE_KEY.match(key)
+                if not m:
+                    raise DocumentSyntaxError(lineno, f"bad face key {key!r}")
+                try:
+                    ik = int(m.group(1)), int(m.group(2))
+                except ValueError:  # more digits than int() reads: beyond any degree
+                    ik = 0, 0
+            if not 1 <= ik[0] <= degree:
                 raise DocumentSyntaxError(
                     lineno, f"face key {key!r} out of range for degree {degree}"
                 )
-            if (i, k) in table:
+            if ik in table:
                 raise DocumentSyntaxError(lineno, f"face key {key!r} given twice")
-            table[(i, k)] = value
-        for i in range(1, degree + 1):
-            for k in (0, 1):
-                if (i, k) not in table:
-                    raise DocumentSyntaxError(
-                        lineno, f"cell {cid!r} is missing face key d{i}_{k}"
-                    )
+            table[ik] = value
+        if len(table) != 2 * degree:  # each key in range and given once: one is missing
+            i, k = next((i, k) for i in range(1, degree + 1) for k in (0, 1) if (i, k) not in table)
+            raise DocumentSyntaxError(lineno, f"cell {cid!r} is missing face key d{i}_{k}")
         cells.setdefault(degree, []).append(cid)
         if degree > 0:
             faces[(degree, cid)] = table
     if not header_seen:
         raise DocumentSyntaxError(len(lines) + 1, f"missing header {HEADER!r}")
-    P = Complex(cells, faces, coords)
+    P = Complex._owning(cells, faces, coords)
     if check:
         report = core.validate(P)
         if report:
@@ -220,7 +222,7 @@ def grid_with_holes(m: int, n: int, holes=()) -> Complex:
             coords[(2, sid)] = (i, j)
     if not cells[2]:
         del cells[2]
-    return Complex(cells, faces, coords)
+    return Complex._owning(cells, faces, coords)
 
 
 # Grid parameters of the worked examples with holes. The concrete sizes

@@ -315,9 +315,10 @@ def _check_params(kind, a, b):
     """Raise OutOfRange unless (kind, a, b) names a reduction."""
     if kind not in _MOVES:
         raise OutOfRange(f"unknown reduction kind {kind!r}")
-    if b not in (0, 1):
+    # ints only: True == 1 and 2.0 == 2, but no recipe line holds them
+    if not (core._is_int(b) and b in (0, 1)):
         raise OutOfRange(f"b must be 0 or 1, not {b!r}")
-    if kind == SQUARE_TWO_FREE and a not in (1, 2):
+    if kind == SQUARE_TWO_FREE and not (core._is_int(a) and a in (1, 2)):
         raise OutOfRange(f"a must be 1 or 2, not {a!r}")
     if kind != SQUARE_TWO_FREE and a is not None:
         raise OutOfRange(f"{kind} takes only b, not a={a!r}")

@@ -54,6 +54,14 @@ class TestValidate:
         report = core.validate(P)
         assert [v.kind for v in report] == ["duplicate-id"]
 
+    def test_a_degree_that_is_not_an_int_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match="degree '0'"):
+            Complex({"0": ["a"]})
+
+    def test_ids_that_are_not_a_collection_are_out_of_range(self):
+        with pytest.raises(OutOfRange, match="degree 0"):
+            Complex({0: 5})
+
     def test_repr_counts_each_id_once(self):
         assert repr(Complex({0: ["a", "a", "b"], 1: ["e"]})) == "Complex({0: 2, 1: 1})"
 
@@ -466,6 +474,30 @@ class TestIsomorphismSearch:
             assert mapping is not None and commutes(mapping, P, Q)
         else:
             assert mapping is None
+
+    @pytest.mark.parametrize(
+        "side, holes, q_holes",
+        [
+            (9, {(1, 1), (7, 7)}, {(1, 1), (7, 7)}),
+            (9, {(2, 3), (5, 5)}, {(2, 3), (6, 5)}),
+            (6, {(0, 2), (0, 4)}, {(0, 2), (0, 4)}),
+            (6, {(0, 1), (0, 3), (0, 5)}, {(0, 1), (0, 3), (0, 5)}),
+            (7, {(0, 2), (4, 4)}, {(0, 5), (4, 4)}),
+        ],
+    )
+    def test_each_branch_tries_one_candidate(self, monkeypatch, side, holes, q_holes):
+        """The search branches on an unmapped cell of the smallest class,
+        here a class of one, so no candidate is tried and undone."""
+        tried = []
+        force = core._force
+        monkeypatch.setattr(core, "_force", lambda *a: tried.append(force(*a)) or tried[-1])
+        P = modelio.grid_with_holes(side, side, holes)
+        Q = relabelled(modelio.grid_with_holes(side, side, q_holes), random.Random(side))
+        mapping = core.are_isomorphic(P, Q)
+        if holes == q_holes:
+            assert mapping is not None and tried and all(tried)
+        else:
+            assert mapping is None and len(tried) <= 1
 
     def test_one_face_report_per_parsed_complex(self, monkeypatch):
         grid = modelio.grid_with_holes(6, 6, {(1, 1), (4, 4)})

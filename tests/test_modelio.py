@@ -53,6 +53,26 @@ class TestSerialization:
             modelio.parse(text)
         assert excinfo.value.line_number == 4
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("1 e d1_0=a e1_0=b", "bad face key 'e1_0'"),
+            ("1 e d1_0=a d1_2=b", "bad face key 'd1_2'"),
+            ("1 e d1_0=a d1_1=b d2_0=a", "face key 'd2_0' out of range for degree 1"),
+            ("1 e d1_0=a d01_0=a d1_1=b", "face key 'd01_0' given twice"),
+            (f"1 e d1_0=a d{'9' * 5000}_1=b", "out of range for degree 1"),
+            ("1 e d1_0=a pos=0,1", "cell 'e' is missing face key d1_1"),
+            ("1 e d1_1=b d3_1=a", "face key 'd3_1' out of range for degree 1"),
+        ],
+        ids=["e-key", "k-2", "i-past-degree", "leading-zero-twice", "more-digits-than-int",
+             "missing-beside-pos", "missing-beside-extra"],
+    )
+    def test_face_key_messages(self, record, message):
+        text = f"pcsv1\n0 a\n# note\n0 b\n{record}\n"
+        with pytest.raises(DocumentSyntaxError, match=re.escape(message)) as excinfo:
+            modelio.parse(text)
+        assert excinfo.value.line_number == 5
+
     def test_repeated_id_is_written_as_often_as_given(self):
         P = Complex({0: ["a", "b", "a"], 1: ["e"]}, {(1, "e"): {(1, 0): "a", (1, 1): "b"}})
         text = modelio.serialize(P)

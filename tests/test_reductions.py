@@ -125,6 +125,8 @@ class TestEdgeCollapse:
         (SQUARE_ONE_FREE, None, 1, "Apply"),
         (EDGE_COLLAPSE, 2, 0, "apply"),
         (SQUARE_ONE_FREE, 1, 1, "check"),
+        (SQUARE_ONE_FREE, None, True, "check"),
+        (SQUARE_TWO_FREE, 2.0, 0, "check"),
     ],
 )
 def test_bad_parameters_raise_out_of_range(kind, a, b, mode):
@@ -133,6 +135,15 @@ def test_bad_parameters_raise_out_of_range(kind, a, b, mode):
     with pytest.raises(OutOfRange):
         run(P, kind, cell, a, b, mode=mode)
     assert P._cofaces is None  # refused before any table was read
+
+
+def test_each_certificates_step_line_parses_back_to_its_step():
+    P = modelio.grid_with_holes(3, 3, {(1, 1)})
+    certificates = [check(P, kind, cid, a, b) for kind, cid, a, b in all_candidates(P)]
+    assert {cert.kind for cert in certificates} == {EDGE_COLLAPSE, SQUARE_ONE_FREE, SQUARE_TWO_FREE}
+    for cert in certificates:
+        step = Step.of(cert)
+        assert recipes.parse_recipe(recipes.format_recipe([step])) == [step]
 
 
 class TestBrokenFaceTables:
