@@ -47,7 +47,8 @@ class Complex:
     `cells` maps each degree to an iterable of cell ids. `faces` maps
     (degree, id) to a mapping (i, k) -> face id of degree one less.
     The constructor stores a copy of the tables (OutOfRange unless `cells`
-    maps int degrees to collections of ids, not str or bytes); use
+    maps int degrees to collections of hashable ids, not str or bytes,
+    and `faces` and `coords` map to mappings and sequences); use
     :func:`validate` to check the precubical identities and referential
     integrity.
 
@@ -75,11 +76,25 @@ class Complex:
     ):
         if not isinstance(cells, Mapping):
             raise OutOfRange(f"cells must map each degree to a collection of ids, not {cells!r}")
+        owned = {}
         for n, ids in cells.items():
             if not (_is_int(n) and isinstance(ids, Iterable)) or isinstance(ids, str | bytes):
                 raise OutOfRange(f"degree {n!r}: cells must map int degrees to ids, not {ids!r}")
-        self._own(cells, {key: dict(table) for key, table in dict(faces).items()},
-                  {key: tuple(pos) for key, pos in dict(coords).items()})
+            owned[n] = tuple(ids)
+            try:
+                hash(owned[n])
+            except TypeError:
+                raise OutOfRange(f"degree {n}: ids must be hashable, not as in {owned[n]!r}") from None
+        faces, coords = faces or {}, coords or {}
+        for name, table, kind, what in (("faces", faces, Mapping, "face table"),
+                                        ("coords", coords, Iterable, "position")):
+            if not isinstance(table, Mapping):
+                raise OutOfRange(f"{name} must map each (degree, id) to its {what}, not {table!r}")
+            for key, value in table.items():
+                if not isinstance(value, kind):
+                    raise OutOfRange(f"cell {key!r}: {value!r} is not a {what}")
+        self._own(owned, {key: dict(table) for key, table in faces.items()},
+                  {key: tuple(pos) for key, pos in coords.items()})
 
     @classmethod
     def _owning(cls, cells, faces, coords) -> Complex:
@@ -131,7 +146,7 @@ class Complex:
         return self.cell_set().union(itertools.starmap(CellRef, self._log[logged:]))
 
     def has(self, cell: CellRef) -> bool:
-        return cell.id in self._cell_sets.get(cell.degree, ())
+        return _has(self, cell.degree, cell.id)
 
     def size(self, degree: int) -> int:
         return len(self._cell_sets.get(degree, ()))
@@ -246,27 +261,28 @@ class Complex:
         replaces the face-table dict, which may be shared, never mutating
         it. Each cell removed is logged: the cells before are those after
         plus the new log."""
-        faces, tables = self._faces, self._cofaces
-        unlinked = []  # (table index, face id, cell id): coface entries to take out
+        faces, tables, cell_sets = self._faces, self._cofaces, self._cell_sets
         for n, cid in removed:
-            ids = self._cell_sets[n]
-            ids.remove(cid)
-            if not ids:
-                del self._cell_sets[n]
-            self._log.append((n, cid))
+            cell_sets[n].remove(cid)
+            if not cell_sets[n]:
+                del cell_sets[n]
             self._coords.pop((n, cid), None)
-            table = faces.pop((n, cid), {})
-            unlinked += {(k if n == 1 else 2, f, cid) for (_, k), f in table.items()}
+            for (_, k), f in faces.pop((n, cid), {}).items():
+                table = tables[k if n == 1 else 2]
+                ids = table.get(f, ())
+                if cid in ids:  # gone already if a square has f at two positions
+                    if len(ids) == 1:
+                        del table[f]
+                    else:
+                        ids.remove(cid)
         for e, _, k, v in redirected:
-            table = faces[(1, e)]
-            unlinked.append((k, table[(1, k)], e))
-            bisect.insort(tables[k].setdefault(v, []), e)
+            table, ends = faces[(1, e)], tables[k]
+            ends[table[(1, k)]].remove(e)
+            if not ends[table[(1, k)]]:
+                del ends[table[(1, k)]]
+            bisect.insort(ends.setdefault(v, []), e)
             faces[(1, e)] = {**table, (1, k): v}
-        for t, f, cid in unlinked:
-            ids = tables[t][f]
-            ids.remove(cid)
-            if not ids:
-                del tables[t][f]
+        self._log += removed
         self._cells = None
 
     # -- equality is cell-for-cell on cells and faces, ignoring metadata ---
@@ -425,6 +441,14 @@ def is_valid(P: Complex) -> bool:
     return not validate(P)
 
 
+def _has(P: Complex, n: int, cid) -> bool:
+    """Whether P has the degree-n cell `cid`: False for an unhashable id."""
+    try:
+        return cid in P._cell_sets.get(n, ())
+    except TypeError:
+        return False
+
+
 def _is_int(x) -> bool:
     """True for an int that is not a bool: True would read as 1."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -458,23 +482,32 @@ def standard_cube(n: int) -> Complex:
 
 
 def is_regular(P: Complex, x: CellRef) -> bool:
-    """True iff the induced cube morphism of x is injective.
-
-    The images of the degree-(r-1) cells of the cube are the faces of the
-    images of its degree-r cells, so x is regular iff every level r-1
-    holds C(n, r-1) * 2^(n-r+1) distinct cells, as many as the n-cube
-    has. Each level is built from the values of the stored face tables of
-    the level above (exact once the face report has passed), and the test
-    returns False at the first level that falls short.
-    Raises ValidationFailed, as the coface tables do, if P is invalid.
+    """True iff the induced cube morphism of x is injective: for an edge,
+    iff its ends differ; for a square, iff its four edges differ and so do
+    its four corners, the ends of its d_1^0 and d_1^1 edges. Above that,
+    the images of the cube's degree-(r-1) cells are the faces of the
+    images of its degree-r cells, so x is regular iff each level r-1,
+    built from the level above, holds C(n, r-1) * 2^(n-r+1) distinct
+    cells, as the n-cube does; the loop stops at the first that falls
+    short. All read the stored face tables, exact once the face report
+    has passed. Raises UnknownCell for a cell P lacks (an unhashable id
+    names none) and ValidationFailed, as the coface tables do, if P is
+    invalid.
     """
-    if not P.has(x):
-        raise UnknownCell(f"no cell {x.id!r} of degree {x.degree}")
+    n, cid, faces = x.degree, x.id, P._faces
+    if not _has(P, n, cid):
+        raise UnknownCell(f"no cell {cid!r} of degree {n}")
     P.coface_tables()  # checks that every face table holds exactly its faces
-    n, faces = x.degree, P._faces
-    level = (x.id,)
+    if n == 1:
+        start, end = faces[(1, cid)].values()
+        return start != end
+    if n == 2:
+        table = faces[(2, cid)]
+        return len({*table.values()}) == 4 and len(
+            {*faces[(1, table[(1, 0)])].values(), *faces[(1, table[(1, 1)])].values()}) == 4
+    level = (cid,)
     for r in range(n, 0, -1):
-        level = {fid for cid in level for fid in faces[(r, cid)].values()}
+        level = {fid for c in level for fid in faces[(r, c)].values()}
         if len(level) < comb(n, r - 1) << (n - r + 1):
             return False
     return True

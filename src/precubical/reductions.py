@@ -140,16 +140,6 @@ class ReductionCertificate:
         raise KeyError(label)
 
 
-def _require(P: Complex, cell_id: str, degree: int) -> CellRef:
-    x = CellRef(degree, cell_id)
-    if not P.has(x):
-        for n in P.degrees():
-            if P.has(CellRef(n, cell_id)):
-                raise WrongDegree(f"cell {cell_id!r} has degree {n}, expected {degree}")
-        raise UnknownCell(f"no cell {cell_id!r} of degree {degree}")
-    return x
-
-
 def _cells(degree: int, ids) -> tuple[CellRef, ...]:
     return tuple(CellRef(degree, c) for c in ids)
 
@@ -299,10 +289,15 @@ def run(
         )
     cofaces = P.coface_tables()
     degree, conditions_of = _MOVES[kind]
-    x = _require(P, cell_id, degree)
+    if not core._has(P, degree, cell_id):
+        for n in P.degrees():
+            if core._has(P, n, cell_id):
+                raise WrongDegree(f"cell {cell_id!r} has degree {n}, expected {degree}")
+        raise UnknownCell(f"no cell {cell_id!r} of degree {degree}")
+    x = CellRef(degree, cell_id)
     reg = core.is_regular(P, x)
     params = {"a": a, "b": b} if kind == SQUARE_TWO_FREE else {"b": b}
-    cert = ReductionCertificate(P, kind, x, params, reg, *conditions_of(P, cofaces, x.id, a, b))
+    cert = ReductionCertificate(P, kind, x, params, reg, *conditions_of(P, cofaces, cell_id, a, b))
     if mode == "check":
         return None, cert
     _require_applicable(cert, allow_empty_y)

@@ -62,6 +62,22 @@ class TestValidate:
         with pytest.raises(OutOfRange, match="degree 0"):
             Complex({0: 5})
 
+    def test_faces_that_are_not_a_mapping_are_out_of_range(self):
+        with pytest.raises(OutOfRange, match=r"faces must map .* not \[1, 2\]"):
+            Complex({0: ["a"]}, [1, 2])
+
+    def test_a_face_table_of_none_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match=r"cell \(1, 'e'\): None is not a face table"):
+            Complex({0: ["a"], 1: ["e"]}, {(1, "e"): None})
+
+    def test_a_position_that_is_not_a_sequence_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match=r"cell \(0, 'a'\): 5 is not a position"):
+            Complex({0: ["a"]}, {}, {(0, "a"): 5})
+
+    def test_an_unhashable_id_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match="degree 0: ids must be hashable"):
+            Complex({0: [["a"]]})
+
     def test_repr_counts_each_id_once(self):
         assert repr(Complex({0: ["a", "a", "b"], 1: ["e"]})) == "Complex({0: 2, 1: 1})"
 
@@ -167,6 +183,10 @@ class TestRegularity:
         with pytest.raises(UnknownCell):
             query(interval)
 
+    def test_an_unhashable_id_is_an_unknown_cell(self, interval):
+        with pytest.raises(UnknownCell):
+            core.is_regular(interval, CellRef(1, ["x"]))
+
     def test_circle_edge_not_regular(self, circle):
         assert not core.is_regular(circle, CellRef(1, "e"))
 
@@ -207,6 +227,28 @@ class TestRegularity:
         assignment = cube_morphism(P, x).assignment
         assert len(set(assignment.values())) < len(assignment)
         assert not core.is_regular(P, x)
+
+    @pytest.mark.parametrize("glued", [False, True], ids=["cube", "first-coordinate-glued"])
+    def test_regular_iff_cube_morphism_injective_in_degree_three(self, glued):
+        """Above degree 2 only the level loop decides; gluing the ends of
+        the first coordinate (a leading 0 or 1 becomes 0) makes *** and
+        the cells that run along that coordinate irregular."""
+        P = core.standard_cube(3)
+        if glued:
+            def glue(w):
+                return "0" + w[1:] if w[0] in "01" else w
+
+            P = Complex(
+                {n: sorted({glue(c) for c in P.cell_ids(n)}) for n in P.degrees()},
+                {(n, glue(c)): {key: glue(f) for key, f in P.faces_of(n, c).items()}
+                 for n in P.degrees() if n > 0 for c in P.cell_ids(n)},
+            )
+        assert core.validate(P) == []
+        for x in all_cells(P):
+            assignment = cube_morphism(P, x).assignment
+            injective = len(set(assignment.values())) == len(assignment)
+            assert core.is_regular(P, x) == injective, x
+        assert core.is_regular(P, CellRef(3, "***")) is not glued
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))

@@ -106,6 +106,11 @@ class TestEdgeCollapse:
         with pytest.raises(WrongDegree):
             edge_collapse(P, "s", 0)
 
+    def test_an_unhashable_id_is_an_unknown_cell(self):
+        P = modelio.named_fixture("square")
+        with pytest.raises(UnknownCell):
+            check(P, SQUARE_ONE_FREE, ["x"], None, 0)
+
     def test_dimension_guard(self):
         with pytest.raises(DimensionUnsupported):
             edge_collapse(core.standard_cube(3), "0**", 0)
@@ -497,6 +502,14 @@ class TestAutoReduce:
             auto_reduce(P, policy="recipe", recipe=steps)
         assert excinfo.value.step_index == 1
         assert excinfo.value.certificate is None
+
+    def test_recipe_step_with_an_unhashable_id_names_its_index(self):
+        P = modelio.named_fixture("square")
+        with pytest.raises(RecipeStepFailed) as excinfo:
+            auto_reduce(P, policy="recipe", recipe=[Step(EDGE_COLLAPSE, ["e"], 0)])
+        assert excinfo.value.step_index == 0
+        assert excinfo.value.certificate is None
+        assert isinstance(excinfo.value.__cause__, UnknownCell)
 
     def test_recipe_step_with_an_a_its_move_does_not_take(self):
         """Such a step has no recipe line: format_recipe would write one

@@ -142,6 +142,41 @@ def test_reduced_takes_a_step_that_keeps_the_complex_valid():
     assert Q._cofaces == fresh_tables(Q)
 
 
+# The `repeated-edge` complex of test_core: the square s has the edge a
+# at d_1^0 and at d_2^0. Adding t, a second square with a at d_2^0,
+# puts two squares in the coface list of a.
+REPEATED_SIDE_CELLS = {0: ["p", "q", "r"], 1: ["a", "b", "d"], 2: ["s"]}
+REPEATED_SIDE_FACES = {
+    (1, "a"): {(1, 0): "p", (1, 1): "q"},
+    (1, "b"): {(1, 0): "q", (1, 1): "r"},
+    (1, "d"): {(1, 0): "q", (1, 1): "r"},
+    (2, "s"): {(1, 0): "a", (1, 1): "b", (2, 0): "a", (2, 1): "d"},
+}
+SECOND_SQUARE_CELLS = {0: ["u", "z"], 1: ["l", "m", "top"], 2: ["t"]}
+SECOND_SQUARE_FACES = {
+    (1, "l"): {(1, 0): "p", (1, 1): "u"},
+    (1, "m"): {(1, 0): "q", (1, 1): "z"},
+    (1, "top"): {(1, 0): "u", (1, 1): "z"},
+    (2, "t"): {(1, 0): "l", (1, 1): "m", (2, 0): "a", (2, 1): "top"},
+}
+
+
+@pytest.mark.parametrize("with_t, squares", [(False, "s"), (True, "s"), (True, "t"), (True, "st")],
+                         ids=["s-alone", "s-beside-t", "t-beside-s", "both"])
+def test_removing_a_square_with_a_repeated_side_unlinks_it_once(with_t, squares):
+    """The patch takes s out of the coface list of a once, though s meets
+    a at two positions, and leaves the other squares there."""
+    cells, faces = REPEATED_SIDE_CELLS, REPEATED_SIDE_FACES
+    if with_t:
+        cells = {n: ids + SECOND_SQUARE_CELLS[n] for n, ids in cells.items()}
+        faces = {**faces, **SECOND_SQUARE_FACES}
+    P = Complex(cells, faces)
+    assert core.validate(P) == []
+    Q = P.reduced({CellRef(2, s) for s in squares})
+    assert Q.size(2) == P.size(2) - len(squares)
+    assert Q._cofaces == fresh_tables(Q)
+
+
 @pytest.fixture
 def copies(monkeypatch):
     """One entry per call of Complex._copy, the working-copy helper."""
