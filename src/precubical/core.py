@@ -48,9 +48,9 @@ class Complex:
     (degree, id) to a mapping (i, k) -> face id of degree one less.
     The constructor stores a copy of the tables (OutOfRange unless `cells`
     maps int degrees to collections of hashable ids, not str or bytes,
-    and `faces` and `coords` map to mappings and sequences); use
-    :func:`validate` to check the precubical identities and referential
-    integrity.
+    and `faces` and `coords` map to mappings of hashable face ids and to
+    sequences); use :func:`validate` to check the precubical identities
+    and referential integrity.
 
     Internal code reads ids through :meth:`faces_of` and
     :meth:`coface_tables`; :class:`CellRef` is the type of the public API.
@@ -93,8 +93,13 @@ class Complex:
             for key, value in table.items():
                 if not isinstance(value, kind):
                     raise OutOfRange(f"cell {key!r}: {value!r} is not a {what}")
-        self._own(owned, {key: dict(table) for key, table in faces.items()},
-                  {key: tuple(pos) for key, pos in coords.items()})
+        faces = {key: dict(table) for key, table in faces.items()}
+        for key, table in faces.items():
+            try:
+                hash(tuple(table.values()))
+            except TypeError:
+                raise OutOfRange(f"cell {key!r}: unhashable face id in {table!r}") from None
+        self._own(owned, faces, {key: tuple(pos) for key, pos in coords.items()})
 
     @classmethod
     def _owning(cls, cells, faces, coords) -> Complex:

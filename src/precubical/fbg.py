@@ -18,6 +18,7 @@ produced here unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 from .core import CellRef, Complex, _is_int, maximal_vertices, minimal_vertices
@@ -64,6 +65,12 @@ def _topological_order(P: Complex) -> list[str]:
     return order
 
 
+def _check_max_paths(max_paths):
+    """Refuse a cap that is not an int of at least 1 (a bool is not)."""
+    if not (_is_int(max_paths) and max_paths >= 1):
+        raise OutOfRange(f"max_paths must be an int of at least 1, not {max_paths!r}")
+
+
 def one_skeleton_is_acyclic(P: Complex) -> bool:
     """True iff the directed graph on vertices and edges has no directed
     cycle (a self-loop counts as a cycle)."""
@@ -81,7 +88,10 @@ def enumerate_dipaths(
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> list[EdgePath]:
     """All directed edge paths from start to end, in lexicographic order
-    of their edge-id sequences (depth first, exponential in general)."""
+    of their edge-id sequences (depth first, exponential in general).
+    Raises OutOfRange, before the complex is read, when max_paths is not
+    an int of at least 1, and PathExplosion past max_paths paths."""
+    _check_max_paths(max_paths)
     for v in (start, end):
         if not P.has(v) or v.degree != 0:
             raise UnknownCell(f"no vertex {v.id!r}")
@@ -151,7 +161,8 @@ def dihomotopy_classes(
     """Partition of all start-to-end paths into square-exchange classes.
 
     Classes are ordered by their lexicographically least member and each
-    class lists its paths in enumeration order.
+    class lists its paths in enumeration order. max_paths is read, and
+    refused, as by enumerate_dipaths.
     """
     paths = enumerate_dipaths(P, start, end, max_paths)
     index = {p.edges: i for i, p in enumerate(paths)}
@@ -192,8 +203,7 @@ def fundamental_bipartite_graph(
     path of each class as representative. Raises PathExplosion when more
     than max_paths classes of paths from one minimal vertex reach one
     vertex, and OutOfRange when max_paths is not an int of at least 1."""
-    if not (_is_int(max_paths) and max_paths >= 1):
-        raise OutOfRange(f"max_paths must be an int of at least 1, not {max_paths!r}")
+    _check_max_paths(max_paths)
     order = _topological_order(P)
     starts = P.coface_tables()[0]
     faces = P._faces
@@ -211,27 +221,25 @@ def fundamental_bipartite_graph(
         elif n == 2 and f:
             b = f[(1, 1)]
             tops.setdefault(faces[(1, b)][(1, 1)], []).append((f[(2, 0)], b, f[(1, 0)], f[(2, 1)]))
-    outdegree = {u: len(ids) for u, ids in starts.items()}
     minimals, maximals = tuple(sorted(minimal_vertices(P))), tuple(sorted(maximal_vertices(P)))
-    classes = {}
-    for m in minimals:
-        reps = _classes_from(order[order.index(m.id) :], into, tops, outdegree, max_paths)
-        for M in maximals:
-            found = reps.get(M.id, ())
-            paths = (EdgePath(m, M, tuple(CellRef(1, e) for e in rep)) for rep in found)
-            classes[(m, M)] = (len(found), tuple(paths))
+    reps = _classes(order, minimals, into, tops, starts, max_paths)
+    classes = dict.fromkeys(((m, M) for m in minimals for M in maximals), (0, ()))  # pair order
+    for M in maximals:
+        for m, group in groupby(reps[M.id], lambda rep: minimals[rep[0]]):
+            paths = tuple(EdgePath(m, M, tuple(CellRef(1, e) for e in rep[1:])) for rep in group)
+            classes[(m, M)] = (len(paths), paths)
     return FbgTable(minimals, maximals, classes)
 
 
-def _classes_from(order, into, tops, outdegree, max_paths) -> dict[str, list[list[str]]]:
-    """The sorted class representatives (edge-id lists) of the paths
-    from order[0] to each maximal vertex it reaches.
+def _classes(order, minimals, into, tops, starts, max_paths) -> dict[str, list[list]]:
+    """The sorted class representatives at each maximal vertex, from one
+    pass that starts each minimal vertex minimals[i] with one class, [i].
 
     A class at w is a union-find class of pairs (class c at v, edge v -> w):
-    an exchange inside a prefix keeps its class, so the only relation left
-    is (class of c.a, b) ~ (class of c.a', b') for each square with top w
-    and each class c at its start. Classes are length-homogeneous, so the
-    least path of a class is the least rep(c) + [e] over its pairs. A
+    an exchange inside a prefix keeps its class and its start, so the only
+    relation left is (class of c.a, b) ~ (class of c.a', b') for each square
+    with top w and each class c at its start. Classes are length-homogeneous,
+    so the least path of a class is the least rep(c) + [e] over its pairs. A
     vertex's representatives are dropped once its out-edges are consumed.
 
     Where w is reached by one edge e from u and tops no square, nothing
@@ -242,12 +250,11 @@ def _classes_from(order, into, tops, outdegree, max_paths) -> dict[str, list[lis
     are copied. A representative is thus copied only at a branch point or
     a merge, and a chain of L edges costs O(L), not O(L^2).
     """
-    m = order[0]
-    reps = {m: [[]]}  # vertex -> its classes' representatives, sorted
+    reps = {m.id: [[i]] for i, m in enumerate(minimals)}  # vertex -> its classes' reps, sorted
     via: dict[str, Sequence[int]] = {}  # edge u -> v: class at v of (c, edge), by class c at u
-    unused = dict(outdegree)
-    for w in order[1:]:
-        ins = [(e, u) for e, u in into.get(w, ()) if u in reps]
+    unused = {u: len(ids) for u, ids in starts.items()}
+    for w in order:
+        ins = into.get(w)
         if not ins:
             continue
         if len(ins) == 1 and w not in tops:
@@ -267,24 +274,25 @@ def _classes_from(order, into, tops, outdegree, max_paths) -> dict[str, list[lis
             total += len(reps[u])
         uf = _UnionFind(total)
         for a, b, a2, b2 in tops.get(w, ()):
-            if a in via:
-                for x, y in zip(via[a], via[a2]):
-                    uf.union(offset[b] + x, offset[b2] + y)
+            for x, y in zip(via[a], via[a2]):
+                uf.union(offset[b] + x, offset[b2] + y)
         least: dict[int, tuple] = {}  # root -> least (rep(c), e) of its pairs
         for e, u in ins:
             for c, rep in enumerate(reps[u]):
                 root, key = uf.find(offset[e] + c), (rep, e)
                 if root not in least or key < least[root]:
                     least[root] = key
-        if len(least) > max_paths:
-            raise PathExplosion(
-                f"{len(least)} classes of paths from {m!r} reach {w!r}, "
-                f"more than max_paths={max_paths}"
-            )
         paths = {root: rep + [e] for root, (rep, e) in least.items()}
         roots = sorted(paths, key=paths.get)  # classes may differ in length
         index = {root: k for k, root in enumerate(roots)}
         reps[w] = [paths[r] for r in roots]
+        if len(roots) > max_paths:  # then count the classes from each minimal vertex
+            for m, group in groupby(reps[w], lambda rep: minimals[rep[0]]):
+                if (count := len(list(group))) > max_paths:
+                    raise PathExplosion(
+                        f"{count} classes of paths from {m.id!r} reach {w!r}, "
+                        f"more than max_paths={max_paths}"
+                    )
         for e, u in ins:
             via[e] = [index[uf.find(offset[e] + c)] for c in range(len(reps[u]))]
             unused[u] -= 1

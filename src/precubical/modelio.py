@@ -40,10 +40,12 @@ _FACE_KEYS = {f"d{i}_{k}": (i, k) for i in range(1, 9) for k in (0, 1)}
 def serialize(P: Complex, name: str = None) -> str:
     """The pcsv1 document of P, one record per id, a repeated id as often as
     it is given. What a document cannot carry raises OutOfRange: a name
-    that is not one line; an id that is not a str, is empty or holds
-    whitespace, naming the first such cell, in the given order, by degree
-    and id; and a position that is not one or more ints, naming the first
-    such cell in record order."""
+    that is not None or a str of one line; an id that is not a str, is
+    empty or holds whitespace, naming the first such cell, in the given
+    order, by degree and id; and a position that is not one or more ints,
+    naming the first such cell in record order."""
+    if name is not None and not isinstance(name, str):
+        raise OutOfRange(f"name must be a str or None, not {name!r}")
     if name and name.splitlines() != [name]:  # parse splits lines as str.splitlines does
         raise OutOfRange(f"name {name!r}: a pcsv1 name is one line")
     lines = [HEADER]
@@ -295,7 +297,7 @@ FIXTURE_NAMES = tuple(_FIXTURES)
 
 
 def named_fixture(name: str) -> Complex:
-    if name not in _FIXTURES:
+    if not isinstance(name, str) or name not in _FIXTURES:
         raise UnknownFixture(f"unknown fixture {name!r}")
     return _FIXTURES[name]()
 

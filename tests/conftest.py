@@ -32,6 +32,17 @@ def shared_memory():
     return modelio.named_fixture("shared_memory")
 
 
+def from_edges(edges, squares=None, vertices=()):
+    """A complex from edges {id: (source, target)}, squares {id: (d_1^0,
+    d_1^1, d_2^0, d_2^1)} and extra vertices."""
+    squares = squares or {}
+    ends = {x for pair in edges.values() for x in pair}
+    faces = {(1, e): {(1, 0): a, (1, 1): b} for e, (a, b) in edges.items()}
+    for s, sides in squares.items():
+        faces[(2, s)] = dict(zip([(1, 0), (1, 1), (2, 0), (2, 1)], sides))
+    return Complex({0: sorted(ends | set(vertices)), 1: list(edges), 2: list(squares)}, faces)
+
+
 def random_grid_complex(rng: random.Random, max_side: int = 4) -> Complex:
     """A random grid with holes plus dangling edges to fresh vertices.
 

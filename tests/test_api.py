@@ -44,6 +44,11 @@ SQUARE = modelio.named_fixture("square")
     [
         lambda: fbg.fundamental_bipartite_graph(SQUARE, max_paths="3"),
         lambda: fbg.fundamental_bipartite_graph(SQUARE, max_paths=True),
+        lambda: fbg.enumerate_dipaths(SQUARE, CellRef(0, "w00"), CellRef(0, "w11"), max_paths="3"),
+        lambda: fbg.enumerate_dipaths(SQUARE, CellRef(0, "w00"), CellRef(0, "w11"), max_paths=True),
+        lambda: fbg.enumerate_dipaths(SQUARE, CellRef(0, "w00"), CellRef(0, "w11"), max_paths=0),
+        lambda: fbg.dihomotopy_classes(SQUARE, CellRef(0, "w00"), CellRef(0, "w11"), max_paths=None),
+        lambda: fbg.dihomotopy_classes(SQUARE, CellRef(0, "w00"), CellRef(0, "w11"), max_paths=True),
         lambda: reductions.auto_reduce(SQUARE, "recipe", "abc"),
         lambda: reductions.auto_reduce(SQUARE, "recipe", [1]),
         lambda: modelio.grid_with_holes(2, 2, [(0,)]),
@@ -63,7 +68,9 @@ SQUARE = modelio.named_fixture("square")
         lambda: core.Complex({0: b"ab"}),
         lambda: core.Complex(None),
     ],
-    ids=["max-paths-str", "max-paths-bool", "recipe-str", "recipe-int-entry", "hole-1-tuple",
+    ids=["max-paths-str", "max-paths-bool", "dipaths-max-paths-str", "dipaths-max-paths-bool",
+         "dipaths-max-paths-0", "classes-max-paths-none", "classes-max-paths-bool",
+         "recipe-str", "recipe-int-entry", "hole-1-tuple",
          "grid-float", "grid-str", "holes-none", "grid-bool", "hole-bool", "cube-bool",
          "cube-str", "cube-negative", "dot-name-int", "edges-at-2", "edges-at-minus-1",
          "edges-at-bool", "cells-str", "cells-bytes", "cells-none"],

@@ -302,3 +302,55 @@ def test_import_builds_no_parser():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.stdout == "0\n", out.stderr
+
+
+def mutated(rng: random.Random, text: str) -> str:
+    """text after one to three token-level mutations, each on a random
+    record: a face entry rewired to another id, a token dropped, the record
+    repeated or dropped, its degree changed, or a stray entry appended."""
+    lines = text.splitlines()
+    ids = [line.split()[1] for line in lines if line[:1].isdigit()]
+    for _ in range(rng.randint(1, 3)):
+        if len(lines) < 2:
+            break
+        i = rng.randrange(1, len(lines))  # the header stays
+        tokens = lines[i].split()
+        how = rng.randrange(6)
+        entries = [j for j, token in enumerate(tokens) if "=" in token]
+        if not tokens:
+            continue
+        if how == 0 and entries:
+            j = rng.choice(entries)
+            tokens[j] = tokens[j].split("=")[0] + "=" + rng.choice(ids)
+        elif how == 1:
+            del tokens[rng.randrange(len(tokens))]
+        elif how == 2:
+            lines.insert(i, lines[i])
+        elif how == 3:
+            del lines[i]
+            continue
+        elif how == 4:
+            tokens[0] = str(rng.randint(0, 3))
+        else:
+            stray = f"d{rng.randint(1, 3)}_{rng.randint(0, 1)}={rng.choice(ids)}"
+            tokens.append(rng.choice([stray, rng.choice(ids), "pos=1,2"]))
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_documents_exit_with_a_code(tmp_path, capsys):
+    # Every command on a broken document ends in exit code 0, 1 or 2: no
+    # exception escapes main.
+    rng = random.Random(2310)
+    texts = [modelio.serialize(modelio.named_fixture(name), name) for name in modelio.FIXTURE_NAMES]
+    doc, out = str(tmp_path / "doc.pcsv"), str(tmp_path / "out.pcsv")
+    codes = []
+    for t in range(300):
+        with open(doc, "w", encoding="utf-8") as fh:
+            fh.write(mutated(rng, texts[t % len(texts)]))
+        for argv in (["validate", doc], ["info", doc], ["fbg", "--json", doc],
+                     ["auto-reduce", doc, "-o", out], ["export-dot", doc], ["iso", doc, doc]):
+            codes.append(main(argv))
+        capsys.readouterr()
+    assert set(codes) <= {0, 1, 2}
+    assert {0, 1, 2} <= set(codes)

@@ -2,17 +2,29 @@ import random
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from precubical import core, modelio
 from precubical.core import CellRef, Complex
 from precubical.errors import OutOfRange, PrecubicalError, UnknownCell, ValidationFailed
 
-from conftest import glued_complexes, random_grid_complex, relabelled
+from conftest import from_edges, glued_complexes, random_grid_complex, relabelled
 from reference import all_cells, cube_morphism, is_subcomplex, restrict, squares_on
 
 
 S = CellRef(2, "s")
+
+
+# Parallel edges a -> b and c -> d, loops at c and d, and squares that share
+# all four sides or three of them: under most relabellings, the isomorphism
+# search forces an edge onto one image and then meets it with another.
+CLASHING = from_edges(
+    {"e0": ("a", "b"), "e4": ("a", "b"), "e2": ("a", "c"), "e3": ("b", "d"), "e1": ("c", "d"),
+     "e7": ("c", "d"), "e5": ("c", "c"), "e6": ("d", "d"), "e8": ("ta", "a"), "e9": ("tb", "b"),
+     "e10": ("tc", "c")},
+    {"s0": ("e0", "e1", "e2", "e3"), "s1": ("e0", "e1", "e2", "e3"), "s2": ("e4", "e1", "e2", "e3"),
+     "s4": ("e4", "e7", "e2", "e3"), "s3": ("e1", "e1", "e5", "e6")},
+)
 
 
 def rewire(P: Complex, cell: CellRef, i: int, k: int, new_id: str) -> Complex:
@@ -77,6 +89,11 @@ class TestValidate:
     def test_an_unhashable_id_is_out_of_range(self):
         with pytest.raises(OutOfRange, match="degree 0: ids must be hashable"):
             Complex({0: [["a"]]})
+
+    def test_an_unhashable_face_id_is_out_of_range(self):
+        # validate would otherwise raise TypeError: unhashable type: 'list'
+        with pytest.raises(OutOfRange, match=r"cell \(1, 'e'\): unhashable face id"):
+            Complex({0: ["a", "b"], 1: ["e"]}, {(1, "e"): {(1, 0): ["a"], (1, 1): "b"}})
 
     def test_repr_counts_each_id_once(self):
         assert repr(Complex({0: ["a", "a", "b"], 1: ["e"]})) == "Complex({0: 2, 1: 1})"
@@ -576,6 +593,7 @@ class TestIsomorphismSearch:
         st.sampled_from(["shuffled", "rewired", "opposite", "transpose"]),
         st.integers(0, 2**32),
     )
+    @example(CLASHING, "shuffled", 0)  # a forced cell meets an image it already has
     def test_agrees_with_backtracking(self, G, how, seed):
         rng = random.Random(seed)
         H = {

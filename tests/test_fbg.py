@@ -12,7 +12,7 @@ from precubical.cli import main
 from precubical.core import CellRef, Complex
 from precubical.errors import NotAcyclic, PathExplosion, UnknownCell
 
-from conftest import glued_complexes, random_glued_complex, random_grid_complex
+from conftest import from_edges, glued_complexes, random_glued_complex, random_grid_complex
 from reference import all_cells, restrict
 
 
@@ -151,6 +151,19 @@ class TestTable:
         ):
             fbg.fundamental_bipartite_graph(P, max_paths=2)
 
+    def test_class_cap_counts_one_minimal_vertex_at_a_time(self):
+        # As above, plus a second minimal vertex t with one edge into w: 4
+        # classes reach w in all, but only 3 from u.
+        P = from_edges({"e1": ("u", "w"), "e2": ("u", "w"), "e3": ("u", "w"), "f": ("t", "w"),
+                        "c1": ("w", "x"), "c2": ("x", "y")})
+        table = fbg.fundamental_bipartite_graph(P, max_paths=3)
+        assert table.count(CellRef(0, "u"), CellRef(0, "y")) == 3
+        assert table.count(CellRef(0, "t"), CellRef(0, "y")) == 1
+        with pytest.raises(
+            PathExplosion, match=r"^3 classes of paths from 'u' reach 'w', more than max_paths=2$"
+        ):
+            fbg.fundamental_bipartite_graph(P, max_paths=2)
+
     def test_empty_tables_of_unlisted_cells_are_ignored(self, interval):
         P = Complex({0: ["a0", "a1"], 1: ["e"]},
                     {(1, "e"): {(1, 0): "a0", (1, 1): "a1"}, (1, "x"): {}, (2, "s"): {}})
@@ -191,17 +204,6 @@ class TestAgainstEnumeration:
     def test_glued_complexes(self, P):
         assume(fbg.one_skeleton_is_acyclic(P))
         assert fbg.fundamental_bipartite_graph(P) == brute_force_table(P)
-
-
-def from_edges(edges, squares=None, vertices=()):
-    """A complex from edges {id: (source, target)}, squares {id: (d_1^0,
-    d_1^1, d_2^0, d_2^1)} and extra vertices."""
-    squares = squares or {}
-    ends = {x for pair in edges.values() for x in pair}
-    faces = {(1, e): {(1, 0): a, (1, 1): b} for e, (a, b) in edges.items()}
-    for s, sides in squares.items():
-        faces[(2, s)] = dict(zip([(1, 0), (1, 1), (2, 0), (2, 1)], sides))
-    return Complex({0: sorted(ends | set(vertices)), 1: list(edges), 2: list(squares)}, faces)
 
 
 # The unit square on corners 00, 01, 10, 11, as the standard 2-cube names them.

@@ -180,6 +180,17 @@ class TestValidateCoversTheFormat:
             modelio.save(P, path, name)
         assert path.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("name", [5, 0], ids=["int", "zero"])
+    def test_name_that_is_not_a_str_is_refused(self, name, tmp_path):
+        # 0 must not be read as no name
+        P = modelio.named_fixture("interval")
+        with pytest.raises(OutOfRange, match="name must be a str or None"):
+            modelio.serialize(P, name)
+        path = tmp_path / "out.pcsv"
+        with pytest.raises(OutOfRange):
+            modelio.save(P, path, name)
+        assert not path.exists()
+
     @settings(max_examples=100, deadline=None)
     @given(glued_complexes())
     def test_valid_complexes_round_trip(self, P):
@@ -269,6 +280,10 @@ class TestFixtures:
     def test_unknown(self):
         with pytest.raises(UnknownFixture):
             modelio.named_fixture("moebius")
+
+    def test_unknown_unhashable_name(self):
+        with pytest.raises(UnknownFixture):
+            modelio.named_fixture(["x"])
 
 
 class TestDot:
