@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import core, fbg, modelio, recipes, reductions
-from .errors import DocumentSyntaxError, OutOfRange, PrecubicalError, UsageError, ValidationFailed
+from .errors import DocumentSyntaxError, OutOfRange, PrecubicalError, ValidationFailed
 
 
 def _cell_str(cell: core.CellRef) -> str:
@@ -111,7 +111,7 @@ def cmd_gen(args) -> int:
                     i, j = part.split(",")
                     holes.add((int(i), int(j)))
             except ValueError:
-                raise UsageError(f"--holes expects 'i,j;i,j', not {args.holes!r}") from None
+                raise OutOfRange(f"--holes expects 'i,j;i,j', not {args.holes!r}") from None
         P = modelio.grid_with_holes(args.grid[0], args.grid[1], holes)
         name = f"grid({args.grid[0]},{args.grid[1]})"
     _write(modelio.serialize(P, name), args.output)
@@ -156,9 +156,7 @@ def cmd_fbg(args) -> int:
                 "count": count,
                 "representatives": [list(p.edge_ids()) for p in reps],
             }
-            for (m, M), (count, reps) in sorted(
-                table.classes.items(), key=lambda kv: (kv[0][0].id, kv[0][1].id)
-            )
+            for (m, M), (count, reps) in table.classes.items()
         ],
     }
     if args.json:
@@ -172,10 +170,7 @@ def cmd_fbg(args) -> int:
 def cmd_compare_fbg(args) -> int:
     A = fbg.fundamental_bipartite_graph(modelio.load(args.a), max_paths=args.max_paths)
     B = fbg.fundamental_bipartite_graph(modelio.load(args.b), max_paths=args.max_paths)
-    pairs = sorted(
-        set(A.classes) | set(B.classes), key=lambda p: (p[0].id, p[1].id)
-    )
-    for m, M in pairs:
+    for m, M in sorted(set(A.classes) | set(B.classes)):
         ca = A.classes.get((m, M), ("-",))[0]
         cb = B.classes.get((m, M), ("-",))[0]
         print(f"{m.id} -> {M.id}: {ca} vs {cb}")
@@ -191,7 +186,7 @@ def cmd_iso(args) -> int:
     if mapping is None:
         print("not isomorphic")
         return 1
-    for p in sorted(mapping, key=lambda c: (c.degree, c.id)):
+    for p in sorted(mapping):
         print(f"{_cell_str(p)} -> {_cell_str(mapping[p])}")
     return 0
 
@@ -302,7 +297,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentSyntaxError, OutOfRange, UsageError) as exc:
+    except (DocumentSyntaxError, OutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationFailed as exc:

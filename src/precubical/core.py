@@ -48,9 +48,10 @@ class Complex:
     (degree, id) to a mapping (i, k) -> face id of degree one less.
     The constructor stores a copy of the tables (OutOfRange unless `cells`
     maps int degrees to collections of hashable ids, not str or bytes,
-    and `faces` and `coords` map to mappings of hashable face ids and to
-    sequences); use :func:`validate` to check the precubical identities
-    and referential integrity.
+    and `faces` and `coords` map (int degree, id) pairs to mappings of
+    hashable face ids keyed by (i, k) int pairs and to sequences); use
+    :func:`validate` to check the precubical identities and referential
+    integrity.
 
     Internal code reads ids through :meth:`faces_of` and
     :meth:`coface_tables`; :class:`CellRef` is the type of the public API.
@@ -91,9 +92,15 @@ class Complex:
             if not isinstance(table, Mapping):
                 raise OutOfRange(f"{name} must map each (degree, id) to its {what}, not {table!r}")
             for key, value in table.items():
+                if not (isinstance(key, tuple) and len(key) == 2 and _is_int(key[0])):
+                    raise OutOfRange(f"{name} key {key!r} is not a (degree, id) pair")
                 if not isinstance(value, kind):
                     raise OutOfRange(f"cell {key!r}: {value!r} is not a {what}")
         faces = {key: dict(table) for key, table in faces.items()}
+        # exact ints: (True, 0), equal to (1, 0), is refused all the same
+        for key, ik in ((key, ik) for key, table in faces.items() for ik in table if not (
+                isinstance(ik, tuple) and len(ik) == 2 and type(ik[0]) is type(ik[1]) is int)):
+            raise OutOfRange(f"cell {key!r}: face key {ik!r} is not an (i, k) pair of ints")
         for key, table in faces.items():
             try:
                 hash(tuple(table.values()))
@@ -197,11 +204,8 @@ class Complex:
         None, sorted by id. Any other k raises OutOfRange."""
         if k is not None and not (_is_int(k) and k in (0, 1)):
             raise OutOfRange(f"k must be None, 0 or 1, not {k!r}")
-        starts, ends, _ = self.coface_tables()
-        if k is not None:
-            ids = (starts, ends)[k].get(v.id, ())
-        else:
-            ids = sorted({*starts.get(v.id, ()), *ends.get(v.id, ())})
+        cofaces = self.coface_tables()
+        ids = sorted(_edges_at(cofaces, v.id)) if k is None else cofaces[k].get(v.id, ())
         return [CellRef(1, e) for e in ids]
 
     def reduced(
@@ -311,8 +315,8 @@ class Complex:
 class Violation:
     """One defect found by validate."""
 
-    # duplicate-id | negative-degree | missing-face | dangling-face |
-    # extra-face | identity | unlisted-cell
+    # id-type | duplicate-id | negative-degree | missing-face |
+    # dangling-face | extra-face | identity | unlisted-cell
     kind: str
     cell: Optional[CellRef]
     message: str
@@ -326,19 +330,20 @@ class Violation:
 def validate(P: Complex) -> list[Violation]:
     """Check a raw complex and report every defect (empty report = valid).
 
-    Reports repeated and empty ids, cells of negative degree, missing or
-    dangling face entries, entries at no face position (i, k),
-    1 <= i <= n, k in {0, 1}, of their cell, every violated cubical
-    identity with its (i, j, k, l) indices, and every nonempty face table
-    given for a cell that is not listed. The coface tables refuse exactly
-    what this reports.
+    Reports ids that are not a str, repeated and empty ids, cells of
+    negative degree, missing or dangling face entries, entries at no face
+    position (i, k), 1 <= i <= n, k in {0, 1}, of their cell, every
+    violated cubical identity with its (i, j, k, l) indices, and every
+    nonempty face table given for a cell that is not listed. The coface
+    tables refuse exactly what this reports.
     """
     return _face_report(P)
 
 
 def _face_report(P: Complex) -> list[Violation]:
     """:func:`validate`'s report, in this order: ids, then each degree's
-    cells, then identities, then the face tables of unlisted cells.
+    cells, then identities, then the face tables of unlisted cells, each
+    sorted by id as a str, so that ids of other types never compare.
     An identity is checked only where its four face entries resolve. If
     the report is empty and P has no coface tables yet, they are built
     afterwards from the checked face tables, so an invalid complex builds
@@ -347,6 +352,9 @@ def _face_report(P: Complex) -> list[Violation]:
     for n in P.degrees():
         seen: set[str] = set()
         for cid in P.cell_ids(n):
+            if not isinstance(cid, str):
+                message = f"id {cid!r} is of type {type(cid).__name__}, not str"
+                report.append(Violation("id-type", CellRef(n, cid), message))
             if cid == "" and n > 0:
                 report.append(Violation("duplicate-id", CellRef(n, cid), "empty cell id"))
             if cid in seen:
@@ -357,17 +365,17 @@ def _face_report(P: Complex) -> list[Violation]:
     resolved: dict[tuple[int, str], dict[tuple[int, int], str]] = {}
     for n in P.degrees():
         if n < 0:
-            for cid in sorted(P._cell_sets[n]):
+            for cid in sorted(P._cell_sets[n], key=str):
                 message = f"degree {n} is negative"
                 report.append(Violation("negative-degree", CellRef(n, cid), message))
             continue
         if n == 0:  # a vertex has no face positions
-            for cid in sorted(c for c in P._cell_sets[0] if P._faces.get((0, c))):
+            for cid in sorted((c for c in P._cell_sets[0] if P._faces.get((0, c))), key=str):
                 report += _extra_entries(0, cid, P._faces[(0, cid)])
             continue
         below = P._cell_sets.get(n - 1, frozenset())
         positions = {(i, k) for i in range(1, n + 1) for k in (0, 1)}
-        for cid in sorted(P._cell_sets[n]):
+        for cid in sorted(P._cell_sets[n], key=str):
             table = P._faces.get((n, cid), {})
             if table.keys() == positions and below.issuperset(table.values()):
                 resolved[(n, cid)] = table  # clean: every entry resolves
@@ -404,7 +412,8 @@ def _face_report(P: Complex) -> list[Violation]:
                         )
                         report.append(Violation("identity", CellRef(n, cid), message, (i, j, k, l)))
     stray = P._faces.keys() - resolved.keys()  # the tables of vertices and of unlisted cells
-    for n, cid in sorted(key for key in stray if P._faces[key] and not P.has(CellRef(*key))):
+    unlisted = (key for key in stray if P._faces[key] and not _has(P, *key))
+    for n, cid in sorted(unlisted, key=lambda key: (key[0], str(key[1]))):
         message = f"face table given, but {cid!r} is not listed in degree {n}"
         report.append(Violation("unlisted-cell", CellRef(n, cid), message))
     if not report and P._cofaces is None:
@@ -430,6 +439,11 @@ def _cofaces_of(P: Complex) -> tuple[dict, dict, dict]:
             if ids[-1:] != [s]:  # a square may have one edge at two positions
                 ids.append(s)
     return starts, ends, on_edge
+
+
+def _edges_at(cofaces, v: str) -> set[str]:
+    """The ids of the edges with v at either end, from the coface tables."""
+    return {*cofaces[0].get(v, ()), *cofaces[1].get(v, ())}
 
 
 def _extra_entries(n: int, cid: str, table) -> list[Violation]:

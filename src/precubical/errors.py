@@ -65,11 +65,7 @@ class UnknownFixture(PrecubicalError):
 
 
 class OutOfRange(PrecubicalError):
-    pass
-
-
-class UsageError(PrecubicalError):
-    """A command-line argument that parses but makes no sense."""
+    """An argument, a table given to the API or a CLI value out of range."""
 
 
 class DocumentSyntaxError(PrecubicalError):

@@ -189,7 +189,7 @@ class FbgTable:
 
     minimals: tuple[CellRef, ...]
     maximals: tuple[CellRef, ...]
-    classes: dict  # (min vertex, max vertex) -> (count, tuple of representatives)
+    classes: dict  # (min vertex, max vertex) -> (count, tuple of representatives), pairs sorted
 
     def count(self, m: CellRef, M: CellRef) -> int:
         return self.classes[(m, M)][0]

@@ -19,13 +19,13 @@ deterministic greedy scan.
 from __future__ import annotations
 
 import heapq
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import starmap
 from typing import Iterator, Optional
 
 from . import core
-from .core import CellRef, Complex
+from .core import CellRef, Complex, _edges_at
 from .errors import (
     ConditionsFailed,
     DimensionUnsupported,
@@ -52,6 +52,7 @@ _FIELDS = ("kind", "cell", "params", "conditions", "removed", "redirected", "y",
            "fbg_guaranteed")
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class ReductionCertificate:
     """What one check of a move found: the move (`kind`, `cell`,
     `params`), each condition with its witnesses, the cells the step
@@ -88,12 +89,6 @@ class ReductionCertificate:
             _y=y,
             _r=None if kept_out is None else (P, len(P._log), kept_out),
         )
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @cached_property
     def conditions(self) -> tuple[Condition, ...]:
@@ -142,11 +137,6 @@ class ReductionCertificate:
 
 def _cells(degree: int, ids) -> tuple[CellRef, ...]:
     return tuple(CellRef(degree, c) for c in ids)
-
-
-def _edges_at(cofaces, v: str) -> set[str]:
-    """The ids of the edges with v at either end."""
-    return {*cofaces[0].get(v, ()), *cofaces[1].get(v, ())}
 
 
 def _other_squares(on_edge: dict, x: str, edges) -> set[str]:

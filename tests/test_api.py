@@ -2,12 +2,14 @@
 the library stay gone, and the entry points raise OutOfRange on bad
 arguments instead of a bare Python error."""
 
+import random
+
 import pytest
 
 import precubical
 from precubical import core, fbg, modelio, reductions
 from precubical.core import CellRef
-from precubical.errors import OutOfRange
+from precubical.errors import OutOfRange, PrecubicalError
 
 REMOVED = (
     (precubical, "cube_morphism"),
@@ -93,3 +95,70 @@ def test_repr_and_equality_with_another_type(value, shown):
     assert repr(value).startswith(shown)
     assert value.__eq__(object()) is NotImplemented
     assert value != object()
+
+
+def mutated_tables(rng: random.Random, P: core.Complex):
+    """The cells, faces and coords tables of P after one mutation: a faces
+    or coords key that is not a (degree, id) pair, a str or bool face-table
+    key, an int, bytes or tuple id, a str position, or a bool degree."""
+    cells = {n: list(P.cell_ids(n)) for n in P.degrees()}
+    faces = {(n, c): P.face_table(CellRef(n, c)) for n in P.degrees() if n > 0
+             for c in P.cell_ids(n)}
+    coords = P.coords_table()
+    n, c = key = rng.choice(sorted(faces))
+    table = faces[key]
+    i, k = rng.choice(sorted(table))
+    how = rng.randrange(8)
+    if how == 0:
+        bad = rng.choice([c, (n, c, 0), (n,)])
+        if rng.random() < 0.5:
+            faces[bad] = faces.pop(key)
+        else:
+            coords[bad] = (0, 0)
+    elif how == 1:
+        table[f"d{i}_{k}"] = table.pop((i, k))
+    elif how == 2:
+        table[rng.choice([(True, k), (i, bool(k))])] = table.pop((i, k))
+    elif how in (3, 4, 5):
+        d = rng.choice(sorted(cells))
+        old = rng.choice(cells[d])
+        new = (7, old.encode(), (old,))[how - 3]
+        if rng.random() < 0.5:  # a new cell beside the others
+            cells[d].append(new)
+        else:  # the cell renamed everywhere
+            cells[d] = [new if x == old else x for x in cells[d]]
+            faces = {(m, new if (m, x) == (d, old) else x): {
+                ik: new if (m - 1, f) == (d, old) else f for ik, f in t.items()}
+                for (m, x), t in faces.items()}
+    elif how == 6:
+        coords[key] = rng.choice(["12", "ab", ""])
+    else:
+        if rng.random() < 0.5:
+            cells[True] = cells.pop(1)
+        else:
+            faces[(True, c)] = faces.pop(key)
+    return cells, faces, coords
+
+
+def test_mutated_complexes_raise_only_precubical_errors():
+    # The API's counterpart of the CLI's mutated documents: a complex built
+    # through the API either is refused by the constructor or goes through
+    # every entry point with no error but a PrecubicalError.
+    rng = random.Random(2410)
+    fixtures = [modelio.named_fixture(name) for name in modelio.FIXTURE_NAMES]
+    outcomes = []
+    for t in range(300):
+        try:
+            P = core.Complex(*mutated_tables(rng, fixtures[t % len(fixtures)]))
+        except OutOfRange:
+            outcomes.append("refused")
+            continue
+        for call in (core.validate, modelio.serialize, modelio.export_dot,
+                     fbg.fundamental_bipartite_graph, lambda P: core.are_isomorphic(P, P),
+                     reductions.auto_reduce):
+            try:
+                call(P)
+                outcomes.append("ok")
+            except PrecubicalError as exc:
+                outcomes.append(type(exc).__name__)
+    assert {"refused", "ok", "ValidationFailed", "OutOfRange"} <= set(outcomes)

@@ -177,18 +177,27 @@ def test_recipe_step_failure(tmp_path, capsys):
     assert main(["auto-reduce", de, "--recipe", str(recipe_path)]) == 1
 
 
-@pytest.mark.parametrize("step, certified", [("p", True), ("nope", False)])
+@pytest.mark.parametrize(
+    "step, certified, flags",
+    [("p", True, []), ("nope", False, []), ("p", True, ["--json"])],
+    ids=["p-True", "nope-False", "p-True-json"],
+)
 def test_recipe_step_failure_prints_its_certificate_then_the_error(
-    tmp_path, capsys, step, certified
+    tmp_path, capsys, step, certified, flags
 ):
     de = write_fixture(tmp_path, "double_edge")
     recipe_path = tmp_path / "steps.txt"
     recipe_path.write_text(f"edge-collapse {step} 0\n")
     both = io.StringIO()
     with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
-        assert main(["auto-reduce", de, "--recipe", str(recipe_path)]) == 1
+        assert main(["auto-reduce", de, "--recipe", str(recipe_path), *flags]) == 1
     *shown, last = both.getvalue().splitlines()
     assert last == f"error: recipe step 0 (edge-collapse {step} 0) failed"
+    if flags:  # --json: everything before the error is the certificate's JSON
+        payload = json.loads("\n".join(shown))
+        assert (payload["kind"], payload["cell"]) == ("edge-collapse", "p")
+        assert {"label": "i", "holds": False, "witnesses": ["q/1"]} in payload["conditions"]
+        return
     assert shown[:1] == (["edge-collapse on p"] if certified else [])
     assert ("    (i) FAILED  witnesses: q/1" in shown) == certified
 

@@ -95,6 +95,36 @@ class TestValidate:
         with pytest.raises(OutOfRange, match=r"cell \(1, 'e'\): unhashable face id"):
             Complex({0: ["a", "b"], 1: ["e"]}, {(1, "e"): {(1, 0): ["a"], (1, 1): "b"}})
 
+    @pytest.mark.parametrize("table", ["faces", "coords"])
+    @pytest.mark.parametrize("key", ["x", (1,), (1, "e", 0), (True, "e"), ("1", "e")],
+                             ids=["str", "1-tuple", "3-tuple", "bool-degree", "str-degree"])
+    def test_a_cell_key_that_is_not_a_degree_id_pair_is_out_of_range(self, table, key):
+        # validate would otherwise raise TypeError building CellRef(*key)
+        value = {"faces": {(1, 0): "a"}, "coords": (0, 0)}[table]
+        with pytest.raises(OutOfRange, match=f"{table} key .* is not a \\(degree, id\\) pair"):
+            Complex({0: ["a"]}, **{table: {key: value}})
+
+    @pytest.mark.parametrize("key", ["zz", (1,), (True, 0), (1, "0"), (1.0, 0)],
+                             ids=["str", "1-tuple", "bool-i", "str-k", "float-i"])
+    def test_a_face_key_that_is_not_an_int_pair_is_out_of_range(self, key):
+        # serialize would otherwise raise TypeError sorting the face keys
+        with pytest.raises(OutOfRange, match=r"cell \(1, 'e'\): face key .* is not an \(i, k\) pair"):
+            Complex({0: ["a", "b"], 1: ["e"]}, {(1, "e"): {key: "a", (1, 1): "b"}})
+
+    def test_ids_that_are_not_a_str_are_reported(self, square):
+        # one degree holding a str and an int id made validate raise TypeError
+        faces = {(n, c.id): square.face_table(c) for n in (1, 2) for c in square.cells(n)}
+        faces[(1, 7)] = faces[(1, "eL")]
+        cells = {n: [*square.cell_ids(n)] for n in square.degrees()}
+        cells[1].append(7)
+        P = Complex(cells, faces)
+        assert [(v.kind, v.cell) for v in core.validate(P)] == [("id-type", CellRef(1, 7))]
+        assert str(core.validate(P)[0]) == "id-type at 7 (degree 1): id 7 is of type int, not str"
+        for call in (P.coface_tables, lambda: core.are_isomorphic(P, P),
+                     lambda: modelio.export_dot(P)):
+            with pytest.raises(ValidationFailed):
+                call()
+
     def test_repr_counts_each_id_once(self):
         assert repr(Complex({0: ["a", "a", "b"], 1: ["e"]})) == "Complex({0: 2, 1: 1})"
 

@@ -163,7 +163,7 @@ class TestValidateCoversTheFormat:
     def test_id_that_is_not_a_str_is_refused(self):
         # checked before sorting, which would raise TypeError on "a" and 1
         P = Complex({0: ["a", 1]})
-        assert core.validate(P) == []
+        assert [v.kind for v in core.validate(P)] == ["id-type"]
         with pytest.raises(OutOfRange, match="cell 1 of degree 0"):
             modelio.serialize(P)
 
