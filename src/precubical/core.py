@@ -118,9 +118,7 @@ class Complex:
         return P
 
     def _own(self, cells, faces, coords):
-        self._cells: Optional[dict[int, tuple[str, ...]]] = {  # None once patched
-            n: tuple(ids) for n, ids in cells.items() if ids
-        }
+        self._cells: dict[int, tuple[str, ...]] = {n: tuple(ids) for n, ids in cells.items() if ids}
         self._cell_sets: dict[int, set[str]] = {n: set(ids) for n, ids in self._cells.items()}
         self._faces: dict[tuple[int, str], dict[tuple[int, int], str]] = faces
         self._coords: dict[tuple[int, str], tuple[int, ...]] = coords
@@ -139,13 +137,13 @@ class Complex:
         return max(self._cell_sets) if self._cell_sets else None
 
     def cell_ids(self, degree: int) -> tuple[str, ...]:
-        """The ids as given to the constructor; sorted after :meth:`reduced`."""
-        if self._cells is None:
-            return tuple(sorted(self._cell_sets.get(degree, ())))
-        return self._cells.get(degree, ())
+        """The ids in the order given to the constructor, less any a patch removed."""
+        ids, live = self._cells.get(degree, ()), self._cell_sets.get(degree, ())
+        return ids if len(ids) == len(live) else tuple(c for c in ids if c in live)
 
     def cells(self, degree: int) -> list[CellRef]:
-        return [CellRef(degree, i) for i in sorted(self._cell_sets.get(degree, ()))]
+        """The cells of a degree, sorted by id as a str."""
+        return [CellRef(degree, i) for i in sorted(self._cell_sets.get(degree, ()), key=str)]
 
     def cell_set(self) -> frozenset[CellRef]:
         """Every cell, in a new set: O(cells)."""
@@ -167,10 +165,15 @@ class Complex:
         """The stored face table (i, k) -> face id of a cell (not a copy)."""
         return self._faces.get((degree, cid), {})
 
-    def face(self, cell: CellRef, i: int, k: int) -> CellRef:
+    def _known(self, cell: CellRef) -> CellRef:
+        """The cell, or UnknownCell if this complex lacks it (an unhashable
+        id names none)."""
         if not self.has(cell):
             raise UnknownCell(f"no cell {cell.id!r} of degree {cell.degree}")
-        fid = self.faces_of(cell.degree, cell.id).get((i, k))
+        return cell
+
+    def face(self, cell: CellRef, i: int, k: int) -> CellRef:
+        fid = self.faces_of(self._known(cell).degree, cell.id).get((i, k))
         if fid is None:
             raise UnknownCell(
                 f"cell {cell.id!r} of degree {cell.degree} has no face d{i}_{k}"
@@ -178,10 +181,10 @@ class Complex:
         return CellRef(cell.degree - 1, fid)
 
     def face_table(self, cell: CellRef) -> dict[tuple[int, int], str]:
-        return dict(self.faces_of(cell.degree, cell.id))
+        return dict(self.faces_of(self._known(cell).degree, cell.id))
 
     def coords(self, cell: CellRef) -> Optional[tuple[int, ...]]:
-        return self._coords.get((cell.degree, cell.id))
+        return self._coords.get((self._known(cell).degree, cell.id))
 
     def coords_table(self) -> dict[tuple[int, str], tuple[int, ...]]:
         return dict(self._coords)
@@ -201,11 +204,13 @@ class Complex:
 
     def edges_at(self, v: CellRef, k: Optional[int] = None) -> list[CellRef]:
         """The edges e with d_1^k e = v, or with v at either end if k is
-        None, sorted by id. Any other k raises OutOfRange."""
+        None, sorted by id. Any other k raises OutOfRange, and a cell this
+        complex lacks UnknownCell."""
         if k is not None and not (_is_int(k) and k in (0, 1)):
             raise OutOfRange(f"k must be None, 0 or 1, not {k!r}")
         cofaces = self.coface_tables()
-        ids = sorted(_edges_at(cofaces, v.id)) if k is None else cofaces[k].get(v.id, ())
+        vid = self._known(v).id
+        ids = sorted(_edges_at(cofaces, vid)) if k is None else cofaces[k].get(vid, ())
         return [CellRef(1, e) for e in ids]
 
     def reduced(
@@ -222,13 +227,12 @@ class Complex:
         ValidationFailed if this complex is invalid, UnknownCell for a cell
         it lacks, OutOfRange for a redirect not of an edge end to a vertex.
         """
-        removed, redirected = frozenset(removed), dict(redirected)
+        removed, redirected = tuple(removed), dict(redirected)
         if (self.dimension or 0) > 2:
             raise DimensionUnsupported(f"reduced works in dimension <= 2, not {self.dimension}")
         Q = self._copy()
         for cell in (*removed, *(e for e, _, _ in redirected), *redirected.values()):
-            if not self.has(cell):
-                raise UnknownCell(f"no cell {cell.id!r} of degree {cell.degree}")
+            self._known(cell)
         for (e, i, k), v in redirected.items():
             if (e.degree, i, v.degree) != (1, 1, 0) or k not in (0, 1):
                 raise OutOfRange(f"{(e, i, k)!r} -> {v!r} does not move an edge end to a vertex")
@@ -292,7 +296,6 @@ class Complex:
             bisect.insort(ends.setdefault(v, []), e)
             faces[(1, e)] = {**table, (1, k): v}
         self._log += removed
-        self._cells = None
 
     # -- equality is cell-for-cell on cells and faces, ignoring metadata ---
 
@@ -369,34 +372,29 @@ def _face_report(P: Complex) -> list[Violation]:
                 message = f"degree {n} is negative"
                 report.append(Violation("negative-degree", CellRef(n, cid), message))
             continue
-        if n == 0:  # a vertex has no face positions
-            for cid in sorted((c for c in P._cell_sets[0] if P._faces.get((0, c))), key=str):
-                report += _extra_entries(0, cid, P._faces[(0, cid)])
-            continue
         below = P._cell_sets.get(n - 1, frozenset())
-        positions = {(i, k) for i in range(1, n + 1) for k in (0, 1)}
+        positions = {(i, k) for i in range(1, n + 1) for k in (0, 1)}  # none for a vertex
         for cid in sorted(P._cell_sets[n], key=str):
             table = P._faces.get((n, cid), {})
             if table.keys() == positions and below.issuperset(table.values()):
                 resolved[(n, cid)] = table  # clean: every entry resolves
                 continue
             faces = resolved[(n, cid)] = {}
-            missing = 0
-            for i in range(1, n + 1):
-                for k in (0, 1):
-                    fid = table.get((i, k))
-                    if fid is None:
-                        missing += 1
-                        message = f"no entry for d{i}_{k}"
-                        report.append(Violation("missing-face", CellRef(n, cid), message, (i, k)))
-                    elif fid not in below:
-                        message = f"d{i}_{k} = {fid!r} is not a cell of degree {n - 1}"
-                        report.append(Violation("dangling-face", CellRef(n, cid), message, (i, k)))
-                    else:
-                        faces[(i, k)] = fid
-            if len(table) + missing > 2 * n:  # an entry at no face position
-                report += _extra_entries(n, cid, table)
-    for (n, cid), faces in resolved.items():
+            for i, k in sorted(positions):
+                fid = table.get((i, k))
+                if fid is None:
+                    message = f"no entry for d{i}_{k}"
+                    report.append(Violation("missing-face", CellRef(n, cid), message, (i, k)))
+                elif fid not in below:
+                    message = f"d{i}_{k} = {fid!r} is not a cell of degree {n - 1}"
+                    report.append(Violation("dangling-face", CellRef(n, cid), message, (i, k)))
+                else:
+                    faces[(i, k)] = fid
+            report += [
+                Violation("extra-face", CellRef(n, cid), f"entry {key!r} is not a face position")
+                for key in table if key not in positions]
+    # past the vertices and edges, which come first: only degree >= 2 has a pair i < j
+    for (n, cid), faces in itertools.islice(resolved.items(), P.size(0) + P.size(1), None):
         for i, j in itertools.combinations(range(1, n + 1), 2):
             for k in (0, 1):
                 for l in (0, 1):
@@ -411,7 +409,7 @@ def _face_report(P: Complex) -> list[Violation]:
                             f"d{i}_{k} d{j}_{l} = {left!r} but d{j - 1}_{l} d{i}_{k} = {right!r}"
                         )
                         report.append(Violation("identity", CellRef(n, cid), message, (i, j, k, l)))
-    stray = P._faces.keys() - resolved.keys()  # the tables of vertices and of unlisted cells
+    stray = P._faces.keys() - resolved.keys()  # the tables of unlisted cells and negative degrees
     unlisted = (key for key in stray if P._faces[key] and not _has(P, *key))
     for n, cid in sorted(unlisted, key=lambda key: (key[0], str(key[1]))):
         message = f"face table given, but {cid!r} is not listed in degree {n}"
@@ -444,16 +442,6 @@ def _cofaces_of(P: Complex) -> tuple[dict, dict, dict]:
 def _edges_at(cofaces, v: str) -> set[str]:
     """The ids of the edges with v at either end, from the coface tables."""
     return {*cofaces[0].get(v, ()), *cofaces[1].get(v, ())}
-
-
-def _extra_entries(n: int, cid: str, table) -> list[Violation]:
-    """The entries of a degree-n cell's face table at no face position."""
-    positions = {(i, k) for i in range(1, n + 1) for k in (0, 1)}
-    return [
-        Violation("extra-face", CellRef(n, cid), f"entry {key!r} is not a face position")
-        for key in table
-        if key not in positions
-    ]
 
 
 def is_valid(P: Complex) -> bool:

@@ -42,8 +42,9 @@ def serialize(P: Complex, name: str = None) -> str:
     it is given. What a document cannot carry raises OutOfRange: a name
     that is not None or a str of one line; an id that is not a str, is
     empty or holds whitespace, naming the first such cell, in the given
-    order, by degree and id; and a position that is not one or more ints,
-    naming the first such cell in record order."""
+    order, by degree and id; a face id that is not such a str either,
+    and a position that is not one or more ints, each naming the first
+    such cell in record order."""
     if name is not None and not isinstance(name, str):
         raise OutOfRange(f"name must be a str or None, not {name!r}")
     if name and name.splitlines() != [name]:  # parse splits lines as str.splitlines does
@@ -58,8 +59,14 @@ def serialize(P: Complex, name: str = None) -> str:
             if not isinstance(cid, str) or cid.split() != [cid]:  # what parse reads as one token
                 raise OutOfRange(f"cell {cid!r} of degree {n}: a pcsv1 id is a nonempty str "
                                  "and holds no whitespace")
+        below = set(P.cell_ids(n - 1))  # ids already checked, where their records are written
         for cid in sorted(ids):
             table = P.faces_of(n, cid)
+            if not below.issuperset(table.values()):
+                for (i, k), fid in sorted(table.items()):
+                    if not (isinstance(fid, str) and fid.split() == [fid]):
+                        raise OutOfRange(f"cell {cid!r} of degree {n}: face d{i}_{k} = {fid!r} "
+                                         "is not a nonempty str without whitespace")
             parts = [str(n), cid, *(f"d{i}_{k}={table[(i, k)]}" for i, k in sorted(table))]
             if (pos := _position(coords, n, cid)) is not None:
                 parts.append("pos=" + ",".join(map(str, pos)))
@@ -222,8 +229,6 @@ def grid_with_holes(m: int, n: int, holes=()) -> Complex:
                 (2, 1): f"h({i},{j + 1})",
             }
             coords[(2, sid)] = (i, j)
-    if not cells[2]:
-        del cells[2]
     return Complex._owning(cells, faces, coords)
 
 

@@ -9,7 +9,7 @@ import pytest
 import precubical
 from precubical import core, fbg, modelio, reductions
 from precubical.core import CellRef
-from precubical.errors import OutOfRange, PrecubicalError
+from precubical.errors import OutOfRange, PrecubicalError, UnknownCell
 
 REMOVED = (
     (precubical, "cube_morphism"),
@@ -79,6 +79,26 @@ SQUARE = modelio.named_fixture("square")
 )
 def test_bad_arguments_raise_out_of_range(call):
     with pytest.raises(OutOfRange):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SQUARE.edges_at(CellRef(0, ["x"])),
+        lambda: SQUARE.edges_at(CellRef(0, "x"), 0),
+        lambda: SQUARE.face_table(CellRef(1, ["x"])),
+        lambda: SQUARE.face_table(CellRef(1, "x")),
+        lambda: SQUARE.coords(CellRef(1, ["x"])),
+        lambda: SQUARE.coords(CellRef(1, "x")),
+        lambda: SQUARE.reduced([CellRef(2, ["s"])]),
+    ],
+    ids=["edges-at-unhashable", "edges-at-missing", "face-table-unhashable", "face-table-missing",
+         "coords-unhashable", "coords-missing", "reduced-unhashable"],
+)
+def test_readers_raise_unknown_cell_for_a_cell_the_complex_lacks(call):
+    # an unhashable id names no cell, as in `face`
+    with pytest.raises(UnknownCell):
         call()
 
 
@@ -155,7 +175,8 @@ def test_mutated_complexes_raise_only_precubical_errors():
             continue
         for call in (core.validate, modelio.serialize, modelio.export_dot,
                      fbg.fundamental_bipartite_graph, lambda P: core.are_isomorphic(P, P),
-                     reductions.auto_reduce):
+                     reductions.auto_reduce, lambda P: [P.cells(n) for n in P.degrees()],
+                     lambda P: [P.cell_ids(n) for n in P.degrees()]):
             try:
                 call(P)
                 outcomes.append("ok")

@@ -128,6 +128,16 @@ class TestValidate:
     def test_repr_counts_each_id_once(self):
         assert repr(Complex({0: ["a", "a", "b"], 1: ["e"]})) == "Complex({0: 2, 1: 1})"
 
+    def test_a_vertex_table_holds_no_entry(self):
+        # a vertex has no face positions: its empty table is clean, any entry is extra
+        assert core.validate(Complex({0: ["a"]}, {(0, "a"): {}})) == []
+        P = Complex({0: ["a"]}, {(0, "a"): {(1, 0): "a"}})
+        assert [(v.kind, v.cell) for v in core.validate(P)] == [("extra-face", CellRef(0, "a"))]
+
+    def test_cells_sorts_ids_as_str(self):
+        # ids of two types: validate reports id-type, and cells still lists them
+        assert Complex({0: ["a", 1]}).cells(0) == [CellRef(0, 1), CellRef(0, "a")]
+
     def test_missing_face_entry(self):
         P = Complex({0: ["a", "b"], 1: ["e"]}, {(1, "e"): {(1, 0): "a"}})
         report = core.validate(P)

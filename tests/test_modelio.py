@@ -160,6 +160,14 @@ class TestValidateCoversTheFormat:
             modelio.save(P, path)
         assert path.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("fid", [7, "x y"], ids=["int", "space"])
+    def test_a_dangling_face_id_the_format_cannot_carry_is_refused(self, fid):
+        # written as is, the int 7 would name the vertex "7": a valid, different complex
+        P = Complex({0: ["a", "7"], 1: ["e"]}, {(1, "e"): {(1, 0): fid, (1, 1): "a"}})
+        assert [v.kind for v in core.validate(P)] == ["dangling-face"]
+        with pytest.raises(OutOfRange, match=re.escape("cell 'e' of degree 1: face d1_0")):
+            modelio.serialize(P)
+
     def test_id_that_is_not_a_str_is_refused(self):
         # checked before sorting, which would raise TypeError on "a" and 1
         P = Complex({0: ["a", 1]})

@@ -142,6 +142,15 @@ def test_reduced_takes_a_step_that_keeps_the_complex_valid():
     assert Q._cofaces == fresh_tables(Q)
 
 
+def test_cell_ids_keep_the_given_order_less_the_removed_cells():
+    square = modelio.named_fixture("square")
+    given = {n: square.cell_ids(n)[::-1] for n in square.degrees()}  # out of sorted order
+    P = Complex(given, {(n, c.id): square.face_table(c) for n in (1, 2) for c in square.cells(n)})
+    Q = P.reduced({CellRef(2, "s"), CellRef(1, "eR")})
+    for R in (Q, Q._copy()):
+        assert [R.cell_ids(n) for n in (0, 1, 2)] == [given[0], ("eT", "eB", "eL"), ()]
+
+
 # The `repeated-edge` complex of test_core: the square s has the edge a
 # at d_1^0 and at d_2^0. Adding t, a second square with a at d_2^0,
 # puts two squares in the coface list of a.
