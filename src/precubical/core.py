@@ -227,17 +227,19 @@ class Complex:
         ValidationFailed if this complex is invalid, UnknownCell for a cell
         it lacks, OutOfRange for a redirect not of an edge end to a vertex.
         """
-        removed, redirected = tuple(removed), dict(redirected)
+        removed = tuple(removed)
+        # checked as pairs, before a dict hashes a key that names no cell
+        moves = tuple(redirected.items() if isinstance(redirected, Mapping) else redirected)
         if (self.dimension or 0) > 2:
             raise DimensionUnsupported(f"reduced works in dimension <= 2, not {self.dimension}")
         Q = self._copy()
-        for cell in (*removed, *(e for e, _, _ in redirected), *redirected.values()):
+        for cell in (*removed, *(e for (e, _, _), _ in moves), *(v for _, v in moves)):
             self._known(cell)
-        for (e, i, k), v in redirected.items():
+        for (e, i, k), v in moves:
             if (e.degree, i, v.degree) != (1, 1, 0) or k not in (0, 1):
                 raise OutOfRange(f"{(e, i, k)!r} -> {v!r} does not move an edge end to a vertex")
         gone = {(c.degree, c.id) for c in removed}
-        Q._patch(gone, [(e.id, 1, k, v.id) for (e, _, k), v in redirected.items()
+        Q._patch(gone, [(e.id, 1, k, v.id) for (e, _, k), v in dict(moves).items()
                         if (1, e.id) not in gone])
         if report := _face_report(Q):
             raise OutOfRange("the step leaves an invalid complex: " + "; ".join(map(str, report)))
@@ -358,7 +360,7 @@ def _face_report(P: Complex) -> list[Violation]:
             if not isinstance(cid, str):
                 message = f"id {cid!r} is of type {type(cid).__name__}, not str"
                 report.append(Violation("id-type", CellRef(n, cid), message))
-            if cid == "" and n > 0:
+            if cid == "" and n > 0:  # the vertex of standard_cube(0) is the empty word
                 report.append(Violation("duplicate-id", CellRef(n, cid), "empty cell id"))
             if cid in seen:
                 report.append(

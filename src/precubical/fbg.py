@@ -18,6 +18,7 @@ produced here unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from typing import Sequence
 
@@ -27,19 +28,52 @@ from .errors import NotAcyclic, OutOfRange, PathExplosion, UnknownCell
 DEFAULT_MAX_PATHS = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class EdgePath:
-    """A composable sequence of edges; empty paths sit at their start."""
+    """A composable sequence of edges; empty paths sit at their start.
+
+    An EdgePath is immutable, and compares and hashes by `start`, `end`
+    and `edges`. One that :func:`fundamental_bipartite_graph` returns
+    keeps its edge ids, read by :meth:`edge_ids` and `len`, and builds
+    `edges`, the tuple of edge CellRefs, on first read.
+    """
 
     start: CellRef
     end: CellRef
-    edges: tuple[CellRef, ...]
+
+    def __init__(self, start: CellRef, end: CellRef, edges: tuple[CellRef, ...]):
+        self.__dict__.update(start=start, end=end, edges=edges)
+
+    @classmethod
+    def _of_ids(cls, start: CellRef, end: CellRef, ids: tuple[str, ...]) -> EdgePath:
+        self = cls.__new__(cls)
+        self.__dict__.update(start=start, end=end, _ids=ids)
+        return self
+
+    @cached_property
+    def edges(self) -> tuple[CellRef, ...]:
+        return tuple(CellRef(1, e) for e in self._ids)
+
+    @cached_property
+    def _ids(self) -> tuple[str, ...]:
+        return tuple(e.id for e in self.edges)
 
     def __len__(self):
-        return len(self.edges)
+        return len(self._ids)
 
     def edge_ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.edges)
+        return self._ids
+
+    def __eq__(self, other):
+        if not isinstance(other, EdgePath):
+            return NotImplemented
+        return (self.start, self.end, self.edges) == (other.start, other.end, other.edges)
+
+    def __hash__(self):
+        return hash((self.start, self.end, self.edges))
+
+    def __repr__(self):
+        return f"EdgePath(start={self.start!r}, end={self.end!r}, edges={self.edges!r})"
 
 
 def _topological_order(P: Complex) -> list[str]:
@@ -185,7 +219,14 @@ def dihomotopy_classes(
 
 @dataclass(frozen=True)
 class FbgTable:
-    """Class counts and representatives between extremal vertices."""
+    """Class counts and representatives between extremal vertices.
+
+    A pair's representatives are the lexicographically least paths of its
+    classes, in lexicographic order. In a table from
+    :func:`fundamental_bipartite_graph` they keep their edge ids and build
+    their `edges` on first read, and every pair with no path shares one
+    entry, (0, ()).
+    """
 
     minimals: tuple[CellRef, ...]
     maximals: tuple[CellRef, ...]
@@ -226,7 +267,7 @@ def fundamental_bipartite_graph(
     classes = dict.fromkeys(((m, M) for m in minimals for M in maximals), (0, ()))  # pair order
     for M in maximals:
         for m, group in groupby(reps[M.id], lambda rep: minimals[rep[0]]):
-            paths = tuple(EdgePath(m, M, tuple(CellRef(1, e) for e in rep[1:])) for rep in group)
+            paths = tuple(EdgePath._of_ids(m, M, tuple(rep[1:])) for rep in group)
             classes[(m, M)] = (len(paths), paths)
     return FbgTable(minimals, maximals, classes)
 

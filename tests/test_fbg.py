@@ -1,7 +1,9 @@
+import json
 import os
 import random
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from math import comb
 
 import pytest
@@ -343,3 +345,107 @@ class TestDualityInvariance:
             double_edge, CellRef(0, "u"), CellRef(0, "w")
         )
         assert table.count(CellRef(0, "u"), CellRef(0, "w")) == len(paths)
+
+
+def pendant_grid(n, k):
+    """The n x n grid with holes at (1, 1) and (n-2, n-2), plus k pendant
+    pairs: for each t < k, edges pa_t -> g and g -> pb_t, where g is grid
+    vertex number 7t mod V in sorted id order."""
+    G = modelio.grid_with_holes(n, n, {(1, 1), (n - 2, n - 2)})
+    cells = {d: list(G.cell_ids(d)) for d in G.degrees()}
+    faces = {(d, c): G.faces_of(d, c) for d in (1, 2) for c in G.cell_ids(d)}
+    grid_vertices = sorted(G.cell_ids(0))
+    for t in range(k):
+        g = grid_vertices[7 * t % len(grid_vertices)]
+        cells[0] += [f"pa{t}", f"pb{t}"]
+        cells[1] += [f"a{t}", f"b{t}"]
+        faces[(1, f"a{t}")] = {(1, 0): f"pa{t}", (1, 1): g}
+        faces[(1, f"b{t}")] = {(1, 0): g, (1, 1): f"pb{t}"}
+    return Complex(cells, faces)
+
+
+class TestPendantFamily:
+    @pytest.mark.parametrize("k, nonzero", [(50, 798), (200, 10_796)])
+    def test_nonzero_pairs(self, k, nonzero):
+        table = fbg.fundamental_bipartite_graph(pendant_grid(32, k))
+        assert sum(1 for count, _ in table.classes.values() if count) == nonzero
+
+    def test_small_member_against_enumeration(self):
+        P = pendant_grid(4, 3)
+        table = fbg.fundamental_bipartite_graph(P)
+        assert table == brute_force_table(P)
+        empty = [entry for entry in table.classes.values() if not entry[0]]
+        assert empty and all(entry is empty[0] for entry in empty)
+        assert empty[0] == (0, ())
+
+
+class TestLazyRepresentatives:
+    """A table's representatives keep their edge ids: no edge CellRef is
+    built until `edges` is read."""
+
+    LENGTH = 200
+
+    @pytest.fixture
+    def path(self):
+        return from_edges({f"e{t}": (f"x{t:03}", f"x{t + 1:03}") for t in range(self.LENGTH)})
+
+    @pytest.fixture
+    def edge_refs(self, monkeypatch):
+        """The ids of the edge CellRefs built while the test runs."""
+        built, init = [], CellRef.__init__
+
+        def counting_init(self, degree, id):
+            if degree == 1:
+                built.append(id)
+            init(self, degree, id)
+
+        monkeypatch.setattr(CellRef, "__init__", counting_init)
+        return built
+
+    def ends(self):
+        return CellRef(0, "x000"), CellRef(0, f"x{self.LENGTH:03}")
+
+    def test_table_builds_no_edge_cellref(self, path, edge_refs):
+        table = fbg.fundamental_bipartite_graph(path)
+        [rep] = table.classes[self.ends()][1]
+        assert len(rep) == self.LENGTH
+        assert rep.edge_ids() == tuple(f"e{t}" for t in range(self.LENGTH))
+        assert edge_refs == []
+
+    def test_cli_fbg_json_builds_no_edge_cellref(self, path, edge_refs, tmp_path, capsys):
+        out = tmp_path / "path.pcs"
+        modelio.save(path, out)
+        assert main(["fbg", str(out), "--json"]) == 0
+        [entry] = json.loads(capsys.readouterr().out)["classes"]
+        assert entry["representatives"] == [[f"e{t}" for t in range(self.LENGTH)]]
+        assert edge_refs == []
+
+    def test_edges_are_built_once_on_first_read(self, path, edge_refs):
+        [rep] = fbg.fundamental_bipartite_graph(path).classes[self.ends()][1]
+        assert edge_refs == []
+        edges = rep.edges
+        assert rep.edges is edges
+        assert edge_refs == [f"e{t}" for t in range(self.LENGTH)]
+        assert edges == tuple(CellRef(1, f"e{t}") for t in range(self.LENGTH))
+
+    def test_equals_and_hashes_like_a_path_built_from_cellrefs(self, path):
+        [rep] = fbg.fundamental_bipartite_graph(path).classes[self.ends()][1]
+        start, end = self.ends()
+        eager = fbg.EdgePath(start, end, tuple(CellRef(1, f"e{t}") for t in range(self.LENGTH)))
+        assert rep == eager and eager == rep
+        assert hash(rep) == hash(eager)
+        assert repr(rep) == repr(eager)
+        assert rep != fbg.EdgePath(start, end, eager.edges[:-1])
+        assert eager.edge_ids() == rep.edge_ids() and len(eager) == len(rep)
+
+    @pytest.mark.parametrize("field", ["start", "end", "edges"])
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    def test_fields_are_frozen(self, path, field, read_first):
+        [rep] = fbg.fundamental_bipartite_graph(path).classes[self.ends()][1]
+        if read_first:
+            rep.edges
+        with pytest.raises(FrozenInstanceError):
+            setattr(rep, field, ())
+        with pytest.raises(FrozenInstanceError):
+            delattr(rep, field)
+        assert rep.edge_ids() == tuple(f"e{t}" for t in range(self.LENGTH))

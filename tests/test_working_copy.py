@@ -135,6 +135,21 @@ def test_reduced_refuses_dimension_three():
         standard_cube(3).reduced({CellRef(3, "***")})
 
 
+def test_reduced_names_an_unhashable_redirected_edge_as_unknown():
+    # given as (key, vertex) pairs, a key whose edge id is unhashable names no cell
+    P = modelio.named_fixture("square_plus_tail")
+    before = twin(P)
+    with pytest.raises(UnknownCell, match=r"^no cell \['x'\] of degree 1$"):
+        P.reduced([CellRef(0, "t")], [((CellRef(1, ["x"]), 1, 0), CellRef(0, "w00"))])
+    assert_unchanged(P, before)
+
+
+def test_reduced_takes_redirects_as_pairs():
+    P = modelio.named_fixture("square_plus_tail")
+    step = {(CellRef(1, "g"), 1, 0): CellRef(0, "w00")}
+    assert P.reduced({CellRef(0, "t")}, list(step.items())) == P.reduced({CellRef(0, "t")}, step)
+
+
 def test_reduced_takes_a_step_that_keeps_the_complex_valid():
     P = modelio.named_fixture("square_plus_tail")
     Q = P.reduced({CellRef(0, "t")}, {(CellRef(1, "g"), 1, 0): CellRef(0, "w00")})
