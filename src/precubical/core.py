@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
@@ -30,12 +30,18 @@ from typing import Optional
 from .errors import DimensionUnsupported, OutOfRange, UnknownCell, ValidationFailed
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class CellRef:
     """A cell named by degree and an id unique within that degree."""
 
     degree: int
     id: str
+
+    def __init__(self, degree: int, id: str):
+        # into __dict__, past the frozen __setattr__ the generated __init__ calls
+        fields = self.__dict__
+        fields["degree"] = degree
+        fields["id"] = id
 
     def __repr__(self):
         return f"CellRef({self.degree}, {self.id!r})"
@@ -397,6 +403,12 @@ def _face_report(P: Complex) -> list[Violation]:
                 for key in table if key not in positions]
     # past the vertices and edges, which come first: only degree >= 2 has a pair i < j
     for (n, cid), faces in itertools.islice(resolved.items(), P.size(0) + P.size(1), None):
+        if n == 2 and len(faces) == 4:  # the four corners meet: d1_k d2_l = d1_l d1_k
+            a, b = resolved[(1, faces[(1, 0)])], resolved[(1, faces[(1, 1)])]
+            c, d = resolved[(1, faces[(2, 0)])], resolved[(1, faces[(2, 1)])]
+            if (c.get((1, 0)) == a.get((1, 0)) and c.get((1, 1)) == b.get((1, 0))
+                    and d.get((1, 0)) == a.get((1, 1)) and d.get((1, 1)) == b.get((1, 1))):
+                continue
         for i, j in itertools.combinations(range(1, n + 1), 2):
             for k in (0, 1):
                 for l in (0, 1):
@@ -436,7 +448,7 @@ def _cofaces_of(P: Complex) -> tuple[dict, dict, dict]:
     for s in sorted(P._cell_sets.get(2, ())):
         for fid in faces[(2, s)].values():
             ids = on_edge.setdefault(fid, [])
-            if ids[-1:] != [s]:  # a square may have one edge at two positions
+            if not ids or ids[-1] != s:  # a square may have one edge at two positions
                 ids.append(s)
     return starts, ends, on_edge
 
@@ -574,7 +586,9 @@ def are_isomorphic(P: Complex, Q: Complex) -> Optional[dict[CellRef, CellRef]]:
 
     Every cell has a class, which any isomorphism keeps: its degree, its
     number of cofaces at each face position, and the classes of its faces,
-    position by position. P and Q must have as many cells of each class.
+    position by position. P and Q must have as many cells of each class;
+    Q's classes are built a degree at a time, and the first degree whose
+    class sizes differ from P's gives None before Q's higher degrees.
     Mapping a cell forces the images of its faces and, at each face
     position where the cell has exactly one coface, the image of that
     coface. The search branches only when nothing is forced: the unmapped
@@ -583,15 +597,16 @@ def are_isomorphic(P: Complex, Q: Complex) -> Optional[dict[CellRef, CellRef]]:
     ValidationFailed, as the coface tables do, if either complex is invalid.
     """
     classes: dict[tuple, int] = {}  # signature -> class, shared by P and Q
-    star_p, star_q = _stars(P, classes), _stars(Q, classes)
+    star_p, star_q, class_of = list(_stars(P, classes)), [], itemgetter(2)
+    for stars_p, stars in itertools.zip_longest(star_p, _stars(Q, classes), fillvalue={}):
+        if Counter(map(class_of, stars_p.values())) != Counter(map(class_of, stars.values())):
+            return None
+        star_q.append(stars)
     alike: dict[int, list[str]] = {}  # class -> the ids of Q's cells of it
     for stars in star_q:
         for q in sorted(stars):
             alike.setdefault(stars[q][2], []).append(q)
-    sizes = Counter(c for stars in star_p for _, _, c in stars.values())
-    if sizes != {c: len(qs) for c, qs in alike.items()}:
-        return None
-    order = sorted((sizes[c], -n, p) for n, stars in enumerate(star_p)
+    order = sorted((len(alike[c]), -n, p) for n, stars in enumerate(star_p)
                    for p, (_, _, c) in stars.items())
     image: list[dict[str, str]] = [{} for _ in star_p]  # per degree
     used: list[set[str]] = [set() for _ in star_p]
@@ -621,38 +636,59 @@ def are_isomorphic(P: Complex, Q: Complex) -> Optional[dict[CellRef, CellRef]]:
         pos += 1
 
 
-def _stars(P: Complex, classes: dict) -> list[dict[str, tuple[tuple, tuple, int]]]:
-    """Per degree, from 0, per cell id: its face ids by face position (i,
-    k), in order; the ids of its cofaces alone at their position, in
-    position order; and its class, numbered in `classes` by signature: the
-    degree, the number of cofaces at each position and the classes of the
-    faces in position order. Cells of degree 2 and up get no cofaces."""
+def _stars(P: Complex, classes: dict) -> Iterator[dict[str, tuple[tuple, tuple, int]]]:
+    """Per degree, from 0, one at a time, per cell id: its face ids by face
+    position (i, k), in order; the ids of its cofaces alone at their
+    position, in position order; and its class, numbered in `classes` by
+    signature: the degree, the number of cofaces at each position and the
+    classes of the faces in position order. Cells of degree 2 and up get
+    no cofaces. The coface tables are built before the first degree."""
     starts, ends, _ = P.coface_tables()
-    square_keys = ((1, 0), (1, 1), (2, 0), (2, 1))
-    squares_at: dict[str, tuple[list, list, list, list]] = {}  # edge -> its squares, by position
+    faces = P._faces
+    # edge -> per square position d1_0, d1_1, d2_0, d2_1: how many squares, the last seen
+    seen: dict[str, list] = {}
     for s in P._cell_sets.get(2, ()):
-        faces = P._faces[(2, s)]
-        for at, key in enumerate(square_keys):
-            squares_at.setdefault(faces[key], ([], [], [], []))[at].append(s)
-    out = []
+        table = faces[(2, s)]
+        for at, key in ((0, (1, 0)), (2, (1, 1)), (4, (2, 0)), (6, (2, 1))):
+            record = seen.get(table[key])
+            if record is None:
+                record = seen[table[key]] = [0, None, 0, None, 0, None, 0, None]
+            record[at] += 1
+            record[at + 1] = s
     below: dict[str, int] = {}  # id -> class, in the degree below
     for n in P.degrees():  # ascending, so the faces of a cell have their classes
-        by_position = itemgetter(*[(i, k) for i in range(1, n + 1) for k in (0, 1)]) if n else None
         here, stars = {}, {}
-        for c in P._cell_sets[n]:
-            ups, fids = (), ()
-            if n == 0:
-                ups = (starts.get(c, ()), ends.get(c, ()))
-            else:
-                fids = by_position(P._faces[(n, c)])
-                if n == 1:
-                    ups = squares_at.get(c, ((), (), (), ()))
-            signature = (n, *map(len, ups), *map(below.get, fids))
-            here[c] = cls = classes.setdefault(signature, len(classes))
-            stars[c] = (fids, tuple([at[0] for at in ups if len(at) == 1]), cls)
+        if n == 0:
+            for c in P._cell_sets[0]:
+                out, into = starts.get(c, ()), ends.get(c, ())
+                here[c] = cls = classes.setdefault((0, len(out), len(into)), len(classes))
+                # out[:True] is the lone edge out, out[:False] none
+                stars[c] = ((), (*out[:len(out) == 1], *into[:len(into) == 1]), cls)
+        elif n == 1:
+            for c in P._cell_sets[1]:
+                table = faces[(1, c)]
+                fids = table[(1, 0)], table[(1, 1)]
+                m0, s0, m1, s1, m2, s2, m3, s3 = seen.get(c, (0, None) * 4)
+                signature = (1, m0, m1, m2, m3, below[fids[0]], below[fids[1]])
+                here[c] = cls = classes.setdefault(signature, len(classes))
+                alone = ()
+                if m0 == 1:
+                    alone += (s0,)
+                if m1 == 1:
+                    alone += (s1,)
+                if m2 == 1:
+                    alone += (s2,)
+                if m3 == 1:
+                    alone += (s3,)
+                stars[c] = (fids, alone, cls)
+        else:
+            by_position = itemgetter(*[(i, k) for i in range(1, n + 1) for k in (0, 1)])
+            for c in P._cell_sets[n]:
+                fids = by_position(faces[(n, c)])
+                here[c] = cls = classes.setdefault((n, *map(below.get, fids)), len(classes))
+                stars[c] = (fids, (), cls)
         below = here
-        out.append(stars)
-    return out
+        yield stars
 
 
 def _force(n, ps, qs, star_p, star_q, image, used, trail) -> bool:

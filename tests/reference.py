@@ -1,10 +1,12 @@
 """Reference helpers only the tests use: the cube morphism of a cell,
-subcomplex tests, the sub-table on a set of cells, and `CellRef` readers
-of a complex's cells and of the squares on an edge."""
+subcomplex tests, the sub-table on a set of cells, `CellRef` readers
+of a complex's cells and of the squares on an edge, and the classes of
+the isomorphism search as first written."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from precubical.core import CellRef, Complex, standard_cube
@@ -78,3 +80,36 @@ def restrict(P: Complex, kept: Iterable[CellRef]) -> Complex:
         if pos is not None:
             coords[(cell.degree, cell.id)] = pos
     return Complex(cells, faces, coords)
+
+
+def stars(P: Complex, classes: dict) -> list[dict[str, tuple[tuple, tuple, int]]]:
+    """`core._stars` as first written, one loop for every cell and four
+    lists of squares per edge: per degree, from 0, per cell id, its face
+    ids by position, its cofaces alone at their position and its class,
+    numbered in `classes` by signature."""
+    starts, ends, _ = P.coface_tables()
+    square_keys = ((1, 0), (1, 1), (2, 0), (2, 1))
+    squares_at: dict[str, tuple[list, list, list, list]] = {}  # edge -> its squares, by position
+    for s in P._cell_sets.get(2, ()):
+        faces = P._faces[(2, s)]
+        for at, key in enumerate(square_keys):
+            squares_at.setdefault(faces[key], ([], [], [], []))[at].append(s)
+    out = []
+    below: dict[str, int] = {}  # id -> class, in the degree below
+    for n in P.degrees():
+        by_position = itemgetter(*[(i, k) for i in range(1, n + 1) for k in (0, 1)]) if n else None
+        here, by_id = {}, {}
+        for c in P._cell_sets[n]:
+            ups, fids = (), ()
+            if n == 0:
+                ups = (starts.get(c, ()), ends.get(c, ()))
+            else:
+                fids = by_position(P._faces[(n, c)])
+                if n == 1:
+                    ups = squares_at.get(c, ((), (), (), ()))
+            signature = (n, *map(len, ups), *map(below.get, fids))
+            here[c] = cls = classes.setdefault(signature, len(classes))
+            by_id[c] = (fids, tuple([at[0] for at in ups if len(at) == 1]), cls)
+        below = here
+        out.append(by_id)
+    return out

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from typing import Optional
 
@@ -10,6 +13,7 @@ from precubical.errors import OutOfRange, PrecubicalError, UnknownCell, Validati
 
 from conftest import from_edges, glued_complexes, random_grid_complex, relabelled
 from reference import all_cells, cube_morphism, is_subcomplex, restrict, squares_on
+from reference import stars as reference_stars
 
 
 S = CellRef(2, "s")
@@ -37,6 +41,51 @@ def rewire(P: Complex, cell: CellRef, i: int, k: int, new_id: str) -> Complex:
     }
     faces[(cell.degree, cell.id)][(i, k)] = new_id
     return Complex(cells, faces)
+
+
+class TestCellRef:
+    """A CellRef is a frozen, ordered dataclass, whatever its __init__ does."""
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        cell = CellRef(1, "e")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cell.id = "f"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cell.degree = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del cell.id
+        assert cell == CellRef(1, "e")
+
+    def test_equal_hashed_and_ordered_by_degree_then_id(self):
+        assert CellRef(1, "e") == CellRef(1, "e") and hash(CellRef(1, "e")) == hash(CellRef(1, "e"))
+        assert CellRef(1, "e") != CellRef(0, "e") and CellRef(1, "e") != CellRef(1, "f")
+        assert sorted([CellRef(1, "a"), CellRef(0, "z"), CellRef(1, "B"), CellRef(0, "a")]) == [
+            CellRef(0, "a"), CellRef(0, "z"), CellRef(1, "B"), CellRef(1, "a")]
+        assert CellRef(0, "z") < CellRef(1, "a") <= CellRef(1, "a") < CellRef(1, "b")
+        assert len({CellRef(0, "a"), CellRef(0, "a"), CellRef(1, "a")}) == 2
+
+    def test_never_equal_to_a_tuple(self):
+        assert CellRef(0, "a") != (0, "a")
+        assert (0, "a") != CellRef(0, "a")
+        with pytest.raises(TypeError):
+            CellRef(0, "a") < (0, "b")
+
+    def test_repr(self):
+        assert repr(CellRef(2, "s")) == "CellRef(2, 's')"
+
+    def test_fields_and_replace(self):
+        assert [f.name for f in dataclasses.fields(CellRef)] == ["degree", "id"]
+        assert dataclasses.replace(CellRef(1, "e"), id="f") == CellRef(1, "f")
+        assert dataclasses.replace(CellRef(1, "e"), degree=2) == CellRef(2, "e")
+        assert dataclasses.astuple(CellRef(1, "e")) == (1, "e")
+        assert CellRef(degree=1, id="e") == CellRef(1, "e")
+
+    def test_pickle_and_copy(self):
+        cell = CellRef(2, "s")
+        for other in (pickle.loads(pickle.dumps(cell)), copy.copy(cell), copy.deepcopy(cell)):
+            assert other == cell and hash(other) == hash(cell) and repr(other) == repr(cell)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                other.id = "t"
 
 
 class TestValidate:
@@ -441,6 +490,85 @@ class TestIsomorphism:
         mapping = core.are_isomorphic(shared_memory, shared_memory)
         assert mapping is not None
         assert all(p == q for p, q in mapping.items())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_degree_more_or_fewer(self, n):
+        cube = core.standard_cube(n)
+        skeleton = Complex(
+            {r: cube.cell_ids(r) for r in range(n)},
+            {(r, c): cube.faces_of(r, c) for r in range(1, n) for c in cube.cell_ids(r)},
+        )
+        assert core.are_isomorphic(cube, skeleton) is None
+        assert core.are_isomorphic(skeleton, cube) is None
+
+    def test_classes_of_q_stop_at_the_first_degree_that_differs(self, monkeypatch):
+        # the same vertex classes, but the edges of Q bound two squares each
+        P = core.standard_cube(2)
+        Q = from_edges({"a": ("00", "01"), "b": ("10", "11"), "c": ("00", "10"), "d": ("01", "11")},
+                       {"s": ("a", "b", "c", "d"), "t": ("a", "b", "c", "d")})
+        classed = []
+        stars = core._stars
+
+        def counted(R, classes):
+            for n, by_id in enumerate(stars(R, classes)):
+                classed.append((R is Q, n))
+                yield by_id
+
+        monkeypatch.setattr(core, "_stars", counted)
+        assert core.are_isomorphic(P, Q) is None
+        assert [n for of_q, n in classed if of_q] == [0, 1]
+
+    def test_an_invalid_q_raises_before_any_class_is_compared(self):
+        dangling = Complex(
+            {0: ["a", "b"], 1: ["x", "y"]},
+            {(1, "x"): {(1, 0): "a", (1, 1): "b"}, (1, "y"): {(1, 0): "b", (1, 1): "ghost"}},
+        )
+        # four vertices against two: the vertex classes would already differ
+        with pytest.raises(ValidationFailed) as excinfo:
+            core.are_isomorphic(core.standard_cube(2), dangling)
+        assert [v.kind for v in excinfo.value.report] == ["dangling-face"]
+
+
+class TestStars:
+    """The class pass, one loop per degree, gives what the first one-loop
+    pass gives, up to the numbering of the classes."""
+
+    @staticmethod
+    def renumbered(per_degree):
+        """The stars with each class renumbered by first appearance, degree
+        by degree in sorted id order."""
+        number: dict[int, int] = {}
+        return [{c: (fids, alone, number.setdefault(cls, len(number)))
+                 for c, (fids, alone, cls) in sorted(by_id.items())} for by_id in per_degree]
+
+    def assert_same(self, P):
+        assert self.renumbered(core._stars(P, {})) == self.renumbered(reference_stars(P, {}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(glued_complexes())
+    def test_glued_complexes(self, P):
+        self.assert_same(P)
+
+    def test_two_squares_at_one_position(self):
+        # s and t both have a at d1_0; t alone has e at d1_1
+        P = from_edges(
+            {"a": ("p", "q"), "b": ("r", "w"), "c": ("p", "r"), "d": ("q", "w"), "e": ("r", "w")},
+            {"s": ("a", "b", "c", "d"), "t": ("a", "e", "c", "d")},
+        )
+        self.assert_same(P)
+        edges = list(core._stars(P, {}))[1]
+        assert edges["a"][1] == () and edges["e"][1] == ("t",) and edges["c"][1] == ()
+
+    def test_square_on_one_loop(self):
+        P = Complex(
+            {0: ["v"], 1: ["e"], 2: ["s"]},
+            {(1, "e"): {(1, 0): "v", (1, 1): "v"}, (2, "s"): {(i, k): "e" for i in (1, 2) for k in (0, 1)}},
+        )
+        self.assert_same(P)
+
+    def test_clashing_and_cubes(self):
+        for P in (CLASHING, core.standard_cube(3), core.standard_cube(0), Complex({})):
+            self.assert_same(P)
 
 
 class TestCofaceTables:
