@@ -256,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("auto-reduce", help="chain reductions")
     p.add_argument("input")
     p.add_argument("--recipe", help="recipe file, one 'kind cell [a] b' per line")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true",
+                   help="print a failing recipe step's certificate as JSON; the trail stays text")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_auto_reduce)
 

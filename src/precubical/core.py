@@ -50,14 +50,16 @@ class CellRef:
 class Complex:
     """A finite precubical set given by explicit face tables.
 
-    `cells` maps each degree to an iterable of cell ids. `faces` maps
-    (degree, id) to a mapping (i, k) -> face id of degree one less.
-    The constructor stores a copy of the tables (OutOfRange unless `cells`
-    maps int degrees to collections of hashable ids, not str or bytes,
-    and `faces` and `coords` map (int degree, id) pairs to mappings of
-    hashable face ids keyed by (i, k) int pairs and to sequences); use
-    :func:`validate` to check the precubical identities and referential
-    integrity.
+    `cells` maps each degree to a collection of ids, `faces` each (degree,
+    id) to a mapping (i, k) -> face id of degree one less, and `coords`
+    each (degree, id) to a position. The constructor copies the tables and
+    judges each entry alone. OutOfRange, naming the degree or cell, refuses
+    a degree that is not an int >= 0; ids that are unhashable or given as
+    a str or bytes; a face key that is not a face position of its cell,
+    exact ints 1 <= i <= n and k in {0, 1}; an unhashable face id; and a
+    position that is not one or more exact ints, stored as a tuple.
+    :func:`validate` judges how entries relate: id types, repeats, missing
+    and dangling faces, identities and unlisted cells. Ids stay as given.
 
     Internal code reads ids through :meth:`faces_of` and
     :meth:`coface_tables`; :class:`CellRef` is the type of the public API.
@@ -85,8 +87,9 @@ class Complex:
             raise OutOfRange(f"cells must map each degree to a collection of ids, not {cells!r}")
         owned = {}
         for n, ids in cells.items():
-            if not (_is_int(n) and isinstance(ids, Iterable)) or isinstance(ids, str | bytes):
-                raise OutOfRange(f"degree {n!r}: cells must map int degrees to ids, not {ids!r}")
+            if not (_is_int(n) and n >= 0 and isinstance(ids, Iterable)
+                    and not isinstance(ids, str | bytes)):
+                raise OutOfRange(f"degree {n!r}: cells must map ints >= 0 to ids, not {ids!r}")
             owned[n] = tuple(ids)
             try:
                 hash(owned[n])
@@ -98,21 +101,27 @@ class Complex:
             if not isinstance(table, Mapping):
                 raise OutOfRange(f"{name} must map each (degree, id) to its {what}, not {table!r}")
             for key, value in table.items():
-                if not (isinstance(key, tuple) and len(key) == 2 and _is_int(key[0])):
-                    raise OutOfRange(f"{name} key {key!r} is not a (degree, id) pair")
+                if not (isinstance(key, tuple) and len(key) == 2
+                        and _is_int(key[0]) and key[0] >= 0):
+                    raise OutOfRange(f"{name} key {key!r} is not a (degree, id) pair, degree >= 0")
                 if not isinstance(value, kind):
                     raise OutOfRange(f"cell {key!r}: {value!r} is not a {what}")
         faces = {key: dict(table) for key, table in faces.items()}
-        # exact ints: (True, 0), equal to (1, 0), is refused all the same
+        # exact ints at a face position, so none on a vertex, and (True, 0) is not (1, 0)
         for key, ik in ((key, ik) for key, table in faces.items() for ik in table if not (
-                isinstance(ik, tuple) and len(ik) == 2 and type(ik[0]) is type(ik[1]) is int)):
-            raise OutOfRange(f"cell {key!r}: face key {ik!r} is not an (i, k) pair of ints")
+                isinstance(ik, tuple) and len(ik) == 2 and type(ik[0]) is type(ik[1]) is int
+                and 1 <= ik[0] <= key[0] and ik[1] in (0, 1))):
+            raise OutOfRange(f"cell {key!r}: face key {ik!r} is not an (i, k) pair of ints, "
+                             f"1 <= i <= {key[0]} and k in (0, 1)")
         for key, table in faces.items():
             try:
                 hash(tuple(table.values()))
             except TypeError:
                 raise OutOfRange(f"cell {key!r}: unhashable face id in {table!r}") from None
-        self._own(owned, faces, {key: tuple(pos) for key, pos in coords.items()})
+        coords = {key: tuple(pos) for key, pos in coords.items()}
+        for key in (key for key, pos in coords.items() if set(map(type, pos)) != {int}):
+            raise OutOfRange(f"cell {key!r}: position {coords[key]!r} is not one or more ints")
+        self._own(owned, faces, coords)
 
     @classmethod
     def _owning(cls, cells, faces, coords) -> Complex:
@@ -179,6 +188,8 @@ class Complex:
         return cell
 
     def face(self, cell: CellRef, i: int, k: int) -> CellRef:
+        if not (_is_int(i) and _is_int(k)):
+            raise OutOfRange(f"i and k must be ints, not {i!r} and {k!r}")
         fid = self.faces_of(self._known(cell).degree, cell.id).get((i, k))
         if fid is None:
             raise UnknownCell(
@@ -326,8 +337,7 @@ class Complex:
 class Violation:
     """One defect found by validate."""
 
-    # id-type | duplicate-id | negative-degree | missing-face |
-    # dangling-face | extra-face | identity | unlisted-cell
+    # id-type | duplicate-id | missing-face | dangling-face | identity | unlisted-cell
     kind: str
     cell: Optional[CellRef]
     message: str
@@ -341,12 +351,11 @@ class Violation:
 def validate(P: Complex) -> list[Violation]:
     """Check a raw complex and report every defect (empty report = valid).
 
-    Reports ids that are not a str, repeated and empty ids, cells of
-    negative degree, missing or dangling face entries, entries at no face
-    position (i, k), 1 <= i <= n, k in {0, 1}, of their cell, every
-    violated cubical identity with its (i, j, k, l) indices, and every
-    nonempty face table given for a cell that is not listed. The coface
-    tables refuse exactly what this reports.
+    The constructor has judged each entry alone; this reports how they
+    relate: ids that are not a str, repeated and empty ids, missing or
+    dangling face entries, every violated cubical identity with its (i, j,
+    k, l) indices, and every nonempty face table of an unlisted cell. The
+    coface tables refuse exactly what this reports.
     """
     return _face_report(P)
 
@@ -375,20 +384,15 @@ def _face_report(P: Complex) -> list[Violation]:
             seen.add(cid)
     resolved: dict[tuple[int, str], dict[tuple[int, int], str]] = {}
     for n in P.degrees():
-        if n < 0:
-            for cid in sorted(P._cell_sets[n], key=str):
-                message = f"degree {n} is negative"
-                report.append(Violation("negative-degree", CellRef(n, cid), message))
-            continue
         below = P._cell_sets.get(n - 1, frozenset())
-        positions = {(i, k) for i in range(1, n + 1) for k in (0, 1)}  # none for a vertex
+        positions = [(i, k) for i in range(1, n + 1) for k in (0, 1)]  # none for a vertex
         for cid in sorted(P._cell_sets[n], key=str):
-            table = P._faces.get((n, cid), {})
-            if table.keys() == positions and below.issuperset(table.values()):
+            table = P._faces.get((n, cid), {})  # its keys are positions, as the constructor checks
+            if len(table) == len(positions) and below.issuperset(table.values()):
                 resolved[(n, cid)] = table  # clean: every entry resolves
                 continue
             faces = resolved[(n, cid)] = {}
-            for i, k in sorted(positions):
+            for i, k in positions:
                 fid = table.get((i, k))
                 if fid is None:
                     message = f"no entry for d{i}_{k}"
@@ -398,9 +402,6 @@ def _face_report(P: Complex) -> list[Violation]:
                     report.append(Violation("dangling-face", CellRef(n, cid), message, (i, k)))
                 else:
                     faces[(i, k)] = fid
-            report += [
-                Violation("extra-face", CellRef(n, cid), f"entry {key!r} is not a face position")
-                for key in table if key not in positions]
     # past the vertices and edges, which come first: only degree >= 2 has a pair i < j
     for (n, cid), faces in itertools.islice(resolved.items(), P.size(0) + P.size(1), None):
         if n == 2 and len(faces) == 4:  # the four corners meet: d1_k d2_l = d1_l d1_k
@@ -423,7 +424,7 @@ def _face_report(P: Complex) -> list[Violation]:
                             f"d{i}_{k} d{j}_{l} = {left!r} but d{j - 1}_{l} d{i}_{k} = {right!r}"
                         )
                         report.append(Violation("identity", CellRef(n, cid), message, (i, j, k, l)))
-    stray = P._faces.keys() - resolved.keys()  # the tables of unlisted cells and negative degrees
+    stray = P._faces.keys() - resolved.keys()  # the tables of unlisted cells
     unlisted = (key for key in stray if P._faces[key] and not _has(P, *key))
     for n, cid in sorted(unlisted, key=lambda key: (key[0], str(key[1]))):
         message = f"face table given, but {cid!r} is not listed in degree {n}"

@@ -33,16 +33,16 @@ class EdgePath:
     """A composable sequence of edges; empty paths sit at their start.
 
     An EdgePath is immutable, and compares and hashes by `start`, `end`
-    and `edges`. One that :func:`fundamental_bipartite_graph` returns
-    keeps its edge ids, read by :meth:`edge_ids` and `len`, and builds
-    `edges`, the tuple of edge CellRefs, on first read.
+    and `edges`. Both constructors store the edge ids, read by
+    :meth:`edge_ids` and `len`; one that :func:`fundamental_bipartite_graph`
+    returns builds `edges`, the tuple of edge CellRefs, on first read.
     """
 
     start: CellRef
     end: CellRef
 
     def __init__(self, start: CellRef, end: CellRef, edges: tuple[CellRef, ...]):
-        self.__dict__.update(start=start, end=end, edges=edges)
+        self.__dict__.update(start=start, end=end, edges=edges, _ids=tuple(e.id for e in edges))
 
     @classmethod
     def _of_ids(cls, start: CellRef, end: CellRef, ids: tuple[str, ...]) -> EdgePath:
@@ -53,10 +53,6 @@ class EdgePath:
     @cached_property
     def edges(self) -> tuple[CellRef, ...]:
         return tuple(CellRef(1, e) for e in self._ids)
-
-    @cached_property
-    def _ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.edges)
 
     def __len__(self):
         return len(self._ids)
@@ -233,7 +229,10 @@ class FbgTable:
     classes: dict  # (min vertex, max vertex) -> (count, tuple of representatives), pairs sorted
 
     def count(self, m: CellRef, M: CellRef) -> int:
-        return self.classes[(m, M)][0]
+        try:  # UnknownCell for a pair the table lacks; an unhashable id names none
+            return self.classes[(m, M)][0]
+        except (KeyError, TypeError):
+            raise UnknownCell(f"no pair ({m!r}, {M!r}) in the table") from None
 
 
 def fundamental_bipartite_graph(

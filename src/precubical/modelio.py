@@ -43,8 +43,7 @@ def serialize(P: Complex, name: str = None) -> str:
     that is not None or a str of one line; an id that is not a str, is
     empty or holds whitespace, naming the first such cell, in the given
     order, by degree and id; a face id that is not such a str either,
-    and a position that is not one or more ints, each naming the first
-    such cell in record order."""
+    naming the first such cell in record order."""
     if name is not None and not isinstance(name, str):
         raise OutOfRange(f"name must be a str or None, not {name!r}")
     if name and name.splitlines() != [name]:  # parse splits lines as str.splitlines does
@@ -68,18 +67,10 @@ def serialize(P: Complex, name: str = None) -> str:
                         raise OutOfRange(f"cell {cid!r} of degree {n}: face d{i}_{k} = {fid!r} "
                                          "is not a nonempty str without whitespace")
             parts = [str(n), cid, *(f"d{i}_{k}={table[(i, k)]}" for i, k in sorted(table))]
-            if (pos := _position(coords, n, cid)) is not None:
+            if (pos := coords.get((n, cid))) is not None:
                 parts.append("pos=" + ",".join(map(str, pos)))
             lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
-
-
-def _position(coords, n: int, cid: str):
-    """The position of cell (n, cid) in `coords`, or None; OutOfRange unless ints."""
-    pos = coords.get((n, cid))
-    if pos is not None and not (pos and all(map(core._is_int, pos))):
-        raise OutOfRange(f"cell {cid!r} of degree {n}: position {pos!r} is not one or more ints")
-    return pos
 
 
 def parse(text: str, check: bool = True) -> Complex:
@@ -319,8 +310,7 @@ def export_dot(P: Complex, name: str = "complex") -> str:
     """Directed-graph text for graphviz. Vertices become nodes, edges
     become labeled arcs, and each square is emitted as a comment plus a
     plaintext node dashed-linked to the label nodes of its four boundary
-    edges. Every id and the graph name, a str, are written as quoted
-    strings; a position must be one or more ints, as in serialize."""
+    edges. Every id and the graph name, a str, are written quoted."""
     if not isinstance(name, str):
         raise OutOfRange(f"graph name must be a str, not {name!r}")
     dim = P.dimension
@@ -331,8 +321,7 @@ def export_dot(P: Complex, name: str = "complex") -> str:
     out = [f"digraph {_quoted(name)} {{"]
     for v in sorted(P.cell_ids(0)):
         attrs = [f"label={_quoted(v)}"]
-        pos = _position(coords, 0, v)
-        if pos is not None and len(pos) >= 2:
+        if len(pos := coords.get((0, v), ())) >= 2:
             attrs.append(f'pos="{pos[0]},{pos[1]}!"')
         out.append(f'  {_quoted(v)} [{" ".join(attrs)}];')
     for e in sorted(P.cell_ids(1)):

@@ -69,13 +69,17 @@ SQUARE = modelio.named_fixture("square")
         lambda: core.Complex({0: "ab"}),
         lambda: core.Complex({0: b"ab"}),
         lambda: core.Complex(None),
+        lambda: SQUARE.face(CellRef(2, "s"), [1], 0),
+        lambda: SQUARE.face(CellRef(2, "s"), "1", 0),
+        lambda: SQUARE.face(CellRef(2, "s"), 1, True),
     ],
     ids=["max-paths-str", "max-paths-bool", "dipaths-max-paths-str", "dipaths-max-paths-bool",
          "dipaths-max-paths-0", "classes-max-paths-none", "classes-max-paths-bool",
          "recipe-str", "recipe-int-entry", "hole-1-tuple",
          "grid-float", "grid-str", "holes-none", "grid-bool", "hole-bool", "cube-bool",
          "cube-str", "cube-negative", "dot-name-int", "edges-at-2", "edges-at-minus-1",
-         "edges-at-bool", "cells-str", "cells-bytes", "cells-none"],
+         "edges-at-bool", "cells-str", "cells-bytes", "cells-none", "face-i-list", "face-i-str",
+         "face-k-bool"],
 )
 def test_bad_arguments_raise_out_of_range(call):
     with pytest.raises(OutOfRange):
@@ -92,9 +96,12 @@ def test_bad_arguments_raise_out_of_range(call):
         lambda: SQUARE.coords(CellRef(1, ["x"])),
         lambda: SQUARE.coords(CellRef(1, "x")),
         lambda: SQUARE.reduced([CellRef(2, ["s"])]),
+        lambda: fbg.fundamental_bipartite_graph(SQUARE).count(CellRef(0, "zz"), CellRef(0, "w11")),
+        lambda: fbg.fundamental_bipartite_graph(SQUARE).count(CellRef(0, ["zz"]), CellRef(0, "w11")),
     ],
     ids=["edges-at-unhashable", "edges-at-missing", "face-table-unhashable", "face-table-missing",
-         "coords-unhashable", "coords-missing", "reduced-unhashable"],
+         "coords-unhashable", "coords-missing", "reduced-unhashable", "count-missing",
+         "count-unhashable"],
 )
 def test_readers_raise_unknown_cell_for_a_cell_the_complex_lacks(call):
     # an unhashable id names no cell, as in `face`

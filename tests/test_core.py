@@ -178,10 +178,10 @@ class TestValidate:
         assert repr(Complex({0: ["a", "a", "b"], 1: ["e"]})) == "Complex({0: 2, 1: 1})"
 
     def test_a_vertex_table_holds_no_entry(self):
-        # a vertex has no face positions: its empty table is clean, any entry is extra
+        # a vertex has no face positions: its empty table is clean, any entry is refused
         assert core.validate(Complex({0: ["a"]}, {(0, "a"): {}})) == []
-        P = Complex({0: ["a"]}, {(0, "a"): {(1, 0): "a"}})
-        assert [(v.kind, v.cell) for v in core.validate(P)] == [("extra-face", CellRef(0, "a"))]
+        with pytest.raises(OutOfRange, match=r"cell \(0, 'a'\): face key \(1, 0\)"):
+            Complex({0: ["a"]}, {(0, "a"): {(1, 0): "a"}})
 
     def test_cells_sorts_ids_as_str(self):
         # ids of two types: validate reports id-type, and cells still lists them

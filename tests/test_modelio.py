@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 
@@ -106,36 +107,32 @@ _INTERVAL_FACES = {(1, 0): "a", (1, 1): "b"}
 
 
 class TestValidateCoversTheFormat:
-    """A complex that validates is one that pcsv1 carries: each of these
-    complexes holds a face entry, or a degree, that a document cannot
-    state, so validate and the coface tables must refuse it. The empty
-    vertex id of `standard_cube(0)` and ids holding whitespace validate,
-    but no record can carry them, and neither can positions that are not
-    one or more ints, so serialize refuses them instead."""
+    """A complex that validates is one that pcsv1 carries: a face entry
+    at no face position of its cell, a negative degree or a position that
+    is not one or more ints cannot be stated in a document, so the
+    constructor refuses it. The empty vertex id of `standard_cube(0)` and
+    ids holding whitespace validate, but no record can carry them, so
+    serialize refuses them instead."""
 
     @pytest.mark.parametrize(
-        "P, kind",
+        "cells, faces, named",
         [
-            (Complex({0: ["a", "b"], 1: ["e"]}, {(1, "e"): {**_INTERVAL_FACES, (2, 0): "a"}}),
-             "extra-face"),
-            (Complex({0: ["a", "b"], 1: ["e"]}, {(1, "e"): {**_INTERVAL_FACES, (0, 1): "a"}}),
-             "extra-face"),
-            (Complex({0: ["a", "b"], 1: ["e"]}, {(1, "e"): {**_INTERVAL_FACES, (1, 2): "a"}}),
-             "extra-face"),
-            (Complex({0: ["a", "b"], 1: ["e"]},
-                     {(1, "e"): _INTERVAL_FACES, (0, "a"): {(1, 0): "b"}}),
-             "extra-face"),
-            (Complex({-1: ["z"], 0: ["a"]}), "negative-degree"),
+            ({0: ["a", "b"], 1: ["e"]}, {(1, "e"): {**_INTERVAL_FACES, (2, 0): "a"}},
+             "cell (1, 'e'): face key (2, 0)"),
+            ({0: ["a", "b"], 1: ["e"]}, {(1, "e"): {**_INTERVAL_FACES, (0, 1): "a"}},
+             "cell (1, 'e'): face key (0, 1)"),
+            ({0: ["a", "b"], 1: ["e"]}, {(1, "e"): {**_INTERVAL_FACES, (1, 2): "a"}},
+             "cell (1, 'e'): face key (1, 2)"),
+            ({0: ["a", "b"], 1: ["e"]}, {(1, "e"): _INTERVAL_FACES, (0, "a"): {(1, 0): "b"}},
+             "cell (0, 'a'): face key (1, 0)"),
+            ({-1: ["z"], 0: ["a"]}, {}, "degree -1"),
         ],
         ids=["entry-d2_0-on-edge", "entry-d0_1-on-edge", "entry-k-2-on-edge",
              "entry-on-vertex", "negative-degree"],
     )
-    def test_what_the_format_cannot_carry_is_reported(self, P, kind):
-        assert [v.kind for v in core.validate(P)] == [kind]
-        with pytest.raises(ValidationFailed):
-            P.coface_tables()
-        with pytest.raises(DocumentSyntaxError):
-            modelio.parse(modelio.serialize(P))
+    def test_what_the_format_cannot_carry_is_reported(self, cells, faces, named):
+        with pytest.raises(OutOfRange, match=re.escape(named)):
+            Complex(cells, faces)
 
     @pytest.mark.parametrize(
         "P, degree, cid",
@@ -143,13 +140,18 @@ class TestValidateCoversTheFormat:
             (Complex({0: ["a b"]}), 0, "a b"),
             (core.standard_cube(0), 0, ""),
             (Complex({0: ["a", "b"], 1: ["e\tf"]}, {(1, "e\tf"): _INTERVAL_FACES}), 1, "e\tf"),
-            *((Complex({0: ["a", "b"], 1: ["e"]}, {(1, "e"): _INTERVAL_FACES}, {(1, "e"): pos}),
+            *((functools.partial(Complex, {0: ["a", "b"], 1: ["e"]}, {(1, "e"): _INTERVAL_FACES},
+                                 {(1, "e"): pos}),
                1, "e") for pos in [(0, "x"), (1.5, 2), (True, 2), ()]),
         ],
         ids=["space-in-vertex-id", "empty-vertex-id", "tab-in-edge-id", "str-position",
              "float-position", "bool-position", "empty-position"],
     )
     def test_ids_the_format_cannot_carry_are_refused(self, P, degree, cid, tmp_path):
+        if not isinstance(P, Complex):  # a position that is not ints: the constructor refuses it
+            with pytest.raises(OutOfRange, match=re.escape(f"cell {(degree, cid)!r}: position")):
+                P()
+            return
         assert core.validate(P) == []
         named = re.escape(f"cell {cid!r} of degree {degree}")
         with pytest.raises(OutOfRange, match=named):
@@ -204,6 +206,33 @@ class TestValidateCoversTheFormat:
     def test_valid_complexes_round_trip(self, P):
         assert core.validate(P) == []
         assert modelio.parse(modelio.serialize(P)) == P
+
+
+_EDGE_CELLS = {0: ["a", "b"], 1: ["e"]}
+
+
+@pytest.mark.parametrize(
+    "record, tables, named",
+    [
+        ("-1 z", ({-1: ["z"], 0: ["a"]},), "degree -1"),
+        *((f"1 e d1_0=a d1_1=b {key}=a", (_EDGE_CELLS, {(1, "e"): {**_INTERVAL_FACES, ik: "a"}}),
+           "cell (1, 'e')") for key, ik in [("d2_0", (2, 0)), ("d0_1", (0, 1)), ("d1_2", (1, 2))]),
+        ("0 c d1_0=a", ({0: ["a", "b", "c"]}, {(0, "c"): {(1, 0): "a"}}), "cell (0, 'c')"),
+        # each position as serialize would write it
+        *((f"1 e d1_0=a d1_1=b pos={','.join(map(str, pos))}",
+           (_EDGE_CELLS, {(1, "e"): _INTERVAL_FACES}, {(1, "e"): pos}), "cell (1, 'e')")
+          for pos in [(0, "x"), (1.5, 2), (True, 2), (), ('1"] x [y="', 2)]),
+    ],
+    ids=["negative-degree", "entry-d2_0-on-edge", "entry-d0_1-on-edge", "entry-k-2-on-edge",
+         "entry-on-vertex", "str-position", "float-position", "bool-position", "empty-position",
+         "injected-position"],
+)
+def test_parse_and_the_constructor_refuse_the_same_shapes(record, tables, named):
+    # the document form fails at its line, the table form when it is built
+    with pytest.raises(DocumentSyntaxError, match="line 4"):
+        modelio.parse(f"pcsv1\n0 a\n0 b\n{record}\n")
+    with pytest.raises(OutOfRange, match=re.escape(named)):
+        Complex(*tables)
 
 
 class TestReadText:
@@ -332,9 +361,9 @@ class TestDot:
     @pytest.mark.parametrize("pos", [('1"] x [y="', 2), (1.5, 2), (True, 2)],
                              ids=["injection", "float", "bool"])
     def test_a_position_that_is_not_ints_is_refused(self, pos):
-        P = Complex({0: ["a"]}, coords={(0, "a"): pos})
-        with pytest.raises(OutOfRange, match="cell 'a' of degree 0"):
-            modelio.export_dot(P)
+        # refused before export_dot could write it
+        with pytest.raises(OutOfRange, match=re.escape("cell (0, 'a'): position")):
+            Complex({0: ["a"]}, coords={(0, "a"): pos})
 
     def test_every_quoted_string_closes(self, square):
         text = modelio.serialize(square).replace("eL", 'e"L').replace("w00", "w\\00")
