@@ -76,14 +76,14 @@ def _print_certificate(cert, as_json: bool):
 
 
 def cmd_validate(args) -> int:
-    P = modelio.parse(modelio.read_text(args.input), check=False)
-    report = core.validate(P)
-    if not report:
-        print("valid")
-        return 0
-    for violation in report:
-        print(violation)
-    return 1
+    try:
+        modelio.parse(modelio.read_text(args.input))
+    except ValidationFailed as exc:
+        for violation in exc.report:
+            print(violation)
+        return 1
+    print("valid")
+    return 0
 
 
 def cmd_info(args) -> int:

@@ -54,12 +54,13 @@ class Complex:
     id) to a mapping (i, k) -> face id of degree one less, and `coords`
     each (degree, id) to a position. The constructor copies the tables and
     judges each entry alone. OutOfRange, naming the degree or cell, refuses
-    a degree that is not an int >= 0; ids that are unhashable or given as
-    a str or bytes; a face key that is not a face position of its cell,
-    exact ints 1 <= i <= n and k in {0, 1}; an unhashable face id; and a
-    position that is not one or more exact ints, stored as a tuple.
-    :func:`validate` judges how entries relate: id types, repeats, missing
-    and dangling faces, identities and unlisted cells. Ids stay as given.
+    a degree that is not an int >= 0; ids given as a str or bytes; a cell
+    id, face id or id in a `faces` or `coords` key that is not one pcsv1
+    token, a nonempty str without whitespace; a face key that is not a
+    face position of its cell, exact ints 1 <= i <= n and k in {0, 1};
+    and a position that is not one or more exact ints, stored as a tuple.
+    :func:`validate` judges how entries relate: repeats, missing and
+    dangling faces, identities and unlisted cells. Ids stay as given.
 
     Internal code reads ids through :meth:`faces_of` and
     :meth:`coface_tables`; :class:`CellRef` is the type of the public API.
@@ -91,18 +92,17 @@ class Complex:
                     and not isinstance(ids, str | bytes)):
                 raise OutOfRange(f"degree {n!r}: cells must map ints >= 0 to ids, not {ids!r}")
             owned[n] = tuple(ids)
-            try:
-                hash(owned[n])
-            except TypeError:
-                raise OutOfRange(f"degree {n}: ids must be hashable, not as in {owned[n]!r}") from None
+            # an id is one pcsv1 token: a nonempty str without whitespace
+            for cid in (c for c in owned[n] if not (isinstance(c, str) and c.split() == [c])):
+                raise OutOfRange(f"degree {n}: id {cid!r} is not a nonempty str without whitespace")
         faces, coords = faces or {}, coords or {}
         for name, table, kind, what in (("faces", faces, Mapping, "face table"),
                                         ("coords", coords, Iterable, "position")):
             if not isinstance(table, Mapping):
                 raise OutOfRange(f"{name} must map each (degree, id) to its {what}, not {table!r}")
             for key, value in table.items():
-                if not (isinstance(key, tuple) and len(key) == 2
-                        and _is_int(key[0]) and key[0] >= 0):
+                if not (isinstance(key, tuple) and len(key) == 2 and _is_int(key[0])
+                        and key[0] >= 0 and isinstance(key[1], str) and key[1].split() == [key[1]]):
                     raise OutOfRange(f"{name} key {key!r} is not a (degree, id) pair, degree >= 0")
                 if not isinstance(value, kind):
                     raise OutOfRange(f"cell {key!r}: {value!r} is not a {what}")
@@ -113,11 +113,10 @@ class Complex:
                 and 1 <= ik[0] <= key[0] and ik[1] in (0, 1))):
             raise OutOfRange(f"cell {key!r}: face key {ik!r} is not an (i, k) pair of ints, "
                              f"1 <= i <= {key[0]} and k in (0, 1)")
-        for key, table in faces.items():
-            try:
-                hash(tuple(table.values()))
-            except TypeError:
-                raise OutOfRange(f"cell {key!r}: unhashable face id in {table!r}") from None
+        for key, fid in ((key, f) for key, table in faces.items() for f in table.values()
+                         if not (isinstance(f, str) and f.split() == [f])):
+            raise OutOfRange(f"cell {key!r}: face id {fid!r} is not a nonempty str "
+                             "without whitespace")
         coords = {key: tuple(pos) for key, pos in coords.items()}
         for key in (key for key, pos in coords.items() if set(map(type, pos)) != {int}):
             raise OutOfRange(f"cell {key!r}: position {coords[key]!r} is not one or more ints")
@@ -126,8 +125,8 @@ class Complex:
     @classmethod
     def _owning(cls, cells, faces, coords) -> Complex:
         """A complex over tables the library has just built and keeps no
-        other reference to: int degrees, face-table dicts and position
-        tuples, stored as they are instead of copied."""
+        other reference to: int degrees, token ids, face-table dicts and
+        position tuples, stored as they are instead of copied."""
         P = cls.__new__(cls)
         P._own(cells, faces, coords)
         return P
@@ -157,8 +156,8 @@ class Complex:
         return ids if len(ids) == len(live) else tuple(c for c in ids if c in live)
 
     def cells(self, degree: int) -> list[CellRef]:
-        """The cells of a degree, sorted by id as a str."""
-        return [CellRef(degree, i) for i in sorted(self._cell_sets.get(degree, ()), key=str)]
+        """The cells of a degree, sorted by id."""
+        return [CellRef(degree, i) for i in sorted(self._cell_sets.get(degree, ()))]
 
     def cell_set(self) -> frozenset[CellRef]:
         """Every cell, in a new set: O(cells)."""
@@ -252,8 +251,9 @@ class Complex:
         Q = self._copy()
         for cell in (*removed, *(e for (e, _, _), _ in moves), *(v for _, v in moves)):
             self._known(cell)
-        for (e, i, k), v in moves:
-            if (e.degree, i, v.degree) != (1, 1, 0) or k not in (0, 1):
+        for (e, i, k), v in moves:  # exact ints, as in `face`: 1.0 and True are refused
+            if not (_is_int(i) and _is_int(k) and (e.degree, i, v.degree) == (1, 1, 0)
+                    and k in (0, 1)):
                 raise OutOfRange(f"{(e, i, k)!r} -> {v!r} does not move an edge end to a vertex")
         gone = {(c.degree, c.id) for c in removed}
         Q._patch(gone, [(e.id, 1, k, v.id) for (e, _, k), v in dict(moves).items()
@@ -337,7 +337,7 @@ class Complex:
 class Violation:
     """One defect found by validate."""
 
-    # id-type | duplicate-id | missing-face | dangling-face | identity | unlisted-cell
+    # duplicate-id | missing-face | dangling-face | identity | unlisted-cell
     kind: str
     cell: Optional[CellRef]
     message: str
@@ -351,32 +351,27 @@ class Violation:
 def validate(P: Complex) -> list[Violation]:
     """Check a raw complex and report every defect (empty report = valid).
 
-    The constructor has judged each entry alone; this reports how they
-    relate: ids that are not a str, repeated and empty ids, missing or
-    dangling face entries, every violated cubical identity with its (i, j,
-    k, l) indices, and every nonempty face table of an unlisted cell. The
-    coface tables refuse exactly what this reports.
+    The constructor has judged each entry alone, ids included; this
+    reports how they relate: repeated ids, missing or dangling face
+    entries, every violated cubical identity with its (i, j, k, l)
+    indices, and every nonempty face table of an unlisted cell. The coface
+    tables refuse exactly what this reports.
     """
     return _face_report(P)
 
 
 def _face_report(P: Complex) -> list[Violation]:
-    """:func:`validate`'s report, in this order: ids, then each degree's
-    cells, then identities, then the face tables of unlisted cells, each
-    sorted by id as a str, so that ids of other types never compare.
-    An identity is checked only where its four face entries resolve. If
-    the report is empty and P has no coface tables yet, they are built
-    afterwards from the checked face tables, so an invalid complex builds
-    none, and a valid one is checked and built once."""
+    """:func:`validate`'s report, in this order: repeated ids, then each
+    degree's cells, then identities, then the face tables of unlisted
+    cells, each sorted by id. An identity is checked only where its four
+    face entries resolve. If the report is empty and P has no coface
+    tables yet, they are built afterwards from the checked face tables, so
+    an invalid complex builds none, and a valid one is checked and built
+    once."""
     report: list[Violation] = []
     for n in P.degrees():
         seen: set[str] = set()
         for cid in P.cell_ids(n):
-            if not isinstance(cid, str):
-                message = f"id {cid!r} is of type {type(cid).__name__}, not str"
-                report.append(Violation("id-type", CellRef(n, cid), message))
-            if cid == "" and n > 0:  # the vertex of standard_cube(0) is the empty word
-                report.append(Violation("duplicate-id", CellRef(n, cid), "empty cell id"))
             if cid in seen:
                 report.append(
                     Violation("duplicate-id", CellRef(n, cid), f"id {cid!r} repeated in degree {n}")
@@ -386,7 +381,7 @@ def _face_report(P: Complex) -> list[Violation]:
     for n in P.degrees():
         below = P._cell_sets.get(n - 1, frozenset())
         positions = [(i, k) for i in range(1, n + 1) for k in (0, 1)]  # none for a vertex
-        for cid in sorted(P._cell_sets[n], key=str):
+        for cid in sorted(P._cell_sets[n]):
             table = P._faces.get((n, cid), {})  # its keys are positions, as the constructor checks
             if len(table) == len(positions) and below.issuperset(table.values()):
                 resolved[(n, cid)] = table  # clean: every entry resolves
@@ -426,7 +421,7 @@ def _face_report(P: Complex) -> list[Violation]:
                         report.append(Violation("identity", CellRef(n, cid), message, (i, j, k, l)))
     stray = P._faces.keys() - resolved.keys()  # the tables of unlisted cells
     unlisted = (key for key in stray if P._faces[key] and not _has(P, *key))
-    for n, cid in sorted(unlisted, key=lambda key: (key[0], str(key[1]))):
+    for n, cid in sorted(unlisted):
         message = f"face table given, but {cid!r} is not listed in degree {n}"
         report.append(Violation("unlisted-cell", CellRef(n, cid), message))
     if not report and P._cofaces is None:
@@ -487,7 +482,7 @@ def standard_cube(n: int) -> Complex:
     cells: dict[int, list[str]] = {}
     faces: dict[tuple[int, str], dict[tuple[int, int], str]] = {}
     for word in itertools.product("01*", repeat=n):
-        w = "".join(word)
+        w = "".join(word) or "()"  # the 0-cube's vertex, the empty word, as one token
         r = w.count("*")
         cells.setdefault(r, []).append(w)
         if r > 0:

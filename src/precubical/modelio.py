@@ -39,11 +39,8 @@ _FACE_KEYS = {f"d{i}_{k}": (i, k) for i in range(1, 9) for k in (0, 1)}
 
 def serialize(P: Complex, name: str = None) -> str:
     """The pcsv1 document of P, one record per id, a repeated id as often as
-    it is given. What a document cannot carry raises OutOfRange: a name
-    that is not None or a str of one line; an id that is not a str, is
-    empty or holds whitespace, naming the first such cell, in the given
-    order, by degree and id; a face id that is not such a str either,
-    naming the first such cell in record order."""
+    it is given. Every id is one token, as the Complex constructor checks;
+    a name that is not None or a str of one line raises OutOfRange."""
     if name is not None and not isinstance(name, str):
         raise OutOfRange(f"name must be a str or None, not {name!r}")
     if name and name.splitlines() != [name]:  # parse splits lines as str.splitlines does
@@ -53,19 +50,8 @@ def serialize(P: Complex, name: str = None) -> str:
         lines.append(f"# {name}")
     coords = P.coords_table()
     for n in P.degrees():
-        ids = P.cell_ids(n)
-        for cid in ids:  # before sorting, which raises TypeError on ids of mixed types
-            if not isinstance(cid, str) or cid.split() != [cid]:  # what parse reads as one token
-                raise OutOfRange(f"cell {cid!r} of degree {n}: a pcsv1 id is a nonempty str "
-                                 "and holds no whitespace")
-        below = set(P.cell_ids(n - 1))  # ids already checked, where their records are written
-        for cid in sorted(ids):
+        for cid in sorted(P.cell_ids(n)):
             table = P.faces_of(n, cid)
-            if not below.issuperset(table.values()):
-                for (i, k), fid in sorted(table.items()):
-                    if not (isinstance(fid, str) and fid.split() == [fid]):
-                        raise OutOfRange(f"cell {cid!r} of degree {n}: face d{i}_{k} = {fid!r} "
-                                         "is not a nonempty str without whitespace")
             parts = [str(n), cid, *(f"d{i}_{k}={table[(i, k)]}" for i, k in sorted(table))]
             if (pos := coords.get((n, cid))) is not None:
                 parts.append("pos=" + ",".join(map(str, pos)))
@@ -73,9 +59,9 @@ def serialize(P: Complex, name: str = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse(text: str, check: bool = True) -> Complex:
-    """Parse a document; with check (the default) the complex must pass
-    validation, otherwise the full violation report is raised."""
+def parse(text: str) -> Complex:
+    """Parse a document; the complex must pass validation, otherwise
+    ValidationFailed carries the full violation report."""
     lines = text.splitlines()
     cells: dict[int, list[str]] = {}
     faces: dict[tuple[int, str], dict[tuple[int, int], str]] = {}
@@ -136,10 +122,8 @@ def parse(text: str, check: bool = True) -> Complex:
     if not header_seen:
         raise DocumentSyntaxError(len(lines) + 1, f"missing header {HEADER!r}")
     P = Complex._owning(cells, faces, coords)
-    if check:
-        report = core.validate(P)
-        if report:
-            raise ValidationFailed(report)
+    if report := core.validate(P):
+        raise ValidationFailed(report)
     return P
 
 

@@ -189,4 +189,4 @@ def test_mutated_complexes_raise_only_precubical_errors():
                 outcomes.append("ok")
             except PrecubicalError as exc:
                 outcomes.append(type(exc).__name__)
-    assert {"refused", "ok", "ValidationFailed", "OutOfRange"} <= set(outcomes)
+    assert {"refused", "ok", "ValidationFailed"} <= set(outcomes)

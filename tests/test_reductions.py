@@ -277,11 +277,10 @@ class TestBrokenFaceTablesInFbg:
 
 
 _EDGE = {(1, 0): "a", (1, 1): "b"}
-# A repeated vertex id, and an edge whose id is empty: each complex is
-# refused by validate alone, every face entry resolving.
+# A repeated vertex id: the complex is refused by validate alone, every
+# face entry resolving.
 ID_PROBES = {
     "repeated-vertex": Complex({0: ["a", "a", "b"], 1: ["e"]}, {(1, "e"): _EDGE}),
-    "empty-edge-id": Complex({0: ["a", "b"], 1: ["", "e"]}, {(1, ""): _EDGE, (1, "e"): _EDGE}),
 }
 
 
@@ -313,10 +312,6 @@ class TestOneGate:
         with pytest.raises(ValidationFailed) as excinfo:
             query(P)
         assert excinfo.value.report == report
-
-    def test_empty_id_is_named(self):
-        [violation] = core.validate(ID_PROBES["empty-edge-id"])
-        assert (violation.cell, violation.message) == (CellRef(1, ""), "empty cell id")
 
 
 class TestSquareOneFree:

@@ -114,6 +114,8 @@ REFUSED_STEPS = {
     "move-a-square-edge": ((), {(CellRef(1, "eB"), 1, 0): CellRef(0, "t")}, OutOfRange),
     "move-to-a-removed-vertex": (
         {CellRef(0, "t")}, {(CellRef(1, "g"), 1, 0): CellRef(0, "t")}, OutOfRange),
+    "float-end": ((), {(CellRef(1, "g"), 1.0, 0.0): CellRef(0, "w00")}, OutOfRange),
+    "bool-end": ((), {(CellRef(1, "g"), True, True): CellRef(0, "w00")}, OutOfRange),
 }
 
 
