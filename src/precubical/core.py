@@ -54,7 +54,7 @@ class Complex:
     id) to a mapping (i, k) -> face id of degree one less, and `coords`
     each (degree, id) to a position. The constructor copies the tables and
     judges each entry alone. OutOfRange, naming the degree or cell, refuses
-    a degree that is not an int >= 0; ids given as a str or bytes; a cell
+    a degree that is not an exact int >= 0; ids given as a str or bytes; a cell
     id, face id or id in a `faces` or `coords` key that is not one pcsv1
     token, a nonempty str without whitespace; a face key that is not a
     face position of its cell, exact ints 1 <= i <= n and k in {0, 1};
@@ -152,12 +152,13 @@ class Complex:
 
     def cell_ids(self, degree: int) -> tuple[str, ...]:
         """The ids in the order given to the constructor, less any a patch removed."""
+        degree = _degree(degree)
         ids, live = self._cells.get(degree, ()), self._cell_sets.get(degree, ())
         return ids if len(ids) == len(live) else tuple(c for c in ids if c in live)
 
     def cells(self, degree: int) -> list[CellRef]:
         """The cells of a degree, sorted by id."""
-        return [CellRef(degree, i) for i in sorted(self._cell_sets.get(degree, ()))]
+        return [CellRef(degree, i) for i in sorted(self._cell_sets.get(_degree(degree), ()))]
 
     def cell_set(self) -> frozenset[CellRef]:
         """Every cell, in a new set: O(cells)."""
@@ -173,17 +174,20 @@ class Complex:
         return _has(self, cell.degree, cell.id)
 
     def size(self, degree: int) -> int:
-        return len(self._cell_sets.get(degree, ()))
+        return len(self._cell_sets.get(_degree(degree), ()))
 
     def faces_of(self, degree: int, cid: str) -> dict[tuple[int, int], str]:
         """The stored face table (i, k) -> face id of a cell (not a copy)."""
         return self._faces.get((degree, cid), {})
 
-    def _known(self, cell: CellRef) -> CellRef:
-        """The cell, or UnknownCell if this complex lacks it (an unhashable
-        id names none)."""
-        if not self.has(cell):
+    def _known(self, cell: CellRef, degree: Optional[int] = None) -> CellRef:
+        """The cell, or UnknownCell if this complex lacks it or, given
+        `degree`, if it is not of that degree: the one check of a reader's
+        `CellRef`."""
+        if not _has(self, cell.degree, cell.id):
             raise UnknownCell(f"no cell {cell.id!r} of degree {cell.degree}")
+        if degree is not None and cell.degree != degree:
+            raise UnknownCell(f"cell {cell.id!r} has degree {cell.degree}, not {degree}")
         return cell
 
     def face(self, cell: CellRef, i: int, k: int) -> CellRef:
@@ -213,19 +217,19 @@ class Complex:
         They are built only after :func:`validate`'s report comes back
         empty; otherwise ValidationFailed carries that report."""
         if self._cofaces is None:
-            report = _face_report(self)
+            report = validate(self)
             if report:
                 raise ValidationFailed(report)
         return self._cofaces
 
     def edges_at(self, v: CellRef, k: Optional[int] = None) -> list[CellRef]:
         """The edges e with d_1^k e = v, or with v at either end if k is
-        None, sorted by id. Any other k raises OutOfRange, and a cell this
-        complex lacks UnknownCell."""
+        None, sorted by id. Any other k raises OutOfRange, and a cell that
+        is not a vertex of this complex UnknownCell."""
         if k is not None and not (_is_int(k) and k in (0, 1)):
             raise OutOfRange(f"k must be None, 0 or 1, not {k!r}")
         cofaces = self.coface_tables()
-        vid = self._known(v).id
+        vid = self._known(v, 0).id
         ids = sorted(_edges_at(cofaces, vid)) if k is None else cofaces[k].get(vid, ())
         return [CellRef(1, e) for e in ids]
 
@@ -246,8 +250,7 @@ class Complex:
         removed = tuple(removed)
         # checked as pairs, before a dict hashes a key that names no cell
         moves = tuple(redirected.items() if isinstance(redirected, Mapping) else redirected)
-        if (self.dimension or 0) > 2:
-            raise DimensionUnsupported(f"reduced works in dimension <= 2, not {self.dimension}")
+        _require_dimension_2(self, "reduced")
         Q = self._copy()
         for cell in (*removed, *(e for (e, _, _), _ in moves), *(v for _, v in moves)):
             self._known(cell)
@@ -258,7 +261,7 @@ class Complex:
         gone = {(c.degree, c.id) for c in removed}
         Q._patch(gone, [(e.id, 1, k, v.id) for (e, _, k), v in dict(moves).items()
                         if (1, e.id) not in gone])
-        if report := _face_report(Q):
+        if report := validate(Q):
             raise OutOfRange("the step leaves an invalid complex: " + "; ".join(map(str, report)))
         return Q
 
@@ -352,22 +355,15 @@ def validate(P: Complex) -> list[Violation]:
     """Check a raw complex and report every defect (empty report = valid).
 
     The constructor has judged each entry alone, ids included; this
-    reports how they relate: repeated ids, missing or dangling face
-    entries, every violated cubical identity with its (i, j, k, l)
-    indices, and every nonempty face table of an unlisted cell. The coface
-    tables refuse exactly what this reports.
+    reports how they relate, in this order: repeated ids, then missing or
+    dangling face entries, degree by degree, then every violated cubical
+    identity with its (i, j, k, l) indices, then every nonempty face table
+    of an unlisted cell, each sorted by id. An identity is checked only
+    where its four face entries resolve. The coface tables refuse exactly
+    what this reports: if the report is empty and P has no coface tables
+    yet, they are built afterwards from the checked face tables, so an
+    invalid complex builds none, and a valid one is checked and built once.
     """
-    return _face_report(P)
-
-
-def _face_report(P: Complex) -> list[Violation]:
-    """:func:`validate`'s report, in this order: repeated ids, then each
-    degree's cells, then identities, then the face tables of unlisted
-    cells, each sorted by id. An identity is checked only where its four
-    face entries resolve. If the report is empty and P has no coface
-    tables yet, they are built afterwards from the checked face tables, so
-    an invalid complex builds none, and a valid one is checked and built
-    once."""
     report: list[Violation] = []
     for n in P.degrees():
         seen: set[str] = set()
@@ -459,16 +455,31 @@ def is_valid(P: Complex) -> bool:
 
 
 def _has(P: Complex, n: int, cid) -> bool:
-    """Whether P has the degree-n cell `cid`: False for an unhashable id."""
+    """Whether P has the degree-n cell `cid`: False unless n is an exact
+    int (True and 1.0 would read as 1) and False for an unhashable id."""
     try:
-        return cid in P._cell_sets.get(n, ())
+        return type(n) is int and cid in P._cell_sets.get(n, ())
     except TypeError:
         return False
 
 
+def _degree(n) -> int:
+    """n, or OutOfRange unless it is an exact int: the degree a reader takes."""
+    if not _is_int(n):
+        raise OutOfRange(f"a degree is an int, not {n!r}")
+    return n
+
+
+def _require_dimension_2(P: Complex, what: str):
+    """Raise DimensionUnsupported if P has dimension above 2."""
+    if (P.dimension or 0) > 2:
+        raise DimensionUnsupported(f"{what} works in dimension <= 2, not {P.dimension}")
+
+
 def _is_int(x) -> bool:
-    """True for an int that is not a bool: True would read as 1."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    """True for an exact int: not a bool, since True would read as 1, nor
+    another subclass, whose degree the readers would not find."""
+    return type(x) is int
 
 
 # -- the standard n-cube ---------------------------------------------------
@@ -507,13 +518,10 @@ def is_regular(P: Complex, x: CellRef) -> bool:
     built from the level above, holds C(n, r-1) * 2^(n-r+1) distinct
     cells, as the n-cube does; the loop stops at the first that falls
     short. All read the stored face tables, exact once the face report
-    has passed. Raises UnknownCell for a cell P lacks (an unhashable id
-    names none) and ValidationFailed, as the coface tables do, if P is
-    invalid.
+    has passed. Raises UnknownCell for a cell P lacks and
+    ValidationFailed, as the coface tables do, if P is invalid.
     """
-    n, cid, faces = x.degree, x.id, P._faces
-    if not _has(P, n, cid):
-        raise UnknownCell(f"no cell {cid!r} of degree {n}")
+    n, cid, faces = P._known(x).degree, x.id, P._faces
     P.coface_tables()  # checks that every face table holds exactly its faces
     if n == 1:
         start, end = faces[(1, cid)].values()

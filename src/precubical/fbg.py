@@ -120,11 +120,11 @@ def enumerate_dipaths(
     """All directed edge paths from start to end, in lexicographic order
     of their edge-id sequences (depth first, exponential in general).
     Raises OutOfRange, before the complex is read, when max_paths is not
-    an int of at least 1, and PathExplosion past max_paths paths."""
+    an int of at least 1, UnknownCell unless start and end are vertices
+    of P, and PathExplosion past max_paths paths."""
     _check_max_paths(max_paths)
     for v in (start, end):
-        if not P.has(v) or v.degree != 0:
-            raise UnknownCell(f"no vertex {v.id!r}")
+        P._known(v, 0)
     _topological_order(P)  # raises NotAcyclic
 
     paths: list[EdgePath] = []

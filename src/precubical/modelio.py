@@ -21,13 +21,7 @@ import re
 
 from . import core
 from .core import Complex
-from .errors import (
-    DimensionUnsupported,
-    DocumentSyntaxError,
-    OutOfRange,
-    UnknownFixture,
-    ValidationFailed,
-)
+from .errors import DocumentSyntaxError, OutOfRange, UnknownFixture, ValidationFailed
 
 HEADER = "pcsv1"
 
@@ -297,9 +291,7 @@ def export_dot(P: Complex, name: str = "complex") -> str:
     edges. Every id and the graph name, a str, are written quoted."""
     if not isinstance(name, str):
         raise OutOfRange(f"graph name must be a str, not {name!r}")
-    dim = P.dimension
-    if dim is not None and dim > 2:
-        raise DimensionUnsupported(f"cannot draw dimension {dim}")
+    core._require_dimension_2(P, "export_dot")
     on_edge = P.coface_tables()[2]
     coords = P.coords_table()
     out = [f"digraph {_quoted(name)} {{"]

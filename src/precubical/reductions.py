@@ -28,7 +28,6 @@ from . import core
 from .core import CellRef, Complex, _edges_at
 from .errors import (
     ConditionsFailed,
-    DimensionUnsupported,
     GuaranteeLost,
     OutOfRange,
     RecipeStepFailed,
@@ -272,11 +271,7 @@ def run(
     _check_params(kind, a, b)
     if mode not in ("apply", "check"):
         raise OutOfRange(f"mode must be 'apply' or 'check', not {mode!r}")
-    dim = P.dimension
-    if dim is not None and dim > 2:
-        raise DimensionUnsupported(
-            f"reductions operate in dimension <= 2, complex has dimension {dim}"
-        )
+    core._require_dimension_2(P, "a reduction")
     cofaces = P.coface_tables()
     degree, conditions_of = _MOVES[kind]
     if not core._has(P, degree, cell_id):

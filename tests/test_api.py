@@ -2,6 +2,7 @@
 the library stay gone, and the entry points raise OutOfRange on bad
 arguments instead of a bare Python error."""
 
+import enum
 import random
 
 import pytest
@@ -72,6 +73,10 @@ SQUARE = modelio.named_fixture("square")
         lambda: SQUARE.face(CellRef(2, "s"), [1], 0),
         lambda: SQUARE.face(CellRef(2, "s"), "1", 0),
         lambda: SQUARE.face(CellRef(2, "s"), 1, True),
+        lambda: SQUARE.cells(True),
+        lambda: SQUARE.cell_ids(1.0),
+        lambda: SQUARE.size(True),
+        lambda: core.Complex({enum.IntEnum("Degree", {"V": 0}).V: ["a"]}),
     ],
     ids=["max-paths-str", "max-paths-bool", "dipaths-max-paths-str", "dipaths-max-paths-bool",
          "dipaths-max-paths-0", "classes-max-paths-none", "classes-max-paths-bool",
@@ -79,7 +84,8 @@ SQUARE = modelio.named_fixture("square")
          "grid-float", "grid-str", "holes-none", "grid-bool", "hole-bool", "cube-bool",
          "cube-str", "cube-negative", "dot-name-int", "edges-at-2", "edges-at-minus-1",
          "edges-at-bool", "cells-str", "cells-bytes", "cells-none", "face-i-list", "face-i-str",
-         "face-k-bool"],
+         "face-k-bool", "cells-degree-bool", "cell-ids-degree-float", "size-degree-bool",
+         "cells-int-subclass"],
 )
 def test_bad_arguments_raise_out_of_range(call):
     with pytest.raises(OutOfRange):
@@ -98,15 +104,27 @@ def test_bad_arguments_raise_out_of_range(call):
         lambda: SQUARE.reduced([CellRef(2, ["s"])]),
         lambda: fbg.fundamental_bipartite_graph(SQUARE).count(CellRef(0, "zz"), CellRef(0, "w11")),
         lambda: fbg.fundamental_bipartite_graph(SQUARE).count(CellRef(0, ["zz"]), CellRef(0, "w11")),
+        lambda: SQUARE.edges_at(CellRef(1, "eL")),
+        lambda: SQUARE.face(CellRef(True, "eL"), 1, 0),
+        lambda: SQUARE.face_table(CellRef(1.0, "eL")),
+        lambda: core.is_regular(SQUARE, CellRef(True, "eL")),
+        lambda: SQUARE.reduced([CellRef(True, "eL")]),
     ],
     ids=["edges-at-unhashable", "edges-at-missing", "face-table-unhashable", "face-table-missing",
          "coords-unhashable", "coords-missing", "reduced-unhashable", "count-missing",
-         "count-unhashable"],
+         "count-unhashable", "edges-at-edge", "face-bool-degree", "face-table-float-degree",
+         "is-regular-bool-degree", "reduced-bool-degree"],
 )
 def test_readers_raise_unknown_cell_for_a_cell_the_complex_lacks(call):
-    # an unhashable id names no cell, as in `face`
+    # an unhashable id, a degree that is not an exact int or, where a
+    # vertex is read, a cell of another degree names no cell, as in `face`
     with pytest.raises(UnknownCell):
         call()
+
+
+def test_has_no_cell_of_a_degree_that_is_not_an_exact_int():
+    assert SQUARE.has(CellRef(1, "eL"))
+    assert not SQUARE.has(CellRef(True, "eL")) and not SQUARE.has(CellRef(1.0, "eL"))
 
 
 @pytest.mark.parametrize(

@@ -712,8 +712,8 @@ class TestIsomorphismSearch:
         grid = modelio.grid_with_holes(6, 6, {(1, 1), (4, 4)})
         texts = [modelio.serialize(g) for g in (grid, relabelled(grid, random.Random(6)))]
         reports = []
-        face_report = core._face_report
-        monkeypatch.setattr(core, "_face_report", lambda *a: reports.append(a[0]) or face_report(*a))
+        face_report = core.validate
+        monkeypatch.setattr(core, "validate", lambda *a: reports.append(a[0]) or face_report(*a))
         P, Q = (modelio.parse(text) for text in texts)
         assert core.are_isomorphic(P, Q) is not None
         assert reports == [P, Q]  # parse checks; the coface tables reuse that

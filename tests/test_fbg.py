@@ -436,6 +436,7 @@ class TestLazyRepresentatives:
         assert hash(rep) == hash(eager)
         assert repr(rep) == repr(eager)
         assert rep != fbg.EdgePath(start, end, eager.edges[:-1])
+        assert rep != "x" and rep.__eq__("x") is NotImplemented
         assert eager.edge_ids() == rep.edge_ids() and len(eager) == len(rep)
 
     @pytest.mark.parametrize("field", ["start", "end", "edges"])

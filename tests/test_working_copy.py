@@ -262,7 +262,7 @@ def test_adopted_grid_tables_equal_the_face_reports(m, n):
 
 def test_recipe_generation_runs_no_face_report_and_no_copy(monkeypatch, copies):
     reports = []
-    original = core._face_report
-    monkeypatch.setattr(core, "_face_report", lambda P: reports.append(P) or original(P))
+    original = core.validate
+    monkeypatch.setattr(core, "validate", lambda P: reports.append(P) or original(P))
     steps = recipes.grid_reduction_recipe(8, 8, two_holes(8))
     assert len(steps) > 50 and reports == [] and copies == []
