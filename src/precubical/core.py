@@ -296,14 +296,18 @@ class Complex:
         replaces the face-table dict, which may be shared, never mutating
         it. Each cell removed is logged: the cells before are those after
         plus the new log."""
-        faces, tables, cell_sets = self._faces, self._cofaces, self._cell_sets
+        faces, coords, tables, cell_sets = self._faces, self._coords, self._cofaces, self._cell_sets
+        on_edge = tables[2]
         for n, cid in removed:
-            cell_sets[n].remove(cid)
-            if not cell_sets[n]:
+            live = cell_sets[n]
+            live.remove(cid)
+            if not live:
                 del cell_sets[n]
-            self._coords.pop((n, cid), None)
-            for (_, k), f in faces.pop((n, cid), {}).items():
-                table = tables[k if n == 1 else 2]
+            coords.pop((n, cid), None)
+            if not n:
+                continue  # a vertex has no face entries to take out
+            for (_, k), f in faces.pop((n, cid)).items():
+                table = tables[k] if n == 1 else on_edge
                 ids = table.get(f, ())
                 if cid in ids:  # gone already if a square has f at two positions
                     if len(ids) == 1:
@@ -312,9 +316,12 @@ class Complex:
                         ids.remove(cid)
         for e, _, k, v in redirected:
             table, ends = faces[(1, e)], tables[k]
-            ends[table[(1, k)]].remove(e)
-            if not ends[table[(1, k)]]:
-                del ends[table[(1, k)]]
+            old = table[(1, k)]
+            ids = ends[old]
+            if len(ids) == 1:
+                del ends[old]
+            else:
+                ids.remove(e)
             bisect.insort(ends.setdefault(v, []), e)
             faces[(1, e)] = {**table, (1, k): v}
         self._log += removed
@@ -366,8 +373,11 @@ def validate(P: Complex) -> list[Violation]:
     """
     report: list[Violation] = []
     for n in P.degrees():
+        ids = P.cell_ids(n)
+        if len(ids) == P.size(n):  # no id repeats: the live ids are a set
+            continue
         seen: set[str] = set()
-        for cid in P.cell_ids(n):
+        for cid in ids:
             if cid in seen:
                 report.append(
                     Violation("duplicate-id", CellRef(n, cid), f"id {cid!r} repeated in degree {n}")
@@ -472,7 +482,7 @@ def _degree(n) -> int:
 
 def _require_dimension_2(P: Complex, what: str):
     """Raise DimensionUnsupported if P has dimension above 2."""
-    if (P.dimension or 0) > 2:
+    if max(P._cell_sets, default=0) > 2:
         raise DimensionUnsupported(f"{what} works in dimension <= 2, not {P.dimension}")
 
 

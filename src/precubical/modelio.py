@@ -165,39 +165,37 @@ def grid_with_holes(m: int, n: int, holes=()) -> Complex:
         if not (isinstance(hole, tuple) and len(hole) == 2
                 and all(map(core._is_int, hole)) and 0 <= hole[0] < m and 0 <= hole[1] < n):
             raise OutOfRange(f"hole {hole!r} is not a square (i, j) of the {m}x{n} grid")
-    cells: dict[int, list[str]] = {0: [], 1: [], 2: []}
+    # each id formatted once, per row i, and one (i, j) tuple per position
+    at = [[(i, j) for j in range(n + 1)] for i in range(m + 1)]
+    vertex = [[vertex_id(i, j) for j in range(n + 1)] for i in range(m + 1)]
+    h = [[f"h({i},{j})" for j in range(n + 1)] for i in range(m)]
+    v = [[f"v({i},{j})" for j in range(n)] for i in range(m + 1)]
+    cells = {0: [c for row in vertex for c in row],
+             1: [e for table in (h, v) for row in table for e in row], 2: []}
     faces = {}
     coords = {}
     for i in range(m + 1):
-        for j in range(n + 1):
-            vid = vertex_id(i, j)
-            cells[0].append(vid)
-            coords[(0, vid)] = (i, j)
+        for cid, pos in zip(vertex[i], at[i]):
+            coords[(0, cid)] = pos
     for i in range(m):
-        for j in range(n + 1):
-            eid = f"h({i},{j})"
-            cells[1].append(eid)
-            faces[(1, eid)] = {(1, 0): vertex_id(i, j), (1, 1): vertex_id(i + 1, j)}
-            coords[(1, eid)] = (i, j)
+        here, there = vertex[i], vertex[i + 1]
+        for j, (eid, pos) in enumerate(zip(h[i], at[i])):
+            faces[(1, eid)] = {(1, 0): here[j], (1, 1): there[j]}
+            coords[(1, eid)] = pos
     for i in range(m + 1):
-        for j in range(n):
-            eid = f"v({i},{j})"
-            cells[1].append(eid)
-            faces[(1, eid)] = {(1, 0): vertex_id(i, j), (1, 1): vertex_id(i, j + 1)}
-            coords[(1, eid)] = (i, j)
+        here = vertex[i]
+        for j, (eid, pos) in enumerate(zip(v[i], at[i])):
+            faces[(1, eid)] = {(1, 0): here[j], (1, 1): here[j + 1]}
+            coords[(1, eid)] = pos
     for i in range(m):
         for j in range(n):
             if (i, j) in holes:
                 continue
             sid = f"s({i},{j})"
             cells[2].append(sid)
-            faces[(2, sid)] = {
-                (1, 0): f"v({i},{j})",
-                (1, 1): f"v({i + 1},{j})",
-                (2, 0): f"h({i},{j})",
-                (2, 1): f"h({i},{j + 1})",
-            }
-            coords[(2, sid)] = (i, j)
+            faces[(2, sid)] = {(1, 0): v[i][j], (1, 1): v[i + 1][j],
+                               (2, 0): h[i][j], (2, 1): h[i][j + 1]}
+            coords[(2, sid)] = at[i][j]
     return Complex._owning(cells, faces, coords)
 
 

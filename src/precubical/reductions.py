@@ -75,19 +75,24 @@ class ReductionCertificate:
     all_conditions_hold: bool
 
     def __init__(self, P, kind, cell, params, reg, found, removed, redirected, y, kept_out):
-        self.__dict__.update(
-            kind=kind,
-            cell=cell,
-            params=params,
-            fbg_guaranteed=kind == SQUARE_ONE_FREE or bool(y),
-            all_conditions_hold=reg and not any(w for _, _, w in found),
-            _reg=reg,
-            _found=found,
-            _removed=removed,
-            _redirected=redirected,
-            _y=y,
-            _r=None if kept_out is None else (P, len(P._log), kept_out),
-        )
+        holds = reg
+        for _, _, witnesses in found:
+            if witnesses:
+                holds = False
+                break
+        # into __dict__, past the frozen __setattr__, as CellRef does
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["cell"] = cell
+        fields["params"] = params
+        fields["fbg_guaranteed"] = kind == SQUARE_ONE_FREE or bool(y)
+        fields["all_conditions_hold"] = holds
+        fields["_reg"] = reg
+        fields["_found"] = found
+        fields["_removed"] = removed
+        fields["_redirected"] = redirected
+        fields["_y"] = y
+        fields["_r"] = None if kept_out is None else (P, len(P._log), kept_out)
 
     @cached_property
     def conditions(self) -> tuple[Condition, ...]:
@@ -313,7 +318,7 @@ def _require_applicable(cert: ReductionCertificate, allow_empty_y: bool = False)
         raise GuaranteeLost(cert)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Step:
     """One entry of a reduction recipe."""
 
@@ -321,6 +326,13 @@ class Step:
     cell: str
     b: int
     a: Optional[int] = None
+
+    def __init__(self, kind: str, cell: str, b: int, a: Optional[int] = None):
+        fields = self.__dict__  # as in CellRef
+        fields["kind"] = kind
+        fields["cell"] = cell
+        fields["b"] = b
+        fields["a"] = a
 
     @classmethod
     def of(cls, cert: ReductionCertificate) -> Step:
@@ -353,12 +365,12 @@ def _schedule(P: Complex, rows, rank=None) -> Iterator[ReductionCertificate]:
     each certificate at once, so a long trail of them never builds up.
 
     A row is a tuple of attempt entries (kind, a, b) of one cell degree,
-    which a (row, cell) pair tries in turn. One heap holds the pairs not
-    yet known to fail, least by row and cell id, or by `rank[cell id]`
-    first if a rank is given. The least pair applies its first guaranteed
-    entry; a pair whose cell is gone is dropped, and one that fails waits
-    at its cell's vertices until a step wakes the pairs waiting at the
-    vertices D of the reduced cell. That is exact by locality:
+    which a (row, cell) pair tries in turn. The pairs are popped from one
+    heap, least by row and cell id, or by `rank[cell id]` first if a rank
+    is given. The least pair applies its first guaranteed entry; a pair
+    whose cell is gone is dropped, and one that fails waits at its cell's
+    vertices until a step wakes the pairs waiting at the vertices D of the
+    reduced cell. That is exact by locality:
 
     - Under every entry, whether a cell passes depends only on its own
       faces, on the edges at its vertices and on the squares on those
@@ -370,13 +382,27 @@ def _schedule(P: Complex, rows, rank=None) -> Iterator[ReductionCertificate]:
     - A cell's vertices change only by such a redirection, which wakes
       it, so a failed pair always waits at its cell's vertices.
 
+    A cell's pairs are popped in row order, and a wake puts back all of
+    its failed pairs at once, so its failed rows are always a prefix of
+    the rows of its degree. So the heap holds each cell once, under the
+    first row of its degree, and a failed pair pushes the cell's next row
+    of that degree: the least pair of every cell is on the heap, as it
+    would be with every pair pushed, and the pairs are popped and checked
+    in the same order.
+
     Each step then costs what the step touches, not a scan of the complex.
     Checks go through the module's `check`, and a step applies the
     certificate its check passed.
     """
     degrees = [_MOVES[row[0][0]][0] for row in rows]
+    first: dict[int, int] = {}  # degree -> its first row
+    for index, d in enumerate(degrees):
+        first.setdefault(d, index)
+    # row index -> the next row of its degree, or None
+    following = [next((j for j in range(i + 1, len(rows)) if degrees[j] == d), None)
+                 for i, d in enumerate(degrees)]
     pending = {(index if rank is None else rank[cid], index, cid)
-               for index, d in enumerate(degrees) for cid in P.cell_ids(d)}
+               for d, index in first.items() for cid in P.cell_ids(d)}
     heap = sorted(pending)  # a sorted list is a heap
     waiting: dict[str, list] = {}  # vertex id -> the failed pairs waiting there
     while heap:
@@ -396,6 +422,12 @@ def _schedule(P: Complex, rows, rank=None) -> Iterator[ReductionCertificate]:
         else:
             for v in vertices:
                 waiting.setdefault(v, []).append(item)
+            index = following[index]
+            if index is not None:
+                item = (index if rank is None else rank[cid], index, cid)
+                if item not in pending:
+                    pending.add(item)
+                    heapq.heappush(heap, item)
             continue
         P._patch(cert._removed, cert._redirected)
         yield cert

@@ -115,6 +115,16 @@ class TestValidate:
         report = core.validate(P)
         assert [v.kind for v in report] == ["duplicate-id"]
 
+    def test_repeats_are_reported_per_extra_copy_in_a_degree_that_has_them(self):
+        P = Complex({0: ["a", "b", "a", "c", "a"], 1: ["e", "f"], 2: ["s", "s"]},
+                    {(1, "e"): {(1, 0): "a", (1, 1): "b"}, (1, "f"): {(1, 0): "b", (1, 1): "c"}})
+        duplicates = [v for v in core.validate(P) if v.kind == "duplicate-id"]
+        assert [(v.cell, v.message) for v in duplicates] == [
+            (CellRef(0, "a"), "id 'a' repeated in degree 0"),
+            (CellRef(0, "a"), "id 'a' repeated in degree 0"),
+            (CellRef(2, "s"), "id 's' repeated in degree 2"),
+        ]
+
     def test_a_degree_that_is_not_an_int_is_out_of_range(self):
         with pytest.raises(OutOfRange, match="degree '0'"):
             Complex({"0": ["a"]})

@@ -229,7 +229,59 @@ class TestReadText:
         assert modelio.load(path).cell_ids(0) == ("é",)
 
 
+def reference_grid(m, n, holes):
+    """The cells of grid_with_holes(m, n, holes), listed one by one from
+    their positions: ids in order per degree, face tables and positions."""
+    ids = {0: [], 1: [], 2: []}
+    faces, coords = {}, {}
+
+    def add(degree, cid, position, table=None):
+        ids[degree].append(cid)
+        coords[(degree, cid)] = position
+        if table is not None:
+            faces[(degree, cid)] = table
+
+    for i in range(m + 1):
+        for j in range(n + 1):
+            add(0, f"({i},{j})", (i, j))
+    for i in range(m):
+        for j in range(n + 1):
+            add(1, f"h({i},{j})", (i, j), {(1, 0): f"({i},{j})", (1, 1): f"({i + 1},{j})"})
+    for i in range(m + 1):
+        for j in range(n):
+            add(1, f"v({i},{j})", (i, j), {(1, 0): f"({i},{j})", (1, 1): f"({i},{j + 1})"})
+    for i in range(m):
+        for j in range(n):
+            if (i, j) not in holes:
+                add(2, f"s({i},{j})", (i, j), {(1, 0): f"v({i},{j})", (1, 1): f"v({i + 1},{j})",
+                                               (2, 0): f"h({i},{j})", (2, 1): f"h({i},{j + 1})"})
+    return ids, faces, coords
+
+
+def assert_grid_is_reference(m, n, holes):
+    P = modelio.grid_with_holes(m, n, holes)
+    ids, faces, coords = reference_grid(m, n, holes)
+    assert P.degrees() == [d for d in (0, 1, 2) if ids[d]]
+    for d in (0, 1, 2):
+        assert P.cell_ids(d) == tuple(ids[d])
+        for cid in ids[d]:
+            assert P.face_table(CellRef(d, cid)) == faces.get((d, cid), {})
+            assert P.coords(CellRef(d, cid)) == coords[(d, cid)]
+    assert P.coords_table() == coords
+    assert core.validate(P) == []
+
+
 class TestGrid:
+    @pytest.mark.parametrize("name", sorted(modelio.GRID_FIXTURES))
+    def test_fixture_grids_match_a_cell_by_cell_construction(self, name):
+        assert_grid_is_reference(*modelio.GRID_FIXTURES[name])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.floats(0, 1), st.randoms(use_true_random=False))
+    def test_random_grids_match_a_cell_by_cell_construction(self, m, n, p, rng):
+        assert_grid_is_reference(m, n, {(i, j) for i in range(m) for j in range(n)
+                                        if rng.random() < p})
+
     def test_unit_grid_is_standard_square(self):
         P = modelio.grid_with_holes(1, 1)
         assert core.are_isomorphic(P, core.standard_cube(2))

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -457,6 +460,57 @@ class TestInvariantsOnRandomInstances:
                 Q1, _ = square_two_free(P, s.id, 1, 1, allow_empty_y=True)
                 Q2, _ = square_two_free(op, s.id, 1, 0, allow_empty_y=True)
                 assert Q1 == core.opposite(Q2)
+
+
+class TestStep:
+    """A Step is a frozen dataclass, whatever its __init__ does."""
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        step = Step(EDGE_COLLAPSE, "e", 0)
+        for field in ("kind", "cell", "b", "a"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(step, field, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(step, field)
+        assert step == Step(EDGE_COLLAPSE, "e", 0)
+
+    def test_equal_and_hashed_field_by_field(self):
+        step = Step(SQUARE_TWO_FREE, "s", 0, 2)
+        assert step == Step(SQUARE_TWO_FREE, "s", 0, 2)
+        assert hash(step) == hash(Step(SQUARE_TWO_FREE, "s", 0, 2))
+        for other in (Step(SQUARE_ONE_FREE, "s", 0, 2), Step(SQUARE_TWO_FREE, "t", 0, 2),
+                      Step(SQUARE_TWO_FREE, "s", 1, 2), Step(SQUARE_TWO_FREE, "s", 0, 1),
+                      Step(SQUARE_TWO_FREE, "s", 0)):
+            assert step != other
+        assert step != (SQUARE_TWO_FREE, "s", 0, 2)
+        assert len({step, Step(SQUARE_TWO_FREE, "s", 0, 2), Step(SQUARE_TWO_FREE, "s", 0)}) == 2
+
+    def test_a_defaults_to_none(self):
+        assert Step(EDGE_COLLAPSE, "e", 1).a is None
+        assert Step(EDGE_COLLAPSE, "e", 1) == Step(EDGE_COLLAPSE, "e", 1, None)
+        assert Step(kind=EDGE_COLLAPSE, cell="e", b=1) == Step(EDGE_COLLAPSE, "e", 1)
+
+    def test_repr_and_str(self):
+        assert repr(Step(EDGE_COLLAPSE, "e", 1)) == (
+            "Step(kind='edge-collapse', cell='e', b=1, a=None)")
+        assert repr(Step(SQUARE_TWO_FREE, "s", 0, 2)) == (
+            "Step(kind='square-two-free', cell='s', b=0, a=2)")
+        assert str(Step(SQUARE_TWO_FREE, "s", 0, 2)) == "square-two-free s 2 0"
+
+    def test_fields_and_replace(self):
+        assert [f.name for f in dataclasses.fields(Step)] == ["kind", "cell", "b", "a"]
+        step = Step(SQUARE_TWO_FREE, "s", 0, 2)
+        assert dataclasses.replace(step, a=1) == Step(SQUARE_TWO_FREE, "s", 0, 1)
+        assert dataclasses.replace(step, cell="t", b=1) == Step(SQUARE_TWO_FREE, "t", 1, 2)
+        assert dataclasses.replace(Step(EDGE_COLLAPSE, "e", 0)).a is None
+        assert dataclasses.astuple(step) == (SQUARE_TWO_FREE, "s", 0, 2)
+
+    def test_pickle_and_copy(self):
+        step = Step(SQUARE_ONE_FREE, "s", 1)
+        for other in (pickle.loads(pickle.dumps(step)), copy.copy(step), copy.deepcopy(step)):
+            assert other == step and hash(other) == hash(step) and repr(other) == repr(step)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                other.cell = "t"
 
 
 class TestAutoReduce:

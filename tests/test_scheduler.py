@@ -110,6 +110,64 @@ def test_worklist_matches_rescan(P, attempts):
     assert Q == Q_ref
 
 
+def rescan_rows(P, rows, rank=None):
+    """The reference for rows and a rank: each step, try every live
+    (row, cell) pair, least by rank, row and cell id, and apply the first
+    entry of the first pair that passes."""
+    trail = []
+    while True:
+        pairs = sorted(
+            (index if rank is None else rank[c.id], index, c.id)
+            for index, row in enumerate(rows)
+            for c in P.cells(1 if row[0][0] == EDGE_COLLAPSE else 2)
+        )
+        for _, index, cid in pairs:
+            cert = next((cert for kind, a, b in rows[index]
+                         if (cert := check(P, kind, cid, a, b)).all_conditions_hold
+                         and cert.fbg_guaranteed), None)
+            if cert is not None:
+                P, cert = run(P, cert.kind, cid, cert.params.get("a"), cert.params["b"])
+                trail.append(cert)
+                break
+        else:
+            return P, trail
+
+
+@st.composite
+def grouped_rows(draw):
+    """Attempt rows of one degree each, most of several entries: the
+    entries of each degree, permuted, cut into consecutive rows, and the
+    rows of both degrees shuffled together."""
+    rows = []
+    for degree in (1, 2):
+        entries = [entry for entry in GREEDY_ATTEMPTS
+                   if (entry[0] == EDGE_COLLAPSE) == (degree == 1)]
+        entries = draw(st.permutations(entries))[:draw(st.integers(1, len(entries)))]
+        cuts = sorted(draw(st.sets(st.integers(1, len(entries) - 1), max_size=2))
+                      if len(entries) > 1 else ())
+        rows += [tuple(entries[i:j]) for i, j in zip((0, *cuts), (*cuts, len(entries)))]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(glued_complexes(), grouped_rows(), st.booleans(), st.data())
+def test_rows_of_several_entries_match_rescan(P, rows, ranked, data):
+    """A cell starts on the heap under the first row of its degree only,
+    and a failed row passes it on to the next row of that degree: on rows
+    of several entries, with or without a rank (ties included), the trail
+    is the rescan's."""
+    rank = None
+    if ranked:
+        ids = sorted({*P.cell_ids(1), *P.cell_ids(2)})
+        rank = dict(zip(ids, data.draw(st.lists(st.integers(-3, 3), min_size=len(ids),
+                                                max_size=len(ids)))))
+    Q = P._copy()
+    trail = list(reductions._schedule(Q, rows, rank))
+    Q_ref, trail_ref = rescan_rows(P, rows, rank)
+    assert trail == trail_ref
+    assert Q == Q_ref
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_worklist_matches_rescan_on_grids(seed):
@@ -185,6 +243,26 @@ def test_each_step_is_certified_once(monkeypatch):
     steps = recipes.grid_reduction_recipe(8, 8, {(1, 1), (6, 6)})
     assert trail and steps and calls["check"] > 0
     assert calls["is_regular"] == calls["check"]
+
+
+# Greedy's checks and steps, as they were with every (row, cell) pair on
+# the heap from the start: keeping one pair per cell there changes which
+# pairs wait on the heap, never which are checked.
+@pytest.mark.parametrize("make, checks, steps", [
+    (lambda: modelio.named_fixture("swiss_flag"), 129, 34),
+    (lambda: modelio.grid_with_holes(32, 32, {(1, 1), (30, 30)}), 4435, 1086),
+], ids=["swiss_flag", "grid32_two_holes"])
+def test_greedy_check_count_is_pinned(monkeypatch, make, checks, steps):
+    calls = [0]
+    original = reductions.check
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reductions, "check", counted)
+    _, trail = auto_reduce(make())
+    assert (calls[0], len(trail)) == (checks, steps)
 
 
 # Checks per applied step on two-hole n x n grids: recipe generation
