@@ -482,7 +482,7 @@ def _degree(n) -> int:
 
 def _require_dimension_2(P: Complex, what: str):
     """Raise DimensionUnsupported if P has dimension above 2."""
-    if max(P._cell_sets, default=0) > 2:
+    if (P.dimension or 0) > 2:
         raise DimensionUnsupported(f"{what} works in dimension <= 2, not {P.dimension}")
 
 

@@ -23,20 +23,23 @@ from precubical.reductions import (
 from conftest import glued_complexes, many_holes, random_grid_complex
 
 
-def rescan_reduce(P, attempts=GREEDY_ATTEMPTS):
-    """The reference: rescan every cell under every attempt each step."""
+def rescan_reduce(P, rows, rank=None):
+    """The reference: each step, try every live (row, cell) pair, least
+    by rank, row and cell id, and apply the first entry of the first pair
+    that passes."""
     trail = []
     while True:
-        for kind, a, b in attempts:
-            degree = 1 if kind == EDGE_COLLAPSE else 2
-            cell = next(
-                (c for c in P.cells(degree)
-                 if (cert := check(P, kind, c.id, a, b)).all_conditions_hold
-                 and cert.fbg_guaranteed),
-                None,
-            )
-            if cell is not None:
-                P, cert = run(P, kind, cell.id, a, b)
+        pairs = sorted(
+            (index if rank is None else rank[c.id], index, c.id)
+            for index, row in enumerate(rows)
+            for c in P.cells(1 if row[0][0] == EDGE_COLLAPSE else 2)
+        )
+        for _, index, cid in pairs:
+            cert = next((cert for kind, a, b in rows[index]
+                         if (cert := check(P, kind, cid, a, b)).all_conditions_hold
+                         and cert.fbg_guaranteed), None)
+            if cert is not None:
+                P, cert = run(P, cert.kind, cid, cert.params.get("a"), cert.params["b"])
                 trail.append(cert)
                 break
         else:
@@ -104,33 +107,11 @@ attempt_tables = st.one_of(
 @given(glued_complexes(), attempt_tables)
 def test_worklist_matches_rescan(P, attempts):
     Q = P._copy()
-    trail = list(reductions._schedule(Q, [(entry,) for entry in attempts]))
-    Q_ref, trail_ref = rescan_reduce(P, attempts)
+    rows = [(entry,) for entry in attempts]
+    trail = list(reductions._schedule(Q, rows))
+    Q_ref, trail_ref = rescan_reduce(P, rows)
     assert trail == trail_ref
     assert Q == Q_ref
-
-
-def rescan_rows(P, rows, rank=None):
-    """The reference for rows and a rank: each step, try every live
-    (row, cell) pair, least by rank, row and cell id, and apply the first
-    entry of the first pair that passes."""
-    trail = []
-    while True:
-        pairs = sorted(
-            (index if rank is None else rank[c.id], index, c.id)
-            for index, row in enumerate(rows)
-            for c in P.cells(1 if row[0][0] == EDGE_COLLAPSE else 2)
-        )
-        for _, index, cid in pairs:
-            cert = next((cert for kind, a, b in rows[index]
-                         if (cert := check(P, kind, cid, a, b)).all_conditions_hold
-                         and cert.fbg_guaranteed), None)
-            if cert is not None:
-                P, cert = run(P, cert.kind, cid, cert.params.get("a"), cert.params["b"])
-                trail.append(cert)
-                break
-        else:
-            return P, trail
 
 
 @st.composite
@@ -163,7 +144,7 @@ def test_rows_of_several_entries_match_rescan(P, rows, ranked, data):
                                                 max_size=len(ids)))))
     Q = P._copy()
     trail = list(reductions._schedule(Q, rows, rank))
-    Q_ref, trail_ref = rescan_rows(P, rows, rank)
+    Q_ref, trail_ref = rescan_reduce(P, rows, rank)
     assert trail == trail_ref
     assert Q == Q_ref
 
@@ -172,7 +153,7 @@ def test_rows_of_several_entries_match_rescan(P, rows, ranked, data):
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_worklist_matches_rescan_on_grids(seed):
     P = random_grid_complex(random.Random(seed), max_side=4)
-    assert auto_reduce(P) == rescan_reduce(P)
+    assert auto_reduce(P) == rescan_reduce(P, [(entry,) for entry in GREEDY_ATTEMPTS])
 
 
 @st.composite
@@ -245,14 +226,9 @@ def test_each_step_is_certified_once(monkeypatch):
     assert calls["is_regular"] == calls["check"]
 
 
-# Greedy's checks and steps, as they were with every (row, cell) pair on
-# the heap from the start: keeping one pair per cell there changes which
-# pairs wait on the heap, never which are checked.
-@pytest.mark.parametrize("make, checks, steps", [
-    (lambda: modelio.named_fixture("swiss_flag"), 129, 34),
-    (lambda: modelio.grid_with_holes(32, 32, {(1, 1), (30, 30)}), 4435, 1086),
-], ids=["swiss_flag", "grid32_two_holes"])
-def test_greedy_check_count_is_pinned(monkeypatch, make, checks, steps):
+@pytest.fixture
+def check_calls(monkeypatch):
+    """A one-item list that counts the calls to `reductions.check`."""
     calls = [0]
     original = reductions.check
 
@@ -261,29 +237,33 @@ def test_greedy_check_count_is_pinned(monkeypatch, make, checks, steps):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(reductions, "check", counted)
-    _, trail = auto_reduce(make())
-    assert (calls[0], len(trail)) == (checks, steps)
+    return calls
 
 
-# Checks per applied step on two-hole n x n grids: recipe generation
-# 153/88, 422/312 and 1302/1144 checks/steps for n = 8, 16, 32, greedy
-# 245/78, 955/286 and 4435/1086. A cheaper check must not mean more of them.
-@pytest.mark.parametrize("n", [8, 16, 32])
-def test_checks_per_step_stay_bounded(monkeypatch, n):
-    calls = [0]
-    original = reductions.check
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(reductions, "check", counted)
-    holes = {(1, 1), (n - 2, n - 2)}
-    steps = recipes.grid_reduction_recipe(n, n, holes)
-    assert 0 < calls[0] <= 2 * len(steps)
-    calls[0] = 0
-    _, trail = auto_reduce(modelio.grid_with_holes(n, n, holes))
-    assert 0 < calls[0] <= 5 * len(trail)
+# Checks and steps, exact, of recipe generation and of greedy on two-hole
+# n x n grids, and of greedy on swiss_flag (n None). A cheaper check must
+# not mean more of them, and greedy's heap, which holds one pair per cell
+# and passes a failed cell on to its next row, must check what it checked
+# with every (row, cell) pair pushed from the start.
+@pytest.mark.parametrize("n, recipe, greedy", [
+    (8, (156, 88), (245, 78)),
+    (16, (425, 312), (955, 286)),
+    (32, (1305, 1144), (4435, 1086)),
+    (None, None, (129, 34)),
+], ids=["8", "16", "32", "swiss_flag"])
+def test_checks_per_step_stay_bounded(check_calls, n, recipe, greedy):
+    if n is None:
+        P = modelio.named_fixture("swiss_flag")
+    else:
+        holes = {(1, 1), (n - 2, n - 2)}
+        steps = recipes.grid_reduction_recipe(n, n, holes)
+        assert (check_calls[0], len(steps)) == recipe
+        assert 0 < check_calls[0] <= 2 * len(steps)
+        check_calls[0] = 0
+        P = modelio.grid_with_holes(n, n, holes)
+    _, trail = auto_reduce(P)
+    assert (check_calls[0], len(trail)) == greedy
+    assert 0 < check_calls[0] <= 5 * len(trail)
 
 
 # Checks of greedy on n x n grids with many holes (each square one with
@@ -293,16 +273,8 @@ def test_checks_per_step_stay_bounded(monkeypatch, n):
 # none of them, this keeps greedy linear on the one input family that was
 # quadratic.
 @pytest.mark.parametrize("n", [16, 32])
-def test_greedy_checks_grow_linearly_on_many_hole_grids(monkeypatch, n):
-    calls = [0]
-    original = reductions.check
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(reductions, "check", counted)
+def test_greedy_checks_grow_linearly_on_many_hole_grids(check_calls, n):
     P = modelio.grid_with_holes(n, n, many_holes(n))
     cells = sum(P.size(d) for d in P.degrees())
     _, trail = auto_reduce(P)
-    assert trail and 0 < calls[0] <= 3 * cells
+    assert trail and 0 < check_calls[0] <= 3 * cells
