@@ -133,8 +133,7 @@ def cmd_auto_reduce(args) -> int:
     P = modelio.load(args.input)
     steps = recipes.parse_recipe(modelio.read_text(args.recipe)) if args.recipe else None
     Q, trail = reductions.auto_reduce(P, "greedy" if steps is None else "recipe", steps)
-    for cert in trail:
-        print(reductions.Step.of(cert))
+    print("".join(f"{reductions.Step.of(cert)}\n" for cert in trail), end="")
     print(f"{len(trail)} reductions applied")
     for n in Q.degrees():
         print(f"cells[{n}]: {Q.size(n)}")

@@ -289,24 +289,25 @@ class Complex:
         return self
 
     def _patch(self, removed, redirected):
-        """Remove the cells `removed`, (degree, id) pairs, and move the edge
-        ends `redirected`, (edge, 1, k, vertex) ids, in place: a holding
-        certificate's step, or any on a throwaway copy that :meth:`reduced`
-        checks afterwards. The cost is what the step touches. A redirect
-        replaces the face-table dict, which may be shared, never mutating
-        it. Each cell removed is logged: the cells before are those after
-        plus the new log."""
+        """Remove the cells `removed`, (degree, id) pairs, each the key of
+        its tables, and move the edge ends `redirected`, (edge, 1, k,
+        vertex) ids, in place: a holding certificate's step, or any on a
+        throwaway copy that :meth:`reduced` checks afterwards. The cost is
+        what the step touches. A redirect replaces the face-table dict,
+        which may be shared, never mutating it. Each cell removed is
+        logged: the cells before are those after plus the new log."""
         faces, coords, tables, cell_sets = self._faces, self._coords, self._cofaces, self._cell_sets
         on_edge = tables[2]
-        for n, cid in removed:
+        for key in removed:
+            n, cid = key
             live = cell_sets[n]
             live.remove(cid)
             if not live:
                 del cell_sets[n]
-            coords.pop((n, cid), None)
+            coords.pop(key, None)
             if not n:
                 continue  # a vertex has no face entries to take out
-            for (_, k), f in faces.pop((n, cid)).items():
+            for (_, k), f in faces.pop(key).items():
                 table = tables[k] if n == 1 else on_edge
                 ids = table.get(f, ())
                 if cid in ids:  # gone already if a square has f at two positions
@@ -521,25 +522,27 @@ def standard_cube(n: int) -> Complex:
 
 def is_regular(P: Complex, x: CellRef) -> bool:
     """True iff the induced cube morphism of x is injective: for an edge,
-    iff its ends differ; for a square, iff its four edges differ and so do
-    its four corners, the ends of its d_1^0 and d_1^1 edges. Above that,
-    the images of the cube's degree-(r-1) cells are the faces of the
-    images of its degree-r cells, so x is regular iff each level r-1,
-    built from the level above, holds C(n, r-1) * 2^(n-r+1) distinct
-    cells, as the n-cube does; the loop stops at the first that falls
-    short. All read the stored face tables, exact once the face report
-    has passed. Raises UnknownCell for a cell P lacks and
-    ValidationFailed, as the coface tables do, if P is invalid.
+    iff its ends differ; for a square, iff its four corners (the ends of
+    its d_1^0 and d_1^1 edges, read by position) differ, since its edges
+    run p -> q, r -> w, p -> r and q -> w. Above that, the images of the
+    cube's degree-(r-1) cells are the faces of the images of its degree-r
+    cells, so x is regular iff each level r-1, built from the level above,
+    holds C(n, r-1) * 2^(n-r+1) distinct cells, as the n-cube does; the
+    loop stops at the first that falls short. All read the stored face
+    tables, exact once the face report has passed. Raises UnknownCell for
+    a cell P lacks and ValidationFailed, as the coface tables do, if P is
+    invalid.
     """
     n, cid, faces = P._known(x).degree, x.id, P._faces
-    P.coface_tables()  # checks that every face table holds exactly its faces
+    if P._cofaces is None:
+        P.coface_tables()  # checks that every face table holds exactly its faces
     if n == 1:
         start, end = faces[(1, cid)].values()
         return start != end
     if n == 2:
         table = faces[(2, cid)]
-        return len({*table.values()}) == 4 and len(
-            {*faces[(1, table[(1, 0)])].values(), *faces[(1, table[(1, 1)])].values()}) == 4
+        below, above = faces[(1, table[(1, 0)])], faces[(1, table[(1, 1)])]
+        return len({below[(1, 0)], below[(1, 1)], above[(1, 0)], above[(1, 1)]}) == 4
     level = (cid,)
     for r in range(n, 0, -1):
         level = {fid for c in level for fid in faces[(r, c)].values()}

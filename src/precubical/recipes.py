@@ -86,7 +86,8 @@ def parse_recipe(text: str) -> list[Step]:
         a = _NUMBERS.get(a[0], a[0]) if a else None
         b = _NUMBERS.get(b, b)
         try:
-            reductions._check_params(kind, a, b)
+            if (kind, a, b) not in reductions._VALID:  # a and b are ints or strs here
+                reductions._check_params(kind, a, b)
         except OutOfRange as exc:
             raise DocumentSyntaxError(lineno, str(exc)) from None
         steps.append(Step(kind, cell, b, a))

@@ -25,7 +25,7 @@ from itertools import starmap
 from typing import Iterator, Optional
 
 from . import core
-from .core import CellRef, Complex, _edges_at
+from .core import CellRef, Complex
 from .errors import (
     ConditionsFailed,
     GuaranteeLost,
@@ -63,9 +63,10 @@ class ReductionCertificate:
     `redirected`, `y` and `r_cells` on first read, so a check whose
     certificate is dropped builds none of them. R is a view: the checked
     complex, the length of its log of removed cells at check time, and
-    the cells R leaves out. Reading it gives the cells of the complex at
-    check time, less those, at a cost of O(cells). Only a square-two-free
-    certificate, which has an R, holds on to its complex.
+    the cells R leaves out besides the removed ones and Y. Reading it gives
+    the cells of the complex at check time, less all those, at a cost of
+    O(cells). Only a square-two-free certificate, which has an R, holds on
+    to its complex.
     """
 
     kind: str
@@ -120,7 +121,7 @@ class ReductionCertificate:
         if self._r is None:
             return None
         P, logged, kept_out = self._r
-        return P._cells_when(logged) - self.removed.union(starmap(CellRef, kept_out))
+        return P._cells_when(logged) - self.removed.union(starmap(CellRef, kept_out), self.y)
 
     def __eq__(self, other):
         if not isinstance(other, ReductionCertificate):
@@ -143,55 +144,59 @@ def _cells(degree: int, ids) -> tuple[CellRef, ...]:
     return tuple(CellRef(degree, c) for c in ids)
 
 
-def _other_squares(on_edge: dict, x: str, edges) -> set[str]:
-    """The ids of the squares other than x on any of the given edges."""
-    return {s for e in edges for s in on_edge.get(e, ()) if s != x}
-
-
-# Each move's own conditions, read on ids. Given P, its coface tables,
-# the id x of the cell and the parameters a, b, a move returns its
-# conditions after "reg" as (label, witness degree, witness ids) triples,
-# each holding when it has no witness, then the removed cells as
-# (degree, id) pairs, the redirected face entries as (edge, i, k, vertex)
-# id quadruples, the edge ids of Y, and the (degree, id) pairs that R
-# leaves out besides the removed cells (None where the move has no Y or R).
-# A move returns only values it owns, never a coface list: the chain's
-# working copy edits those lists in place after the check.
+# Each move's own conditions, read on ids from P's face tables. Given P,
+# its coface tables, the id x of the cell and the parameters a, b, a move
+# returns its conditions after "reg" as (label, witness degree, witness
+# ids) triples, each holding when it has no witness, then the removed
+# cells as (degree, id) pairs, the redirected face entries as (edge, i, k,
+# vertex) id quadruples, the edge ids of Y, and the (degree, id) pairs
+# that R leaves out besides the removed cells and Y (None where the move
+# has no Y or R). A move returns only values it owns, copying any coface
+# list it keeps: the chain's working copy edits those after the check.
 
 
 def _edge_collapse_conditions(P, cofaces, x, a, b):
-    faces = P.faces_of(1, x)
+    faces = P._faces[(1, x)]
     v = faces[(1, 1 - b)]  # the vertex that disappears
     w = faces[(1, b)]  # the vertex x collapses onto
-    same_endpoint = [yy for yy in cofaces[1 - b].get(v, ()) if yy != x]
-    blocked = [e for e in _edges_at(cofaces, v) if e in cofaces[2]]
+    same_endpoint = cofaces[1 - b][v].copy()  # the edges y with d_1^{1-b} y = v, less x
+    same_endpoint.remove(x)
+    blocked = cofaces[2].keys() & {*cofaces[0].get(v, ()), *cofaces[1].get(v, ())}
     y = tuple(cofaces[b].get(v, ()))
     redirected = [(yy, 1, b, w) for yy in y]
     return (("i", 1, same_endpoint), ("ii", 1, blocked)), ((1, x), (0, v)), redirected, y, None
 
 
 def _square_one_free_conditions(P, cofaces, x, a, b):
-    faces = P.faces_of(2, x)
-    e1, e2 = faces[(1, 1 - b)], faces[(2, b)]
-    corner = P.faces_of(1, e1)[(1, b)]  # equals d_1^{1-b} d_2^b x
-    other = _other_squares(cofaces[2], x, (e1, e2))
-    extra = _edges_at(cofaces, corner) - {e1, e2}
+    faces = P._faces
+    table = faces[(2, x)]
+    e1, e2 = table[(1, 1 - b)], table[(2, b)]
+    corner = faces[(1, e1)][(1, b)]  # equals d_1^{1-b} d_2^b x
+    on_edge = cofaces[2]
+    other = {*on_edge[e1], *on_edge[e2]}
+    other.discard(x)
+    extra = {*cofaces[0].get(corner, ()), *cofaces[1].get(corner, ())}
+    extra.difference_update((e1, e2))
     removed = ((2, x), (1, e1), (1, e2), (0, corner))
     return (("i", 2, other), ("ii", 1, extra)), removed, (), None, None
 
 
 def _square_two_free_conditions(P, cofaces, x, a, b):
-    faces = P.faces_of(2, x)
-    e_keep, e_drop = faces[(a, 1 - b)], faces[(3 - a, b)]
-    other = _other_squares(cofaces[2], x, (e_keep, e_drop))
-    v_keep = P.faces_of(1, e_keep)[(1, b)]
-    parallel = [yy for yy in cofaces[b].get(v_keep, ()) if yy != e_keep]
-    v_drop = P.faces_of(1, e_drop)[(1, 1 - b)]
-    y = [yy for yy in cofaces[1 - b].get(v_drop, ()) if yy != e_drop]
-    bad_y = [yy for yy in y if yy in cofaces[2]]
-    kept_out = ((0, v_drop), (1, e_keep), *((1, yy) for yy in y))
+    faces = P._faces
+    table = faces[(2, x)]
+    e_keep, e_drop = table[(a, 1 - b)], table[(3 - a, b)]
+    on_edge = cofaces[2]
+    other = {*on_edge[e_keep], *on_edge[e_drop]}
+    other.discard(x)
+    v_keep = faces[(1, e_keep)][(1, b)]
+    parallel = cofaces[b][v_keep].copy()
+    parallel.remove(e_keep)
+    v_drop = faces[(1, e_drop)][(1, 1 - b)]
+    y = cofaces[1 - b][v_drop].copy()
+    y.remove(e_drop)
+    bad_y = on_edge.keys() & y
     conditions = (("i", 2, other), ("ii", 1, parallel), ("iii", 1, bad_y))
-    return conditions, ((2, x), (1, e_drop)), (), y, kept_out
+    return conditions, ((2, x), (1, e_drop)), (), y, ((0, v_drop), (1, e_keep))
 
 
 # kind -> (degree of the reduced cell, the move's conditions)
@@ -200,6 +205,12 @@ _MOVES = {
     SQUARE_ONE_FREE: (2, _square_one_free_conditions),
     SQUARE_TWO_FREE: (2, _square_two_free_conditions),
 }
+
+# (kind, a, b) -> _MOVES[kind] for each valid move. A bool or float hashes
+# as its int, so a lookup first tests that a and b are exact ints or None.
+_VALID = {(kind, a, b): move for kind, move in _MOVES.items()
+          for a in ((1, 2) if kind == SQUARE_TWO_FREE else (None,)) for b in (0, 1)}
+_LOW_DEGREES = frozenset((0, 1, 2))  # the degrees a complex of dimension <= 2 may have
 
 
 def edge_collapse(
@@ -273,20 +284,27 @@ def run(
     check time: it stays exact while a working copy is patched after the
     check, and reading it costs O(cells). The `ReductionCertificate`
     constructor is internal: certificates come from here."""
-    _check_params(kind, a, b)
+    move = _VALID.get((kind, a, b)) if type(b) is int and (a is None or type(a) is int) else None
+    if move is None:
+        _check_params(kind, a, b)
     if mode not in ("apply", "check"):
         raise OutOfRange(f"mode must be 'apply' or 'check', not {mode!r}")
-    core._require_dimension_2(P, "a reduction")
-    cofaces = P.coface_tables()
-    degree, conditions_of = _MOVES[kind]
-    if not core._has(P, degree, cell_id):
+    if not _LOW_DEGREES.issuperset(P._cell_sets):
+        core._require_dimension_2(P, "a reduction")
+    cofaces = P._cofaces or P.coface_tables()
+    degree, conditions_of = move
+    try:
+        known = cell_id in P._cell_sets.get(degree, ())
+    except TypeError:  # an unhashable id names no cell
+        known = False
+    if not known:
         for n in P.degrees():
             if core._has(P, n, cell_id):
                 raise WrongDegree(f"cell {cell_id!r} has degree {n}, expected {degree}")
         raise UnknownCell(f"no cell {cell_id!r} of degree {degree}")
     x = CellRef(degree, cell_id)
     reg = core.is_regular(P, x)
-    params = {"a": a, "b": b} if kind == SQUARE_TWO_FREE else {"b": b}
+    params = {"b": b} if a is None else {"a": a, "b": b}
     cert = ReductionCertificate(P, kind, x, params, reg, *conditions_of(P, cofaces, cell_id, a, b))
     if mode == "check":
         return None, cert

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from precubical import cli, modelio, recipes
+from precubical import cli, modelio, recipes, reductions
 from precubical.cli import main
 
 from conftest import relabelled
@@ -168,6 +168,18 @@ def test_auto_reduce_trail_lines_are_a_recipe(tmp_path, capsys):
     assert main(["auto-reduce", flag, "--recipe", str(recipe_path), "-o", str(replay_out)]) == 0
     assert capsys.readouterr().out.splitlines()[:34] == trail
     assert replay_out.read_bytes() == greedy_out.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["swiss_flag", "circle"])
+def test_auto_reduce_stdout_is_the_step_lines_then_the_cell_counts(tmp_path, capsys, name):
+    """Exactly one line per step, then the summary; circle takes no step."""
+    path = write_fixture(tmp_path, name)
+    Q, trail = reductions.auto_reduce(modelio.load(path))
+    assert main(["auto-reduce", path]) == 0
+    expected = [*map(str, map(reductions.Step.of, trail)), f"{len(trail)} reductions applied",
+                *(f"cells[{n}]: {Q.size(n)}" for n in Q.degrees())]
+    assert capsys.readouterr().out == "".join(line + "\n" for line in expected)
+    assert bool(trail) == (name == "swiss_flag")
 
 
 def test_recipe_step_failure(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 from typing import Optional
@@ -28,6 +29,39 @@ CLASHING = from_edges(
      "e10": ("tc", "c")},
     {"s0": ("e0", "e1", "e2", "e3"), "s1": ("e0", "e1", "e2", "e3"), "s2": ("e4", "e1", "e2", "e3"),
      "s4": ("e4", "e7", "e2", "e3"), "s3": ("e1", "e1", "e5", "e6")},
+)
+
+
+# Irregular cells, with the sizes of their levels of iterated faces.
+FALLING_SHORT = [
+    # a loop edge, d_1^0 e = d_1^1 e
+    ({0: ["v"], 1: ["e"]}, {(1, "e"): {(1, 0): "v", (1, 1): "v"}}, [1, 1]),
+    # d_1^0 s = d_2^0 s: three edges, short at the edge level
+    ({0: ["p", "q", "r"], 1: ["a", "b", "d"], 2: ["s"]},
+     {(1, "a"): {(1, 0): "p", (1, 1): "q"},
+      (1, "b"): {(1, 0): "q", (1, 1): "r"},
+      (1, "d"): {(1, 0): "q", (1, 1): "r"},
+      (2, "s"): {(1, 0): "a", (1, 1): "b", (2, 0): "a", (2, 1): "d"}},
+     [1, 3, 3]),
+    # four edges, but d_1^1 d_1^0 s = d_1^0 d_1^1 s: short only at the vertex level
+    ({0: ["p", "q", "r"], 1: ["a", "b", "c", "d"], 2: ["s"]},
+     {(1, "a"): {(1, 0): "p", (1, 1): "q"},
+      (1, "c"): {(1, 0): "p", (1, 1): "q"},
+      (1, "b"): {(1, 0): "q", (1, 1): "r"},
+      (1, "d"): {(1, 0): "q", (1, 1): "r"},
+      (2, "s"): {(1, 0): "a", (1, 1): "b", (2, 0): "c", (2, 1): "d"}},
+     [1, 4, 3]),
+]
+FALLING_SHORT_IDS = ["loop-edge", "repeated-edge", "repeated-corner"]
+
+# A regular square: edges a: p -> q, b: r -> w, c: p -> r, d: q -> w.
+REGULAR_SQUARE = (
+    {0: ["p", "q", "r", "w"], 1: ["a", "b", "c", "d"], 2: ["s"]},
+    {(1, "a"): {(1, 0): "p", (1, 1): "q"},
+     (1, "b"): {(1, 0): "r", (1, 1): "w"},
+     (1, "c"): {(1, 0): "p", (1, 1): "r"},
+     (1, "d"): {(1, 0): "q", (1, 1): "w"},
+     (2, "s"): {(1, 0): "a", (1, 1): "b", (2, 0): "c", (2, 1): "d"}},
 )
 
 
@@ -294,29 +328,7 @@ class TestRegularity:
     def test_vertices_always_regular(self, interval):
         assert core.is_regular(interval, CellRef(0, "a0"))
 
-    @pytest.mark.parametrize(
-        "cells, faces, levels",
-        [
-            # a loop edge, d_1^0 e = d_1^1 e
-            ({0: ["v"], 1: ["e"]}, {(1, "e"): {(1, 0): "v", (1, 1): "v"}}, [1, 1]),
-            # d_1^0 s = d_2^0 s: three edges, short at the edge level
-            ({0: ["p", "q", "r"], 1: ["a", "b", "d"], 2: ["s"]},
-             {(1, "a"): {(1, 0): "p", (1, 1): "q"},
-              (1, "b"): {(1, 0): "q", (1, 1): "r"},
-              (1, "d"): {(1, 0): "q", (1, 1): "r"},
-              (2, "s"): {(1, 0): "a", (1, 1): "b", (2, 0): "a", (2, 1): "d"}},
-             [1, 3, 3]),
-            # four edges, but d_1^1 d_1^0 s = d_1^0 d_1^1 s: short only at the vertex level
-            ({0: ["p", "q", "r"], 1: ["a", "b", "c", "d"], 2: ["s"]},
-             {(1, "a"): {(1, 0): "p", (1, 1): "q"},
-              (1, "c"): {(1, 0): "p", (1, 1): "q"},
-              (1, "b"): {(1, 0): "q", (1, 1): "r"},
-              (1, "d"): {(1, 0): "q", (1, 1): "r"},
-              (2, "s"): {(1, 0): "a", (1, 1): "b", (2, 0): "c", (2, 1): "d"}},
-             [1, 4, 3]),
-        ],
-        ids=["loop-edge", "repeated-edge", "repeated-corner"],
-    )
+    @pytest.mark.parametrize("cells, faces, levels", FALLING_SHORT, ids=FALLING_SHORT_IDS)
     def test_each_level_that_falls_short(self, cells, faces, levels):
         P = Complex(cells, faces)
         assert core.validate(P) == []
@@ -325,6 +337,26 @@ class TestRegularity:
         assignment = cube_morphism(P, x).assignment
         assert len(set(assignment.values())) < len(assignment)
         assert not core.is_regular(P, x)
+
+    @pytest.mark.parametrize(
+        "cells, faces, regular",
+        [(cells, faces, False) for cells, faces, _ in FALLING_SHORT] + [(*REGULAR_SQUARE, True)],
+        ids=FALLING_SHORT_IDS + ["regular-square"],
+    )
+    def test_regular_in_every_key_order(self, cells, faces, regular):
+        """is_regular reads faces by position, not in table order: every
+        order of the top cell's keys, with every other table given
+        forwards or reversed, agrees with the cube morphism."""
+        top = max(faces)
+        x = CellRef(*top)
+        for order in itertools.permutations(faces[top]):
+            for step in (1, -1):
+                tables = {key: dict([*table.items()][::step]) for key, table in faces.items()}
+                tables[top] = {ik: faces[top][ik] for ik in order}
+                P = Complex(cells, tables)
+                assignment = cube_morphism(P, x).assignment
+                injective = len(set(assignment.values())) == len(assignment)
+                assert core.is_regular(P, x) == injective == regular, order
 
     @pytest.mark.parametrize("glued", [False, True], ids=["cube", "first-coordinate-glued"])
     def test_regular_iff_cube_morphism_injective_in_degree_three(self, glued):
@@ -364,6 +396,17 @@ class TestRegularity:
     @settings(max_examples=60, deadline=None)
     @given(glued_complexes())
     def test_regular_iff_cube_morphism_injective(self, P):
+        for x in all_cells(P):
+            assignment = cube_morphism(P, x).assignment
+            injective = len(set(assignment.values())) == len(assignment)
+            assert core.is_regular(P, x) == injective, x
+
+    @settings(max_examples=60, deadline=None)
+    @given(glued_complexes(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_regular_iff_cube_morphism_injective_with_tables_out_of_order(self, P, seed):
+        """The same on a relabelled copy, whose face tables hold their
+        keys in shuffled order."""
+        P = relabelled(P, random.Random(seed))
         for x in all_cells(P):
             assignment = cube_morphism(P, x).assignment
             injective = len(set(assignment.values())) == len(assignment)

@@ -135,6 +135,23 @@ class TestEdgeCollapse:
         (SQUARE_ONE_FREE, 1, 1, "check"),
         (SQUARE_ONE_FREE, None, True, "check"),
         (SQUARE_TWO_FREE, 2.0, 0, "check"),
+        # the bool and float twins of the valid parameters: they hash and
+        # compare as the ints 0, 1 and 2, but no recipe line holds them
+        (EDGE_COLLAPSE, None, False, "check"),
+        (EDGE_COLLAPSE, None, True, "apply"),
+        (EDGE_COLLAPSE, None, 0.0, "check"),
+        (EDGE_COLLAPSE, None, 1.0, "apply"),
+        (SQUARE_ONE_FREE, None, False, "apply"),
+        (SQUARE_ONE_FREE, None, 0.0, "check"),
+        (SQUARE_ONE_FREE, None, 1.0, "check"),
+        (SQUARE_TWO_FREE, 1, False, "check"),
+        (SQUARE_TWO_FREE, 2, True, "apply"),
+        (SQUARE_TWO_FREE, 1, 0.0, "check"),
+        (SQUARE_TWO_FREE, 2, 1.0, "check"),
+        (SQUARE_TWO_FREE, True, 0, "check"),
+        (SQUARE_TWO_FREE, True, 1, "apply"),
+        (SQUARE_TWO_FREE, 1.0, 1, "check"),
+        (SQUARE_TWO_FREE, 2.0, 1, "apply"),
     ],
 )
 def test_bad_parameters_raise_out_of_range(kind, a, b, mode):

@@ -227,6 +227,36 @@ def test_each_step_is_certified_once(monkeypatch):
 
 
 @pytest.fixture
+def certified_calls(monkeypatch):
+    """Counts of the calls to `reductions.check` and `core.is_regular`."""
+    calls = {"check": 0, "is_regular": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(reductions, "check")
+    counted(core, "is_regular")
+    return calls
+
+
+def test_recipe_replay_is_certified_once_per_step(certified_calls):
+    """Replay checks each step once, as apply mode would, and applies the
+    certificate its check passed."""
+    holes = {(1, 1), (6, 6)}
+    steps = recipes.grid_reduction_recipe(8, 8, holes)
+    certified_calls.update(check=0, is_regular=0)  # count the replay alone
+    _, trail = auto_reduce(modelio.grid_with_holes(8, 8, holes), policy="recipe", recipe=steps)
+    assert len(trail) == len(steps) > 0
+    assert certified_calls["is_regular"] == certified_calls["check"] == len(steps)
+
+
+@pytest.fixture
 def check_calls(monkeypatch):
     """A one-item list that counts the calls to `reductions.check`."""
     calls = [0]
