@@ -235,15 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="apply a single reduction")
     p.add_argument("input")
-    p.add_argument(
-        "--op",
-        required=True,
-        choices=[
-            reductions.EDGE_COLLAPSE,
-            reductions.SQUARE_ONE_FREE,
-            reductions.SQUARE_TWO_FREE,
-        ],
-    )
+    p.add_argument("--op", required=True, choices=list(reductions._MOVES))
     p.add_argument("--cell", required=True)
     p.add_argument("--a", type=int, choices=[1, 2])
     p.add_argument("--b", type=int, choices=[0, 1], required=True)

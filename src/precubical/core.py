@@ -88,7 +88,7 @@ class Complex:
             raise OutOfRange(f"cells must map each degree to a collection of ids, not {cells!r}")
         owned = {}
         for n, ids in cells.items():
-            if not (_is_int(n) and n >= 0 and isinstance(ids, Iterable)
+            if not (type(n) is int and n >= 0 and isinstance(ids, Iterable)
                     and not isinstance(ids, str | bytes)):
                 raise OutOfRange(f"degree {n!r}: cells must map ints >= 0 to ids, not {ids!r}")
             owned[n] = tuple(ids)
@@ -101,7 +101,7 @@ class Complex:
             if not isinstance(table, Mapping):
                 raise OutOfRange(f"{name} must map each (degree, id) to its {what}, not {table!r}")
             for key, value in table.items():
-                if not (isinstance(key, tuple) and len(key) == 2 and _is_int(key[0])
+                if not (isinstance(key, tuple) and len(key) == 2 and type(key[0]) is int
                         and key[0] >= 0 and isinstance(key[1], str) and key[1].split() == [key[1]]):
                     raise OutOfRange(f"{name} key {key!r} is not a (degree, id) pair, degree >= 0")
                 if not isinstance(value, kind):
@@ -191,7 +191,7 @@ class Complex:
         return cell
 
     def face(self, cell: CellRef, i: int, k: int) -> CellRef:
-        if not (_is_int(i) and _is_int(k)):
+        if not (type(i) is type(k) is int):
             raise OutOfRange(f"i and k must be ints, not {i!r} and {k!r}")
         fid = self.faces_of(self._known(cell).degree, cell.id).get((i, k))
         if fid is None:
@@ -226,7 +226,7 @@ class Complex:
         """The edges e with d_1^k e = v, or with v at either end if k is
         None, sorted by id. Any other k raises OutOfRange, and a cell that
         is not a vertex of this complex UnknownCell."""
-        if k is not None and not (_is_int(k) and k in (0, 1)):
+        if k is not None and not (type(k) is int and k in (0, 1)):
             raise OutOfRange(f"k must be None, 0 or 1, not {k!r}")
         cofaces = self.coface_tables()
         vid = self._known(v, 0).id
@@ -255,7 +255,7 @@ class Complex:
         for cell in (*removed, *(e for (e, _, _), _ in moves), *(v for _, v in moves)):
             self._known(cell)
         for (e, i, k), v in moves:  # exact ints, as in `face`: 1.0 and True are refused
-            if not (_is_int(i) and _is_int(k) and (e.degree, i, v.degree) == (1, 1, 0)
+            if not (type(i) is type(k) is int and (e.degree, i, v.degree) == (1, 1, 0)
                     and k in (0, 1)):
                 raise OutOfRange(f"{(e, i, k)!r} -> {v!r} does not move an edge end to a vertex")
         gone = {(c.degree, c.id) for c in removed}
@@ -476,21 +476,18 @@ def _has(P: Complex, n: int, cid) -> bool:
 
 def _degree(n) -> int:
     """n, or OutOfRange unless it is an exact int: the degree a reader takes."""
-    if not _is_int(n):
+    if type(n) is not int:  # exact: True would read as 1, and a subclass finds no degree
         raise OutOfRange(f"a degree is an int, not {n!r}")
     return n
 
 
+_LOW_DEGREES = frozenset((0, 1, 2))  # the degrees a complex of dimension <= 2 may have
+
+
 def _require_dimension_2(P: Complex, what: str):
     """Raise DimensionUnsupported if P has dimension above 2."""
-    if (P.dimension or 0) > 2:
+    if not _LOW_DEGREES.issuperset(P._cell_sets):
         raise DimensionUnsupported(f"{what} works in dimension <= 2, not {P.dimension}")
-
-
-def _is_int(x) -> bool:
-    """True for an exact int: not a bool, since True would read as 1, nor
-    another subclass, whose degree the readers would not find."""
-    return type(x) is int
 
 
 # -- the standard n-cube ---------------------------------------------------
@@ -499,7 +496,7 @@ def _is_int(x) -> bool:
 def standard_cube(n: int) -> Complex:
     """The precubical n-cube: cells are words over {0, 1, *}, a degree-r
     cell has exactly r stars, and d_i^k substitutes k for the i-th star."""
-    if not (_is_int(n) and n >= 0):
+    if not (type(n) is int and n >= 0):
         raise OutOfRange(f"a cube has an int degree n >= 0, not {n!r}")
     cells: dict[int, list[str]] = {}
     faces: dict[tuple[int, str], dict[tuple[int, int], str]] = {}

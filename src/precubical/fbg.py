@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import groupby
 from typing import Sequence
 
-from .core import CellRef, Complex, _is_int, maximal_vertices, minimal_vertices
+from .core import CellRef, Complex, maximal_vertices, minimal_vertices
 from .errors import NotAcyclic, OutOfRange, PathExplosion, UnknownCell
 
 DEFAULT_MAX_PATHS = 1_000_000
@@ -97,7 +97,7 @@ def _topological_order(P: Complex) -> list[str]:
 
 def _check_max_paths(max_paths):
     """Refuse a cap that is not an int of at least 1 (a bool is not)."""
-    if not (_is_int(max_paths) and max_paths >= 1):
+    if not (type(max_paths) is int and max_paths >= 1):
         raise OutOfRange(f"max_paths must be an int of at least 1, not {max_paths!r}")
 
 

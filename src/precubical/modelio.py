@@ -155,15 +155,15 @@ def grid_with_holes(m: int, n: int, holes=()) -> Complex:
     the squares at the given (i, j) positions removed. Holes remove only
     squares: both interleavings around a hole stay executable, only their
     independence square is absent."""
-    if not (core._is_int(m) and core._is_int(n) and m >= 1 and n >= 1):
+    if not (type(m) is type(n) is int and m >= 1 and n >= 1):
         raise OutOfRange(f"grid needs ints m >= 1 and n >= 1, not {m!r} and {n!r}")
     try:
         holes = set(holes)
     except TypeError:
         raise OutOfRange(f"holes must be a collection of (i, j) pairs, not {holes!r}") from None
     for hole in holes:
-        if not (isinstance(hole, tuple) and len(hole) == 2
-                and all(map(core._is_int, hole)) and 0 <= hole[0] < m and 0 <= hole[1] < n):
+        if not (isinstance(hole, tuple) and len(hole) == 2 and type(hole[0]) is type(hole[1]) is int
+                and 0 <= hole[0] < m and 0 <= hole[1] < n):
             raise OutOfRange(f"hole {hole!r} is not a square (i, j) of the {m}x{n} grid")
     # each id formatted once, per row i, and one (i, j) tuple per position
     at = [[(i, j) for j in range(n + 1)] for i in range(m + 1)]

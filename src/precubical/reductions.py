@@ -25,7 +25,7 @@ from itertools import starmap
 from typing import Iterator, Optional
 
 from . import core
-from .core import CellRef, Complex
+from .core import CellRef, Complex, _edges_at
 from .errors import (
     ConditionsFailed,
     GuaranteeLost,
@@ -161,7 +161,7 @@ def _edge_collapse_conditions(P, cofaces, x, a, b):
     w = faces[(1, b)]  # the vertex x collapses onto
     same_endpoint = cofaces[1 - b][v].copy()  # the edges y with d_1^{1-b} y = v, less x
     same_endpoint.remove(x)
-    blocked = cofaces[2].keys() & {*cofaces[0].get(v, ()), *cofaces[1].get(v, ())}
+    blocked = cofaces[2].keys() & _edges_at(cofaces, v)
     y = tuple(cofaces[b].get(v, ()))
     redirected = [(yy, 1, b, w) for yy in y]
     return (("i", 1, same_endpoint), ("ii", 1, blocked)), ((1, x), (0, v)), redirected, y, None
@@ -175,7 +175,7 @@ def _square_one_free_conditions(P, cofaces, x, a, b):
     on_edge = cofaces[2]
     other = {*on_edge[e1], *on_edge[e2]}
     other.discard(x)
-    extra = {*cofaces[0].get(corner, ()), *cofaces[1].get(corner, ())}
+    extra = _edges_at(cofaces, corner)
     extra.difference_update((e1, e2))
     removed = ((2, x), (1, e1), (1, e2), (0, corner))
     return (("i", 2, other), ("ii", 1, extra)), removed, (), None, None
@@ -210,7 +210,6 @@ _MOVES = {
 # as its int, so a lookup first tests that a and b are exact ints or None.
 _VALID = {(kind, a, b): move for kind, move in _MOVES.items()
           for a in ((1, 2) if kind == SQUARE_TWO_FREE else (None,)) for b in (0, 1)}
-_LOW_DEGREES = frozenset((0, 1, 2))  # the degrees a complex of dimension <= 2 may have
 
 
 def edge_collapse(
@@ -284,26 +283,25 @@ def run(
     check time: it stays exact while a working copy is patched after the
     check, and reading it costs O(cells). The `ReductionCertificate`
     constructor is internal: certificates come from here."""
-    move = _VALID.get((kind, a, b)) if type(b) is int and (a is None or type(a) is int) else None
+    try:  # an unhashable kind names no move
+        move = _VALID[kind, a, b] if type(b) is int and (a is None or type(a) is int) else None
+    except (KeyError, TypeError):
+        move = None
     if move is None:
         _check_params(kind, a, b)
     if mode not in ("apply", "check"):
         raise OutOfRange(f"mode must be 'apply' or 'check', not {mode!r}")
-    if not _LOW_DEGREES.issuperset(P._cell_sets):
-        core._require_dimension_2(P, "a reduction")
+    core._require_dimension_2(P, "a reduction")
     cofaces = P._cofaces or P.coface_tables()
     degree, conditions_of = move
+    x = CellRef(degree, cell_id)
     try:
-        known = cell_id in P._cell_sets.get(degree, ())
-    except TypeError:  # an unhashable id names no cell
-        known = False
-    if not known:
+        reg = core.is_regular(P, x)  # the one lookup of the cell
+    except UnknownCell:
         for n in P.degrees():
             if core._has(P, n, cell_id):
-                raise WrongDegree(f"cell {cell_id!r} has degree {n}, expected {degree}")
-        raise UnknownCell(f"no cell {cell_id!r} of degree {degree}")
-    x = CellRef(degree, cell_id)
-    reg = core.is_regular(P, x)
+                raise WrongDegree(f"cell {cell_id!r} has degree {n}, expected {degree}") from None
+        raise
     params = {"b": b} if a is None else {"a": a, "b": b}
     cert = ReductionCertificate(P, kind, x, params, reg, *conditions_of(P, cofaces, cell_id, a, b))
     if mode == "check":
@@ -316,12 +314,12 @@ def run(
 
 def _check_params(kind, a, b):
     """Raise OutOfRange unless (kind, a, b) names a reduction."""
-    if kind not in _MOVES:
+    if not (isinstance(kind, str) and kind in _MOVES):
         raise OutOfRange(f"unknown reduction kind {kind!r}")
-    # ints only: True == 1 and 2.0 == 2, but no recipe line holds them
-    if not (core._is_int(b) and b in (0, 1)):
+    # exact ints only: True == 1 and 2.0 == 2, but no recipe line holds them
+    if not (type(b) is int and b in (0, 1)):
         raise OutOfRange(f"b must be 0 or 1, not {b!r}")
-    if kind == SQUARE_TWO_FREE and not (core._is_int(a) and a in (1, 2)):
+    if kind == SQUARE_TWO_FREE and not (type(a) is int and a in (1, 2)):
         raise OutOfRange(f"a must be 1 or 2, not {a!r}")
     if kind != SQUARE_TWO_FREE and a is not None:
         raise OutOfRange(f"{kind} takes only b, not a={a!r}")
@@ -469,9 +467,10 @@ def auto_reduce(
     mode would and applies its certificate.
 
     An unknown policy, or a recipe that is not a list of `Step`s, raises
-    OutOfRange before P is read. Either policy then builds the coface
-    tables on P itself, so an invalid P raises ValidationFailed even when
-    it has no cell to check."""
+    OutOfRange before P is read. Either policy then refuses a P above
+    dimension 2 with DimensionUnsupported, as each check would, and builds
+    the coface tables on P itself, so an invalid P raises ValidationFailed
+    even when it has no cell to check."""
     if policy not in ("greedy", "recipe"):
         raise OutOfRange(f"unknown policy {policy!r}")
     if policy == "recipe":
@@ -480,6 +479,7 @@ def auto_reduce(
         for index, step in enumerate(recipe):
             if not isinstance(step, Step):
                 raise OutOfRange(f"recipe entry {index} is {step!r}, not a Step")
+    core._require_dimension_2(P, "a reduction")
     P = P._copy()
     if policy == "greedy":
         return P, list(_schedule(P, [(entry,) for entry in GREEDY_ATTEMPTS]))

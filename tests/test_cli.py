@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from precubical import cli, modelio, recipes, reductions
+from precubical import cli, core, modelio, recipes, reductions
 from precubical.cli import main
 
 from conftest import relabelled
@@ -212,6 +212,19 @@ def test_recipe_step_failure_prints_its_certificate_then_the_error(
         return
     assert shown[:1] == (["edge-collapse on p"] if certified else [])
     assert ("    (i) FAILED  witnesses: q/1" in shown) == certified
+
+
+@pytest.mark.parametrize("recipe", [None, ""], ids=["greedy", "empty-recipe"])
+def test_auto_reduce_above_dimension_2_exits_1(tmp_path, capsys, recipe):
+    cube = tmp_path / "cube3.pcs"
+    modelio.save(core.standard_cube(3), cube)
+    flags = []
+    if recipe is not None:
+        (tmp_path / "steps.txt").write_text(recipe)
+        flags = ["--recipe", str(tmp_path / "steps.txt")]
+    assert main(["auto-reduce", str(cube), *flags]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: a reduction works in dimension <= 2, not 3\n")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -152,6 +152,9 @@ class TestEdgeCollapse:
         (SQUARE_TWO_FREE, True, 1, "apply"),
         (SQUARE_TWO_FREE, 1.0, 1, "check"),
         (SQUARE_TWO_FREE, 2.0, 1, "apply"),
+        # kinds that cannot be hashed, so no table of moves can look them up
+        (["x"], None, 0, "check"),
+        ({}, None, 1, "apply"),
     ],
 )
 def test_bad_parameters_raise_out_of_range(kind, a, b, mode):
@@ -160,6 +163,52 @@ def test_bad_parameters_raise_out_of_range(kind, a, b, mode):
     with pytest.raises(OutOfRange):
         run(P, kind, cell, a, b, mode=mode)
     assert P._cofaces is None  # refused before any table was read
+
+
+# per kind: its a, the degree of its cell, and a cell of the square fixture
+# of another degree with the message that refuses it
+KINDS_ON_THE_SQUARE = [
+    (EDGE_COLLAPSE, None, 1, "s", "cell 's' has degree 2, expected 1"),
+    (SQUARE_ONE_FREE, None, 2, "eB", "cell 'eB' has degree 1, expected 2"),
+    (SQUARE_TWO_FREE, 1, 2, "w00", "cell 'w00' has degree 0, expected 2"),
+]
+
+
+@pytest.mark.parametrize("kind, a, degree, other, message", KINDS_ON_THE_SQUARE)
+@pytest.mark.parametrize("mode", ["check", "apply"])
+def test_unknown_and_wrong_degree_for_every_kind(kind, a, degree, other, message, mode):
+    P = modelio.named_fixture("square")
+    with pytest.raises(UnknownCell) as excinfo:
+        run(P, kind, "nope", a, 0, mode)
+    assert str(excinfo.value) == f"no cell 'nope' of degree {degree}"
+    with pytest.raises(WrongDegree) as excinfo:
+        run(P, kind, other, a, 0, mode)
+    assert str(excinfo.value) == message
+    with pytest.raises(UnknownCell) as excinfo:  # an unhashable id names no cell
+        run(P, kind, ["x"], a, 0, mode)
+    assert str(excinfo.value) == f"no cell ['x'] of degree {degree}"
+
+
+@pytest.mark.parametrize("kind, a", [(kind, a) for kind, a, *_ in KINDS_ON_THE_SQUARE])
+@pytest.mark.parametrize("cell", ["nope", ["x"], "a"], ids=["unknown", "unhashable", "vertex"])
+def test_which_error_a_bad_call_raises_first(kind, a, cell):
+    """Parameters, then mode, then dimension, then the face report, and
+    only then the cell."""
+    square = modelio.named_fixture("square")
+    with pytest.raises(OutOfRange, match="^b must be 0 or 1, not 2$"):
+        run(square, kind, cell, a, 2, mode="chek")
+    with pytest.raises(OutOfRange, match="^mode must be 'apply' or 'check', not 'chek'$"):
+        run(square, kind, cell, a, 0, mode="chek")
+    with pytest.raises(DimensionUnsupported, match="^a reduction works in dimension <= 2, not 3$"):
+        run(core.standard_cube(3), kind, cell, a, 0)
+    # vertex "a" is a cell of another degree, edge "y" ends at no listed vertex
+    dangling = Complex(
+        {0: ["a", "b"], 1: ["x", "y"]},
+        {(1, "x"): {(1, 0): "a", (1, 1): "b"}, (1, "y"): {(1, 0): "b", (1, 1): "ghost"}},
+    )
+    with pytest.raises(ValidationFailed) as excinfo:
+        run(dangling, kind, cell, a, 0)
+    assert [v.kind for v in excinfo.value.report] == ["dangling-face"]
 
 
 def test_each_certificates_step_line_parses_back_to_its_step():
@@ -576,6 +625,25 @@ class TestAutoReduce:
         assert excinfo.value.step_index == 0
         assert excinfo.value.certificate is None
         assert isinstance(excinfo.value.__cause__, UnknownCell)
+
+    @pytest.mark.parametrize("kind", [["x"], {}, 7], ids=["list", "dict", "int"])
+    def test_recipe_step_with_a_kind_that_names_no_move_names_its_index(self, kind):
+        P = modelio.named_fixture("square")
+        with pytest.raises(RecipeStepFailed) as excinfo:
+            auto_reduce(P, "recipe", [Step(SQUARE_ONE_FREE, "s", 1), Step(kind, "eB", 0)])
+        assert excinfo.value.step_index == 1
+        assert excinfo.value.certificate is None
+        assert isinstance(excinfo.value.__cause__, OutOfRange)
+        assert str(excinfo.value.__cause__) == f"unknown reduction kind {kind!r}"
+
+    @pytest.mark.parametrize("policy, recipe", [
+        ("greedy", None), ("recipe", []), ("recipe", [Step(SQUARE_ONE_FREE, "0**", 1)]),
+    ], ids=["greedy", "empty-recipe", "recipe"])
+    def test_a_complex_above_dimension_2_is_refused_before_any_step(self, policy, recipe):
+        cube = core.standard_cube(3)
+        with pytest.raises(DimensionUnsupported, match="^a reduction works in dimension <= 2, not 3$"):
+            auto_reduce(cube, policy, recipe)
+        assert cube._cofaces is None  # refused before the working copy is made
 
     def test_recipe_step_with_an_a_its_move_does_not_take(self):
         """Such a step has no recipe line: format_recipe would write one
